@@ -20,7 +20,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from .dynamics import (
     default_dt,
     propagate,
     run_convergence_experiment,
+    stepping_method,
 )
 from .model import ChainParams, ModelError, SiteState, build_hamiltonian
 from .quench import PulseSchedule, QuenchPlan, run_switch_experiment
@@ -77,7 +77,8 @@ class ExperimentConfig:
         return ChainParams(J=self.J, V=self.V, half_width=self.M, tail_tol=self.tail_tol)
 
     def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(dt=self.dt, record_stride=self.record_stride)
+        method = stepping_method(2 * self.M + 1, self.record_stride)
+        return IntegratorConfig(dt=self.dt, method=method, record_stride=self.record_stride)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
@@ -291,9 +292,7 @@ def _run_convergence(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
                                    width=cfg.initial_width, seed=cfg.seed)
         files[f"profile_{kind}.csv"] = _profile_csv(state)
         files[f"fidelity_{kind}.csv"] = results[kind].to_csv()
-    spec = numeric_spectrum(build_hamiltonian(params), count=2)
-    ground, _ = spec.stable_pair()
-    files["profile_ground.csv"] = _profile_csv(ground.right_vector)
+    files["profile_ground.csv"] = _profile_csv(results[CONVERGENCE_KINDS[0]].targets["g"])
     files["fidelity.svg"] = emit_svg(
         [(kind, results[kind], "F_g") for kind in CONVERGENCE_KINDS],
         {"ylabel": "F_g(t)", "title": "convergence to the ground mode"},
@@ -323,15 +322,14 @@ def _run_probability(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return _finish_run(outdir, cfg.to_json(), files)
 
 
-def _run_probability_sweep(cfg: ExperimentConfig, outdir: Path, threads: int) -> list[Path]:
+def _run_probability_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     """Three-ratio probability comparison (the fig4 preset)."""
     sub_configs = []
     for ratio, V, M in PROBABILITY_SWEEP:
         raw = {"experiment": "probability", "J": cfg.J, "V": V, "M": M,
                "t_end": cfg.t_end, "seed": cfg.seed, "tail_tol": cfg.tail_tol}
         sub_configs.append((ratio, _resolve(raw)))
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        series_list = list(pool.map(lambda item: _probability_series(item[1]), sub_configs))
+    series_list = [_probability_series(sub) for _, sub in sub_configs]
     files: dict[str, str] = {}
     for (ratio, _), series in zip(sub_configs, series_list):
         files[f"probability_ratio_{ratio:g}.csv"] = series.to_csv()
@@ -376,7 +374,7 @@ def _run_switch(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return _finish_run(outdir, cfg.to_json(), files)
 
 
-def run_config(cfg: ExperimentConfig, outdir: Path, threads: int = 1) -> list[Path]:
+def run_config(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     runner = {
         "spectrum": _run_spectrum,
         "convergence": _run_convergence,
@@ -395,7 +393,7 @@ PRESET_CONFIGS = {
 }
 
 
-def run_preset(name: str, outdir: Path, seed: int | None = None, threads: int = 1) -> list[Path]:
+def run_preset(name: str, outdir: Path, seed: int | None = None) -> list[Path]:
     """Execute one canned figure experiment into ``outdir``."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; expected one of {PRESETS}")
@@ -404,8 +402,8 @@ def run_preset(name: str, outdir: Path, seed: int | None = None, threads: int = 
         raw["seed"] = seed
     cfg = _resolve(raw)
     if name == "fig4":
-        return _run_probability_sweep(cfg, outdir, threads)
-    return run_config(cfg, outdir, threads)
+        return _run_probability_sweep(cfg, outdir)
+    return run_config(cfg, outdir)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("config", type=Path)
         p.add_argument("--out", type=Path, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -432,7 +429,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "preset":
             outdir = args.out or Path("runs") / args.name
-            paths = run_preset(args.name, outdir, seed=args.seed, threads=args.threads)
+            paths = run_preset(args.name, outdir, seed=args.seed)
         else:
             raw = json.loads(args.config.read_text())
             if not isinstance(raw, dict):
@@ -445,7 +442,7 @@ def main(argv=None) -> int:
                 raw["seed"] = args.seed
             cfg = _resolve(raw)
             outdir = args.out or Path("runs") / cfg.experiment
-            paths = run_config(cfg, outdir, threads=args.threads)
+            paths = run_config(cfg, outdir)
         for path in paths:
             print(path)
         return 0

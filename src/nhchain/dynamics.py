@@ -2,9 +2,10 @@
 
 States are propagated without renormalization: the returned amplitudes are
 the raw decaying ones, except that an overall factor is split off into
-``SiteState.log_scale`` if the norm would otherwise underflow.  Two
+``SiteState.log_scale`` if the norm would otherwise underflow.  Three
 propagation routes exist and serve as mutual checks: a fixed-step 4th-order
-Runge-Kutta integrator on the tridiagonal matrix, and direct expansion in a
+Runge-Kutta integrator on the tridiagonal matrix, the exact propagator
+expm(-i H k dt) applied once per recorded sample, and direct expansion in a
 full numeric eigenbasis.
 """
 
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .model import Hamiltonian, ChainParams, ModelError, SiteState
 from .spectral import Spectrum, SpectralError, dirac_overlap
@@ -25,6 +27,7 @@ __all__ = [
     "ObservableSeries",
     "DEFAULT_SEED",
     "default_dt",
+    "stepping_method",
     "make_initial_state",
     "propagate",
     "eigen_propagate",
@@ -66,28 +69,37 @@ def default_dt(params: ChainParams) -> float:
     return min(0.02 / params.J, 0.5 / radius)
 
 
+# One dense N x N product per recorded sample costs about 1.2 ns * N^2; one
+# RK4 step costs 30-60 us, mostly numpy call overhead (crossover measured at
+# stride 3, 10 and 40 for N = 201, 401 and 801).
+EXPM_N2_PER_STRIDE = 2**14
+
+
+def stepping_method(dimension: int, record_stride: int) -> str:
+    """'expm' if one dense product per recorded sample beats ``record_stride`` RK4 steps."""
+    return "expm" if dimension**2 <= EXPM_N2_PER_STRIDE * record_stride else "rk4"
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step integration parameters.
 
-    ``method`` is 'rk4' (default) or 'eigen'; the latter expands in a full
-    numeric spectrum supplied to ``propagate``.  ``record_stride`` thins
-    the recorded observable mesh; ``snapshot_stride`` > 0 additionally
-    stores full state snapshots on that stride.
+    ``method`` is 'rk4' (default) or 'expm'; the latter applies the exact
+    propagator expm(-i H k dt) once per recorded sample on the same mesh.
+    ``record_stride`` thins the recorded observable mesh.
     """
 
     dt: float
     method: str = "rk4"
     record_stride: int = 1
-    snapshot_stride: int = 0
 
     def __post_init__(self) -> None:
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise NumericError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.method not in ("rk4", "eigen"):
+        if self.method not in ("rk4", "expm"):
             raise NumericError(f"unknown method {self.method!r}")
-        if self.record_stride < 1 or self.snapshot_stride < 0:
-            raise NumericError("record_stride must be >= 1, snapshot_stride >= 0")
+        if self.record_stride < 1:
+            raise NumericError("record_stride must be >= 1")
 
 
 class ObservableSeries:
@@ -108,12 +120,11 @@ class ObservableSeries:
         self.norm2: list[float] = []
         self.prob: list[float] = []
         self.fidelities: dict[str, list[float]] = {name: [] for name in self.targets}
-        self.snapshots: list[tuple[float, SiteState]] = []
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def record(self, t: float, state: SiteState, snapshot: bool = False) -> None:
+    def record(self, t: float, state: SiteState) -> None:
         if self.times:
             if t == self.times[-1]:
                 return
@@ -130,8 +141,6 @@ class ObservableSeries:
             if not 0.0 <= value <= 1.0 + 1e-12:
                 raise NumericError(f"fidelity out of [0, 1] at t={t}: {value}", failure_time=t)
             self.fidelities[name].append(min(value, 1.0))
-        if snapshot:
-            self.snapshots.append((float(t), state))
 
     def column_names(self) -> list[str]:
         return ["time", "norm2", "P"] + [f"F_{name}" for name in self.targets]
@@ -207,21 +216,32 @@ def _apply_h(diagonal: np.ndarray, off: float, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_log_scale(y: np.ndarray, log_scale: float, t: float) -> float:
+    """Fail on non-finite amplitudes; rescale ``y`` in place before it underflows."""
+    norm = float(scipy.linalg.norm(y, check_finite=False))  # scaled: exact where |y|^2 underflows
+    if not math.isfinite(norm):
+        raise NumericError(f"non-finite amplitudes at t = {t:g}", failure_time=t)
+    if 0.0 < norm < UNDERFLOW_GUARD:
+        y /= norm
+        log_scale += math.log(norm)
+    return log_scale
+
+
 def propagate(
     h: Hamiltonian,
     state: SiteState,
     t_span,
     config: IntegratorConfig,
     series: ObservableSeries | None = None,
-    spectrum: Spectrum | None = None,
 ) -> SiteState:
     """Evolve ``state`` under dpsi/dt = -i H psi on a uniform mesh.
 
     ``t_span`` is (t0, t1) or a bare end time (then t0 = 0).  The state is
     returned raw (decaying), with any underflow-prevention factor recorded
-    in ``log_scale``.  With ``method='eigen'`` a full ``spectrum`` of the
-    same matrix must be supplied and the evolution is the exact mode
-    expansion; this is the oracle the integrator is tested against.
+    in ``log_scale``.  Both methods record at the same times: every
+    ``record_stride`` steps and at the last step.  With ``method='expm'``
+    the evolution between two recorded samples is the exact propagator
+    expm(-i H k dt), built once per chunk length k.
     """
     t0, t1 = (0.0, float(t_span)) if np.isscalar(t_span) else (float(t_span[0]), float(t_span[1]))
     if t1 < t0:
@@ -233,9 +253,6 @@ def propagate(
             series.record(t0, state)
         return state
 
-    if config.method == "eigen":
-        return _propagate_eigen(h, state, t0, t1, config, series, spectrum)
-
     limit = stability_limit(h)
     if config.dt > limit:
         raise NumericError(
@@ -244,19 +261,31 @@ def propagate(
 
     n_steps = max(1, round((t1 - t0) / config.dt))
     dt = (t1 - t0) / n_steps
-    diagonal = h.diagonal
-    off = h.off_diagonal
     y = state.amplitudes.copy()
     log_scale = state.log_scale
 
     def record(step: int) -> None:
-        if series is None:
-            return
-        t = t0 + step * dt
-        snap = config.snapshot_stride > 0 and step % config.snapshot_stride == 0
-        series.record(t, SiteState(y, h.half_width, label=state.label, log_scale=log_scale), snap)
+        if series is not None:
+            t = t0 + step * dt
+            series.record(t, SiteState(y, h.half_width, label=state.label, log_scale=log_scale))
 
     record(0)
+    if config.method == "expm":
+        dense = h.to_dense()
+        propagators: dict[int, np.ndarray] = {}
+        step = 0
+        while step < n_steps:
+            k = min(config.record_stride, n_steps - step)
+            if k not in propagators:
+                propagators[k] = scipy.linalg.expm(dense * (-1j * k * dt))
+            y = propagators[k] @ y
+            step += k
+            log_scale = _checked_log_scale(y, log_scale, t0 + step * dt)
+            record(step)
+        return SiteState(y, h.half_width, label=state.label, log_scale=log_scale)
+
+    diagonal = h.diagonal
+    off = h.off_diagonal
     half = 0.5 * dt
     sixth = dt / 6.0
     for step in range(1, n_steps + 1):
@@ -266,53 +295,22 @@ def propagate(
         k4 = -1j * _apply_h(diagonal, off, y + dt * k3)
         y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         if step % 32 == 0 or step == n_steps:
-            raw = float(np.vdot(y, y).real)
-            if not math.isfinite(raw):
-                raise NumericError(
-                    f"non-finite amplitudes at t = {t0 + step * dt:g}", failure_time=t0 + step * dt
-                )
-            if 0.0 < raw < UNDERFLOW_GUARD**2:
-                norm = math.sqrt(raw)
-                y /= norm
-                log_scale += math.log(norm)
+            log_scale = _checked_log_scale(y, log_scale, t0 + step * dt)
         if step % config.record_stride == 0 or step == n_steps:
             record(step)
     return SiteState(y, h.half_width, label=state.label, log_scale=log_scale)
 
 
-def _propagate_eigen(h, state, t0, t1, config, series, spectrum) -> SiteState:
-    if spectrum is None:
-        raise NumericError("method 'eigen' requires a full spectrum")
+def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: float) -> SiteState:
+    """Single-time exact mode-expansion evolution (the integrator oracle)."""
     if len(spectrum) != h.dimension:
         raise NumericError(
             f"eigen expansion needs all {h.dimension} modes, spectrum has {len(spectrum)}"
         )
-    coeffs = expansion_coefficients(state, spectrum)
-    energies = spectrum.energies()
+    coeffs = expansion_coefficients(state, spectrum).values
     vectors = np.column_stack([m.right_vector.amplitudes for m in spectrum.modes])
-
-    n_steps = max(1, round((t1 - t0) / config.dt))
-    dt = (t1 - t0) / n_steps
-    final = state
-    if series is not None:
-        series.record(t0, state)
-    steps = [
-        s for s in range(1, n_steps + 1) if s % config.record_stride == 0 or s == n_steps
-    ] if series is not None else [n_steps]
-    for step in steps:
-        t = t0 + step * dt
-        y = vectors @ (coeffs.values * np.exp(-1j * energies * (t - t0)))
-        final = SiteState(y, h.half_width, label=state.label, log_scale=state.log_scale)
-        if series is not None:
-            snap = config.snapshot_stride > 0 and step % config.snapshot_stride == 0
-            series.record(t, final, snap)
-    return final
-
-
-def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: float) -> SiteState:
-    """Single-time exact mode-expansion evolution (the integrator oracle)."""
-    cfg = IntegratorConfig(dt=max(t, 1.0), method="eigen")
-    return propagate(h, state, (0.0, t), cfg, spectrum=spectrum)
+    y = vectors @ (coeffs * np.exp(-1j * spectrum.energies() * t))
+    return SiteState(y, h.half_width, label=state.label, log_scale=state.log_scale)
 
 
 def expansion_coefficients(state: SiteState, spec: Spectrum) -> ExpansionCoefficients:

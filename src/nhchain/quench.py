@@ -161,8 +161,8 @@ def run_switch_experiment(
     pulse_h = quenched_hamiltonian(h, sched.start + sched.delta / 2.0, sched)
     pulse_config = IntegratorConfig(
         dt=plan.resolved_dt_pulse(),
+        method=config.method,
         record_stride=config.record_stride,
-        snapshot_stride=0,
     )
     state = propagate(pulse_h, state, (sched.start, t_pulse_end), pulse_config, series=series)
     if plan.t_relax > 0:

@@ -159,7 +159,7 @@ def test_probability_sweep_layout(tmp_path):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        paths = _run_probability_sweep(_resolve(raw), outdir, threads=3)
+        paths = _run_probability_sweep(_resolve(raw), outdir)
     names = sorted(p.name for p in paths)
     assert names == [
         "config.json",

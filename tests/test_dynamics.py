@@ -7,9 +7,11 @@ import pytest
 from nhchain.model import ChainParams, ModelError, SiteState, build_hamiltonian
 from nhchain.spectral import numeric_spectrum
 from nhchain.dynamics import (
+    UNDERFLOW_GUARD,
     IntegratorConfig,
     NumericError,
     ObservableSeries,
+    default_dt,
     dirac_probability,
     eigen_propagate,
     expansion_coefficients,
@@ -17,6 +19,7 @@ from nhchain.dynamics import (
     make_initial_state,
     propagate,
     run_convergence_experiment,
+    stepping_method,
 )
 
 
@@ -125,8 +128,71 @@ def test_excited_ladder_decay_rate(h_small_ratio, spectrum12, params_small_ratio
 
 def test_stability_violation_raises_before_integration(h_small_ratio, stable_modes):
     ground, _ = stable_modes
-    with pytest.raises(NumericError, match="stability"):
-        propagate(h_small_ratio, ground.right_vector, 1.0, IntegratorConfig(dt=5.0))
+    for method in ("rk4", "expm"):
+        with pytest.raises(NumericError, match="stability"):
+            propagate(h_small_ratio, ground.right_vector, 1.0,
+                      IntegratorConfig(dt=5.0, method=method))
+
+
+def test_expm_matches_eigen_expansion(small_chain):
+    p, h, spec = small_chain
+    state = make_initial_state("gaussian", p, width=3.0)
+    out = propagate(h, state, 100.0, IntegratorConfig(dt=0.004, method="expm", record_stride=1000))
+    oracle = eigen_propagate(spec, h, state, 100.0)
+    assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
+
+
+def test_expm_records_on_the_rk4_mesh(small_chain):
+    p, h, _ = small_chain
+    state = make_initial_state("gaussian", p, width=3.0)
+    runs = {}
+    for method in ("rk4", "expm"):
+        # 1000 steps at stride 7: the last chunk is a 6-step remainder
+        series = ObservableSeries()
+        propagate(h, state, 10.0, IntegratorConfig(dt=0.01, method=method, record_stride=7),
+                  series=series)
+        runs[method] = series
+    assert runs["expm"].times == runs["rk4"].times
+    assert len(runs["expm"]) == len(runs["rk4"]) == 1000 // 7 + 2
+    assert np.allclose(runs["expm"].norm2, runs["rk4"].norm2, rtol=1e-8, atol=0.0)
+
+
+def _stiff_edge_state(half_width):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = ChainParams(J=1.0, V=0.32, half_width=half_width, tail_tol=1.0)
+    return p, build_hamiltonian(p), make_initial_state("point", p, center=half_width)
+
+
+def test_expm_keeps_the_small_entries_of_the_propagator():
+    # A state decaying from the stiff edge lives in entries of U far below
+    # max|U|; dropping them changes this norm by ten orders of magnitude.
+    p, h, state = _stiff_edge_state(30)
+    rk4 = propagate(h, state, 20.0, IntegratorConfig(dt=default_dt(p)))
+    exact = propagate(h, state, 20.0,
+                      IntegratorConfig(dt=default_dt(p), method="expm", record_stride=50))
+    assert rk4.norm2() < 1e-100
+    assert exact.norm2() == pytest.approx(rk4.norm2(), rel=1e-6, abs=0.0)
+
+
+def test_underflow_split_into_log_scale():
+    # The norm falls to about exp(-383), below the 1e-150 guard, so both
+    # methods split a factor off into log_scale, at different times.
+    p, h, state = _stiff_edge_state(70)
+    log_norms = []
+    for cfg in (IntegratorConfig(dt=default_dt(p)),
+                IntegratorConfig(dt=default_dt(p), method="expm", record_stride=50)):
+        out = propagate(h, state, 5.0, cfg)
+        assert out.log_scale < math.log(UNDERFLOW_GUARD)
+        log_norms.append(out.log_scale + 0.5 * math.log(out.raw_norm2()))
+    assert log_norms[1] == pytest.approx(log_norms[0], abs=1e-6)
+
+
+def test_stepping_method_boundary():
+    assert stepping_method(201, 1) == "rk4"
+    assert stepping_method(201, 15) == "expm"
+    assert stepping_method(801, 1) == "rk4"
+    assert IntegratorConfig(dt=0.02).method == "rk4"
 
 
 def test_overflow_detected_with_failure_time(h_small_ratio):
