@@ -37,7 +37,7 @@ from .dynamics import (
 )
 from .model import ChainParams, ModelError, SiteState, build_hamiltonian
 from .quench import PulseSchedule, QuenchPlan, run_switch_experiment
-from .spectral import ConvergenceError, SpectralError, numeric_spectrum
+from .spectral import ConvergenceError, SpectralError, numeric_spectrum, spectrum_table
 from .svgplot import render_line_plot
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "emit_svg", "run_preset", "main"]
@@ -227,16 +227,6 @@ def _profile_csv(state: SiteState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spectrum_csv(spec) -> str:
-    lines = ["m,branch,re_energy,im_energy,residual"]
-    for mode in spec.modes:
-        lines.append(
-            f"{mode.m},{mode.branch},{mode.energy.real:.17g},"
-            f"{mode.energy.imag:.17g},{mode.residual:.17g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _finish_run(outdir: Path, cfg_json: str, files: dict[str, str]) -> list[Path]:
     """Write config, payload files and the hash manifest; return all paths."""
     outdir.mkdir(parents=True, exist_ok=True)
@@ -275,7 +265,8 @@ def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     curves.append(("Im E", [m for m, _, _ in ladder], [E.imag for _, _, E in ladder]))
     svg = render_line_plot(curves, xlabel="mode index m", ylabel="energy (J)",
                            title="spectral ladder")
-    return _finish_run(outdir, cfg.to_json(), {"spectrum.csv": _spectrum_csv(spec), "ladder.svg": svg})
+    files = {"spectrum.csv": spectrum_table(spec, sep=","), "ladder.svg": svg}
+    return _finish_run(outdir, cfg.to_json(), files)
 
 
 def _run_convergence(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
@@ -449,7 +440,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON config: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ModelError, SpectralError) as exc:
+    except (ConfigError, ModelError, SpectralError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericError, ConvergenceError) as exc:

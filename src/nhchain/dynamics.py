@@ -4,9 +4,9 @@ States are propagated without renormalization: the returned amplitudes are
 the raw decaying ones, except that an overall factor is split off into
 ``SiteState.log_scale`` if the norm would otherwise underflow.  Three
 propagation routes exist and serve as mutual checks: a fixed-step 4th-order
-Runge-Kutta integrator on the tridiagonal matrix, the exact propagator
-expm(-i H k dt) applied once per recorded sample, and direct expansion in a
-full numeric eigenbasis.
+Runge-Kutta integrator, whose step is applied as one precomputed 9-diagonal
+sparse matrix, the exact propagator expm(-i H k dt) applied once per
+recorded sample, and direct expansion in a full numeric eigenbasis.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .model import Hamiltonian, ChainParams, ModelError, SiteState
 from .spectral import Spectrum, SpectralError, dirac_overlap
@@ -30,6 +31,7 @@ __all__ = [
     "stepping_method",
     "make_initial_state",
     "propagate",
+    "rk4_step_operator",
     "eigen_propagate",
     "expansion_coefficients",
     "fidelity",
@@ -69,10 +71,11 @@ def default_dt(params: ChainParams) -> float:
     return min(0.02 / params.J, 0.5 / radius)
 
 
-# One dense N x N product per recorded sample costs about 1.2 ns * N^2; one
-# RK4 step costs 30-60 us, mostly numpy call overhead (crossover measured at
-# stride 3, 10 and 40 for N = 201, 401 and 801).
-EXPM_N2_PER_STRIDE = 2**14
+# One dense N x N product per recorded sample grows as N^2 (25, 150, 700 us
+# at N = 101, 201, 401); one sparse RK4 step costs 15-50 us, so the measured
+# crossover (stride ~2, ~12 and above 32) fits 2^12.  Twice that keeps every
+# preset segment on the exact propagator (the lowest is N = 201 at stride 5).
+EXPM_N2_PER_STRIDE = 2**13
 
 
 def stepping_method(dimension: int, record_stride: int) -> str:
@@ -209,11 +212,20 @@ def make_initial_state(
     return state.normalized()
 
 
-def _apply_h(diagonal: np.ndarray, off: float, y: np.ndarray) -> np.ndarray:
-    out = diagonal * y
-    out[:-1] += off * y[1:]
-    out[1:] += off * y[:-1]
-    return out
+def rk4_step_operator(h: Hamiltonian, dt: float) -> scipy.sparse.csr_array:
+    """One classical RK4 step of dpsi/dt = -i H psi as a sparse matrix.
+
+    For a linear system the four stages collapse into the degree-4 Taylor
+    polynomial P = I + A + A^2/2 + A^3/6 + A^4/24 with A = -i H dt, built
+    here in Horner form; for a tridiagonal H it has 9 diagonals.
+    """
+    off = np.full(h.dimension - 1, -1j * dt * h.off_diagonal)
+    a = scipy.sparse.diags_array([off, -1j * dt * h.diagonal, off], offsets=[-1, 0, 1], format="csr")
+    identity = scipy.sparse.eye_array(h.dimension, dtype=complex, format="csr")
+    step = identity
+    for k in (4, 3, 2, 1):
+        step = identity + (a @ step) / k
+    return step
 
 
 def _checked_log_scale(y: np.ndarray, log_scale: float, t: float) -> float:
@@ -284,16 +296,9 @@ def propagate(
             record(step)
         return SiteState(y, h.half_width, label=state.label, log_scale=log_scale)
 
-    diagonal = h.diagonal
-    off = h.off_diagonal
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    operator = rk4_step_operator(h, dt)
     for step in range(1, n_steps + 1):
-        k1 = -1j * _apply_h(diagonal, off, y)
-        k2 = -1j * _apply_h(diagonal, off, y + half * k1)
-        k3 = -1j * _apply_h(diagonal, off, y + half * k2)
-        k4 = -1j * _apply_h(diagonal, off, y + dt * k3)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        y = operator @ y
         if step % 32 == 0 or step == n_steps:
             log_scale = _checked_log_scale(y, log_scale, t0 + step * dt)
         if step % config.record_stride == 0 or step == n_steps:

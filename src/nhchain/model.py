@@ -92,9 +92,9 @@ class Hamiltonian:
 
     ``diagonal`` holds the on-site entries in site order l = -M..M;
     ``off_diagonal`` is the constant nearest-neighbour entry (-J for the
-    bare chain).  The full matrix is never needed for propagation; use
-    ``matvec`` for H @ psi and ``to_dense`` only for diagnostics and
-    diagonalization.
+    bare chain).  ``matvec`` computes H @ psi without forming the matrix;
+    ``to_dense`` builds the full matrix, which diagonalization and the
+    exact propagator expm(-i H k dt) need.
     """
 
     diagonal: np.ndarray

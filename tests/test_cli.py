@@ -188,6 +188,19 @@ def test_main_exit_codes(tmp_path, capsys):
     unstable.write_text('{"experiment": "probability", "t_end": 1.0, "dt": 10.0}')
     assert main(["run", str(unstable), "--out", str(tmp_path / "z")]) == 2
 
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"experiment": "spectr\xe9"}')
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    capsys.readouterr()
+    for argv in (["run", str(tmp_path / "missing.json")],  # no such file
+                 ["run", str(tmp_path)],  # a directory
+                 ["run", str(latin1)],  # not UTF-8
+                 ["preset", "fig2", "--out", str(taken)]):  # --out is a file
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_seed_override_changes_random_profile(tmp_path):
     raw = {"experiment": "convergence", "t_end": 1.0, "record_stride": 100}

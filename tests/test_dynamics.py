@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nhchain.model import ChainParams, ModelError, SiteState, build_hamiltonian
+from nhchain.quench import PulseSchedule, quenched_hamiltonian
 from nhchain.spectral import numeric_spectrum
 from nhchain.dynamics import (
     UNDERFLOW_GUARD,
@@ -18,6 +19,7 @@ from nhchain.dynamics import (
     fidelity,
     make_initial_state,
     propagate,
+    rk4_step_operator,
     run_convergence_experiment,
     stepping_method,
 )
@@ -126,6 +128,28 @@ def test_excited_ladder_decay_rate(h_small_ratio, spectrum12, params_small_ratio
     assert out.norm2() == pytest.approx(math.exp(-2.0), rel=0.01)
 
 
+def _four_stage_step(h, y, dt):
+    k1 = -1j * h.matvec(y)
+    k2 = -1j * h.matvec(y + 0.5 * dt * k1)
+    k3 = -1j * h.matvec(y + 0.5 * dt * k2)
+    k4 = -1j * h.matvec(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def test_rk4_step_operator_is_one_classical_step(h_small_ratio):
+    # The pulsed diagonal mu*l has a real part; dt_pulse = delta/400.
+    sched = PulseSchedule(delta=0.02)
+    pulsed = quenched_hamiltonian(h_small_ratio, sched.start + sched.delta / 2.0, sched)
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=201) + 1j * rng.normal(size=201)
+    for h, dt in ((h_small_ratio, 0.02), (pulsed, sched.delta / 400.0)):
+        operator = rk4_step_operator(h, dt)
+        expected = _four_stage_step(h, y, dt)
+        assert np.abs(operator @ y - expected).max() <= 1e-13 * np.abs(expected).max()
+        rows, cols = operator.nonzero()
+        assert np.abs(rows - cols).max() == 4  # 9 diagonals, none further out
+
+
 def test_stability_violation_raises_before_integration(h_small_ratio, stable_modes):
     ground, _ = stable_modes
     for method in ("rk4", "expm"):
@@ -190,7 +214,10 @@ def test_underflow_split_into_log_scale():
 
 def test_stepping_method_boundary():
     assert stepping_method(201, 1) == "rk4"
+    assert stepping_method(201, 4) == "rk4"
+    assert stepping_method(201, 5) == "expm"  # fig4's 201-site segment
     assert stepping_method(201, 15) == "expm"
+    assert stepping_method(101, 10) == "expm"
     assert stepping_method(801, 1) == "rk4"
     assert IntegratorConfig(dt=0.02).method == "rk4"
 

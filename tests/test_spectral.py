@@ -209,6 +209,14 @@ def test_ansatz_degrades_at_large_ratio(params_large_ratio):
     assert max(deviations) > 0.01
 
 
+def test_stable_pair_imag_tol(spectrum12, stable_modes):
+    # On the lattice the pair sits off the real axis by |Im E| = 1.251e-5.
+    with pytest.raises(SpectralError, match="not real"):
+        spectrum12.stable_pair(imag_tol=1e-6)
+    ground, excited = spectrum12.stable_pair(imag_tol=1e-4)
+    assert ground is stable_modes[0] and excited is stable_modes[1]
+
+
 def test_spectrum_table_format(spectrum12):
     table = spectrum_table(spectrum12)
     lines = table.strip().split("\n")
