@@ -17,7 +17,6 @@ from .model import (
     build_hamiltonian,
 )
 from .spectral import (
-    AnalyticModeParams,
     ConvergenceError,
     EigenMode,
     Spectrum,
@@ -33,7 +32,6 @@ from .spectral import (
 )
 from .dynamics import (
     DEFAULT_SEED,
-    ExpansionCoefficients,
     IntegratorConfig,
     NumericError,
     ObservableSeries,
@@ -49,8 +47,6 @@ from .dynamics import (
 from .quench import (
     PulseSchedule,
     QuenchPlan,
-    impulse_parity,
-    pulse_amplitude,
     quenched_hamiltonian,
     run_switch_experiment,
 )

@@ -23,14 +23,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .dynamics import (
     DEFAULT_SEED,
     IntegratorConfig,
     NumericError,
     ObservableSeries,
     default_dt,
+    make_initial_state,
     propagate,
     run_convergence_experiment,
     stepping_method,
@@ -106,7 +105,10 @@ def _resolve(raw: dict) -> ExperimentConfig:
         value = raw.get(key, default)
         _require(isinstance(value, (int, float)) and not isinstance(value, bool),
                  key, f"must be a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
         _require(math.isfinite(value), key, "must be finite")
         if minimum is not None:
             if exclusive:
@@ -126,21 +128,26 @@ def _resolve(raw: dict) -> ExperimentConfig:
     V = number("V", 2e-4, minimum=0.0)
     M = integer("M", 100, minimum=1)
     tail_tol = number("tail_tol", 1e-13, minimum=0.0)
-    count = integer("count", 12, minimum=1)
+    count = integer("count", min(12, 2 * M + 1), minimum=1)
     _require(count <= 2 * M + 1, "count", f"must be <= chain dimension {2 * M + 1}")
     seed = integer("seed", DEFAULT_SEED, minimum=0)
 
     default_t_end = {"spectrum": 0.0, "convergence": 600.0, "probability": 200.0, "switch": 0.0}
     t_end = number("t_end", default_t_end[experiment], minimum=0.0, exclusive=False)
 
-    params = ChainParams(J=J, V=V, half_width=M, tail_tol=tail_tol)
+    try:
+        params = ChainParams(J=J, V=V, half_width=M, tail_tol=tail_tol)
+    except ModelError as exc:  # J, V and tail_tol are checked above, so M is at fault
+        raise ConfigError(f"config key 'M': {exc}") from exc
     dt = number("dt", default_dt(params), minimum=0.0)
 
     delta = number("delta", 0.02, minimum=0.0)
     t_relax = number("t_relax", 600.0, minimum=0.0, exclusive=False)
 
     horizon = t_end if experiment != "switch" else delta + t_relax
-    auto_stride = max(1, int(round(horizon / dt)) // 2000) if horizon > 0 else 1
+    steps = horizon / dt
+    _require(math.isfinite(steps), "dt", f"the step count over time {horizon!r} is not finite")
+    auto_stride = max(1, int(round(steps)) // 2000)
     record_stride = integer("record_stride", auto_stride, minimum=1)
 
     initial_kind = raw.get("initial_kind", "gaussian")
@@ -162,14 +169,19 @@ def _resolve(raw: dict) -> ExperimentConfig:
     )
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a JSON config; unknown keys and bad values are hard errors."""
+def _load_object(text: str) -> dict:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer literal beyond Python's digit limit
         raise ConfigError(f"malformed JSON config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    return raw
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse a JSON config; unknown keys and bad values are hard errors."""
+    raw = _load_object(text)
     try:
         return _resolve(raw)
     except ModelError as exc:
@@ -276,8 +288,6 @@ def _run_convergence(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         seed=cfg.seed, center=cfg.initial_center, width=cfg.initial_width,
     )
     files: dict[str, str] = {}
-    from .dynamics import make_initial_state
-
     for kind in CONVERGENCE_KINDS:
         state = make_initial_state(kind, params, center=cfg.initial_center,
                                    width=cfg.initial_width, seed=cfg.seed)
@@ -351,7 +361,7 @@ def _run_switch(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         "hardness_ratio": plan.schedule.hardness_ratio(params),
         "t_relax": cfg.t_relax,
         "initial_level": cfg.initial_level,
-        "dt_pulse": plan.resolved_dt_pulse(),
+        "dt_pulse": plan.schedule.dt,
         "chain": {"J": cfg.J, "V": cfg.V, "M": cfg.M},
     }
     files = {
@@ -422,9 +432,7 @@ def main(argv=None) -> int:
             outdir = args.out or Path("runs") / args.name
             paths = run_preset(args.name, outdir, seed=args.seed)
         else:
-            raw = json.loads(args.config.read_text())
-            if not isinstance(raw, dict):
-                raise ConfigError("config must be a JSON object")
+            raw = _load_object(args.config.read_text())
             if args.command == "spectrum":
                 raw.setdefault("experiment", "spectrum")
                 if raw["experiment"] != "spectrum":
@@ -437,9 +445,6 @@ def main(argv=None) -> int:
         for path in paths:
             print(path)
         return 0
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON config: {exc}", file=sys.stderr)
-        return 1
     except (ConfigError, ModelError, SpectralError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

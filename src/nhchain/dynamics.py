@@ -18,13 +18,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .model import Hamiltonian, ChainParams, ModelError, SiteState
-from .spectral import Spectrum, SpectralError, dirac_overlap
+from .model import ChainParams, Hamiltonian, ModelError, SiteState, build_hamiltonian
+from .spectral import Spectrum, dirac_overlap, numeric_spectrum
 
 __all__ = [
     "NumericError",
     "IntegratorConfig",
-    "ExpansionCoefficients",
     "ObservableSeries",
     "DEFAULT_SEED",
     "default_dt",
@@ -160,18 +159,6 @@ class ObservableSeries:
         for row in zip(*self.columns()):
             lines.append(",".join(f"{value:.17g}" for value in row))
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class ExpansionCoefficients:
-    """Per-mode coefficients of a state in a biorthogonal eigenbasis."""
-
-    values: np.ndarray
-    spectrum: Spectrum
-
-    def reconstruction(self) -> np.ndarray:
-        vectors = np.column_stack([m.right_vector.amplitudes for m in self.spectrum.modes])
-        return vectors @ self.values
 
 
 def make_initial_state(
@@ -312,20 +299,15 @@ def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: flo
         raise NumericError(
             f"eigen expansion needs all {h.dimension} modes, spectrum has {len(spectrum)}"
         )
-    coeffs = expansion_coefficients(state, spectrum).values
+    coeffs = expansion_coefficients(state, spectrum)
     vectors = np.column_stack([m.right_vector.amplitudes for m in spectrum.modes])
     y = vectors @ (coeffs * np.exp(-1j * spectrum.energies() * t))
     return SiteState(y, h.half_width, label=state.label, log_scale=state.log_scale)
 
 
-def expansion_coefficients(state: SiteState, spec: Spectrum) -> ExpansionCoefficients:
-    """Coefficients c_n = <left_n|state> in the biorthogonal basis."""
-    if any(mode.left_vector is None for mode in spec.modes):
-        raise SpectralError("spectrum has no left vectors; cannot expand")
-    values = np.array(
-        [dirac_overlap(mode.left_vector, state) for mode in spec.modes], dtype=complex
-    )
-    return ExpansionCoefficients(values=values, spectrum=spec)
+def expansion_coefficients(state: SiteState, spec: Spectrum) -> np.ndarray:
+    """Coefficients c_n = <left_n|state> in the biorthogonal basis, in mode order."""
+    return np.array([dirac_overlap(mode.left_vector, state) for mode in spec.modes], dtype=complex)
 
 
 def fidelity(target: SiteState, evolved: SiteState) -> float:
@@ -361,9 +343,6 @@ def run_convergence_experiment(
     The targets are the two slowest-decaying numeric eigenmodes of the
     chain.  Returns one series per requested kind.
     """
-    from .spectral import numeric_spectrum  # local import to avoid a cycle at import time
-    from .model import build_hamiltonian
-
     h = build_hamiltonian(params)
     spec = numeric_spectrum(h, count=2)
     ground, excited = spec.stable_pair()

@@ -66,7 +66,11 @@ class ChainParams:
                 raise ModelError(f"{name} must be > 0, got {value!r}")
         if not isinstance(self.half_width, (int, np.integer)) or self.half_width < 1:
             raise ModelError(f"half_width must be an integer >= 1, got {self.half_width!r}")
-        if not math.isfinite(self.V * float(self.half_width) ** 2):
+        try:
+            edge = self.V * float(self.half_width) ** 2
+        except OverflowError:
+            edge = math.inf
+        if not math.isfinite(edge):
             raise ModelError("V * half_width**2 overflows the floating range")
         object.__setattr__(self, "omega", math.sqrt(self.J * self.V / 2.0))
         tail = math.exp(-self.omega * self.half_width**2 / (2.0 * self.J))
@@ -94,12 +98,14 @@ class Hamiltonian:
     ``off_diagonal`` is the constant nearest-neighbour entry (-J for the
     bare chain).  ``matvec`` computes H @ psi without forming the matrix;
     ``to_dense`` builds the full matrix, which diagonalization and the
-    exact propagator expm(-i H k dt) need.
+    exact propagator expm(-i H k dt) need.  ``params`` is the chain the
+    matrix was built from; None for any other matrix (a pulsed chain).
     """
 
     diagonal: np.ndarray
     off_diagonal: float
     half_width: int
+    params: ChainParams | None = None
 
     def __post_init__(self) -> None:
         diag = np.ascontiguousarray(self.diagonal, dtype=complex)
@@ -198,7 +204,8 @@ def build_hamiltonian(params: ChainParams) -> Hamiltonian:
     diagonal = 1j * (params.omega - params.V * l * l)
     if not np.all(np.isfinite(diagonal)):
         raise ModelError("non-finite Hamiltonian diagonal entries")
-    return Hamiltonian(diagonal=diagonal, off_diagonal=-params.J, half_width=params.half_width)
+    return Hamiltonian(diagonal=diagonal, off_diagonal=-params.J,
+                       half_width=params.half_width, params=params)
 
 
 def apply_parity(state: SiteState) -> SiteState:

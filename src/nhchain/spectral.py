@@ -6,7 +6,10 @@ Two routes are provided and cross-checked in the tests:
   alpha = exp(-i*pi/8) * (V/J)**(1/4) and energies
   E_m^+ = (2m+1)*omega - 2J - 2i*m*omega,  E_m^- = 2J - (2m+1)*omega - 2i*m*omega;
 * dense numerical diagonalization of the truncated tridiagonal matrix,
-  returning biorthonormalized left/right pairs.
+  returning biorthonormalized left/right pairs.  Numeric modes get ladder
+  labels (m, branch) from the closed-form energies of the chain the matrix
+  carries (``Hamiltonian.params``); a matrix without one, such as a pulsed
+  chain, gets none.
 
 Because the matrix is complex symmetric, the left eigenvector of a right
 vector v is the elementwise conjugate of v up to the scaling that enforces
@@ -18,18 +21,16 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .model import ChainParams, Hamiltonian, SiteState
+from .model import ChainParams, Hamiltonian, SiteState, parity_signs
 
 __all__ = [
     "SpectralError",
     "ConvergenceError",
-    "AnalyticModeParams",
     "EigenMode",
     "Spectrum",
     "hermite_polynomial",
@@ -84,16 +85,6 @@ def mode_scale(params: ChainParams) -> complex:
     return cmath.exp(-1j * math.pi / 8.0) * (params.V / params.J) ** 0.25
 
 
-@dataclass(frozen=True)
-class AnalyticModeParams:
-    """Scale and normalization data for one closed-form mode."""
-
-    alpha: complex
-    norm_constant: float
-    m: int
-    branch: str
-
-
 def normalization_constant(m: int, params: ChainParams, rtol: float = 1e-10) -> float:
     """Normalization N_m from the continuum integral.
 
@@ -138,8 +129,7 @@ def analytic_wavefunction(m: int, branch: str, params: ChainParams) -> SiteState
     if branch == "+":
         amps = psi_plus
     else:
-        signs = 1.0 - 2.0 * (np.abs(params.sites()) % 2)
-        amps = signs * np.conj(psi_plus)
+        amps = parity_signs(params.half_width) * np.conj(psi_plus)
     return SiteState(amps, params.half_width, label=f"analytic m={m} branch={branch}")
 
 
@@ -173,10 +163,13 @@ class EigenMode:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Modes sorted by descending Im(E), ties by ascending Re(E)."""
+    """Modes sorted by descending Im(E), ties by ascending Re(E).
+
+    ``params`` is the solved matrix's chain (None if it is not a bare chain).
+    """
 
     modes: tuple
-    params: ChainParams
+    params: ChainParams | None
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -217,24 +210,6 @@ def _ladder_labels(params: ChainParams, max_m: int) -> list[tuple[int, str, comp
     return labels
 
 
-def _params_from_hamiltonian(h: Hamiltonian) -> ChainParams | None:
-    """Recover (J, V, M) from a bare-chain matrix; None if it is not one."""
-    mid = h.half_width
-    omega = h.diagonal[mid].imag
-    J = -h.off_diagonal
-    if J <= 0 or omega <= 0:
-        return None
-    V = omega - h.diagonal[mid + 1].imag
-    if V <= 0:
-        return None
-    expected = 1j * (omega - V * (np.arange(-mid, mid + 1, dtype=float) ** 2))
-    if not np.allclose(expected, h.diagonal, rtol=0.0, atol=1e-12 * max(1.0, abs(V) * mid**2)):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ChainParams(J=J, V=V, half_width=mid)
-
-
 def numeric_spectrum(h: Hamiltonian, count: int, tol: float = 1e-8) -> Spectrum:
     """Diagonalize the chain and return the slowest-decaying modes.
 
@@ -272,7 +247,7 @@ def numeric_spectrum(h: Hamiltonian, count: int, tol: float = 1e-8) -> Spectrum:
             selected_set.add(candidates[0])
     selected.sort(key=lambda i: _sort_key(eigenvalues[i]))
 
-    params = _params_from_hamiltonian(h)
+    params = h.params
     labels = _ladder_labels(params, min(HERMITE_MAX_DEGREE, h.half_width)) if params else []
     label_gate = params.omega / 2.0 if params else 0.0
 

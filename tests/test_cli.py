@@ -4,6 +4,7 @@ import math
 import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nhchain.dynamics import DEFAULT_SEED, ObservableSeries
 from nhchain.model import ModelError, SiteState
@@ -30,6 +31,12 @@ def test_minimal_config_gets_defaults():
     assert cfg.seed == DEFAULT_SEED
     assert cfg.t_end == 0.0
     assert cfg.dt > 0.0
+    # convergence never reads count; its default must not reject a small chain
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # envelope tail of the short chains
+        assert parse_config('{"experiment": "convergence", "M": 5}').count == 11
+        assert parse_config('{"experiment": "spectrum", "M": 1}').count == 3
+        assert parse_config('{"experiment": "spectrum", "M": 6}').count == 12
 
 
 def test_explicit_values_survive_round_trip():
@@ -54,6 +61,8 @@ def test_explicit_values_survive_round_trip():
         ('{"experiment": "spectrum", "M": 0}', "'M'"),
         ('{"experiment": "spectrum", "M": 2.5}', "'M'"),
         ('{"experiment": "spectrum", "count": 300}', "'count'"),
+        pytest.param('{"experiment": "spectrum", "J": 1%s}' % ("0" * 400), "'J'", id="J-1e400"),
+        pytest.param('{"experiment": "spectrum", "M": 1%s}' % ("0" * 400), "'M'", id="M-1e400"),
         ('{"experiment": "spectrum", "Vv": 1}', "'Vv'"),
         ('{"experiment": "orbit"}', "'experiment'"),
         ('{"experiment": "convergence", "initial_kind": "blob"}', "'initial_kind'"),
@@ -65,6 +74,36 @@ def test_explicit_values_survive_round_trip():
 def test_bad_configs_name_the_offending_key(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+KEYS = ("experiment", "J", "V", "M", "tail_tol", "count", "t_end", "dt", "record_stride",
+        "seed", "initial_kind", "initial_center", "initial_width", "delta", "t_relax",
+        "initial_level")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers() | st.integers(-10**500, 10**500)
+    | st.sampled_from(("spectrum", "convergence", "probability", "switch", "g", "e", "point")),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(raw=st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), json_values, max_size=6),
+       experiment=st.sampled_from(("spectrum", "convergence", "probability", "switch", None)))
+@example(raw={"J": 10**400}, experiment="spectrum")
+@example(raw={"M": 10**400}, experiment="spectrum")
+@example(raw={"t_end": 1e308, "dt": 1e-300}, experiment="probability")
+@example(raw={"delta": 1e308, "t_relax": 1e308}, experiment="switch")
+def test_parse_config_raises_only_config_error(raw, experiment):
+    if experiment is not None:
+        raw = {**raw, "experiment": experiment}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            parse_config(json.dumps(raw))
+        except ConfigError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +231,21 @@ def test_main_exit_codes(tmp_path, capsys):
     latin1.write_bytes(b'{"experiment": "spectr\xe9"}')
     taken = tmp_path / "taken"
     taken.write_text("")
+    huge = "1" + "0" * 400  # beyond the float range
+    huge_j = tmp_path / "huge_j.json"
+    huge_j.write_text('{"experiment": "spectrum", "J": %s}' % huge)
+    huge_m = tmp_path / "huge_m.json"
+    huge_m.write_text('{"experiment": "spectrum", "M": %s}' % huge)
+    too_long = tmp_path / "too_long.json"
+    too_long.write_text('{"experiment": "spectrum", "seed": 1%s}' % ("0" * 5000))
     capsys.readouterr()
     for argv in (["run", str(tmp_path / "missing.json")],  # no such file
                  ["run", str(tmp_path)],  # a directory
                  ["run", str(latin1)],  # not UTF-8
-                 ["preset", "fig2", "--out", str(taken)]):  # --out is a file
+                 ["preset", "fig2", "--out", str(taken)],  # --out is a file
+                 ["run", str(huge_j)],
+                 ["run", str(huge_m)],
+                 ["run", str(too_long)]):  # beyond Python's integer digit limit
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -137,12 +137,12 @@ def _four_stage_step(h, y, dt):
 
 
 def test_rk4_step_operator_is_one_classical_step(h_small_ratio):
-    # The pulsed diagonal mu*l has a real part; dt_pulse = delta/400.
+    # The pulsed diagonal mu*l has a real part; the pulse step is delta/400.
     sched = PulseSchedule(delta=0.02)
-    pulsed = quenched_hamiltonian(h_small_ratio, sched.start + sched.delta / 2.0, sched)
+    pulsed = quenched_hamiltonian(h_small_ratio, sched)
     rng = np.random.default_rng(11)
     y = rng.normal(size=201) + 1j * rng.normal(size=201)
-    for h, dt in ((h_small_ratio, 0.02), (pulsed, sched.delta / 400.0)):
+    for h, dt in ((h_small_ratio, 0.02), (pulsed, sched.dt)):
         operator = rk4_step_operator(h, dt)
         expected = _four_stage_step(h, y, dt)
         assert np.abs(operator @ y - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -250,7 +250,7 @@ def test_integrator_config_validation():
 
 def test_expansion_of_eigenvector_is_delta(spectrum12):
     mode = spectrum12.modes[3]
-    coeffs = expansion_coefficients(mode.right_vector, spectrum12).values
+    coeffs = expansion_coefficients(mode.right_vector, spectrum12)
     assert abs(coeffs[3] - 1.0) < 1e-8
     others = np.delete(np.abs(coeffs), 3)
     assert others.max() < 1e-8
@@ -258,7 +258,7 @@ def test_expansion_of_eigenvector_is_delta(spectrum12):
 
 def test_point_state_couples_equally_to_both_branches(params_small_ratio, spectrum12):
     state = make_initial_state("point", params_small_ratio)
-    coeffs = expansion_coefficients(state, spectrum12).values
+    coeffs = expansion_coefficients(state, spectrum12)
     c_plus = abs(coeffs[0])
     c_minus = abs(coeffs[1])
     assert abs(c_plus - c_minus) <= 1e-6 * c_plus
@@ -267,7 +267,7 @@ def test_point_state_couples_equally_to_both_branches(params_small_ratio, spectr
 def test_smooth_state_decouples_from_staggered_branch(params_small_ratio, spectrum12, stable_modes):
     ground, excited = stable_modes
     state = make_initial_state("gaussian", params_small_ratio, width=10.0)
-    coeffs = expansion_coefficients(state, spectrum12).values
+    coeffs = expansion_coefficients(state, spectrum12)
     c_g = coeffs[spectrum12.modes.index(ground)]
     c_e = coeffs[spectrum12.modes.index(excited)]
     assert abs(c_e) / abs(c_g) < 1e-3
@@ -276,8 +276,9 @@ def test_smooth_state_decouples_from_staggered_branch(params_small_ratio, spectr
 def test_expansion_reconstruction(small_chain):
     p, _, spec = small_chain
     state = make_initial_state("random", p, seed=5)
-    coeffs = expansion_coefficients(state, spec)
-    assert np.abs(coeffs.reconstruction() - state.amplitudes).max() < 1e-8
+    vectors = np.column_stack([mode.right_vector.amplitudes for mode in spec.modes])
+    reconstruction = vectors @ expansion_coefficients(state, spec)
+    assert np.abs(reconstruction - state.amplitudes).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nhchain.model import (
     ChainParams,
@@ -41,6 +42,9 @@ def test_invalid_half_width_rejected():
         ChainParams(J=1.0, V=1.0, half_width=0)
     with pytest.raises(ModelError):
         ChainParams(J=1.0, V=1e308, half_width=10)
+    for huge in (10**200, 10**400):  # float(M)**2 overflows; M itself does not fit a float
+        with pytest.raises(ModelError, match="overflows"):
+            ChainParams(J=1.0, V=2e-4, half_width=huge)
 
 
 def test_tail_violation_warns_but_does_not_fail():
@@ -91,6 +95,7 @@ def test_build_is_pure(params_small_ratio):
     b = build_hamiltonian(params_small_ratio)
     assert np.array_equal(a.diagonal, b.diagonal)
     assert a.off_diagonal == b.off_diagonal
+    assert a.params is params_small_ratio
 
 
 def test_apply_parity_alternates_signs():
@@ -108,12 +113,17 @@ def test_apply_parity_involution_bit_exact():
     assert apply_parity(state).raw_norm2() == state.raw_norm2()
 
 
-def test_anti_pt_residual_exactly_zero_for_bare_chain():
-    for J, V, M in [(1.0, 2e-4, 100), (0.7, 0.32, 30), (2.5, 1e-3, 60), (1.0, 5.0, 8)]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = ChainParams(J=J, V=V, half_width=M)
-        assert anti_pt_residual(build_hamiltonian(p)) == 0.0
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(J=st.floats(1e-3, 1e3), V=st.floats(1e-6, 1e2), M=st.integers(1, 120))
+@example(J=1.0, V=2e-4, M=100)
+@example(J=0.7, V=0.32, M=30)
+@example(J=2.5, V=1e-3, M=60)
+@example(J=1.0, V=5.0, M=8)
+def test_anti_pt_residual_exactly_zero_for_bare_chain(J, V, M):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = ChainParams(J=J, V=V, half_width=M)
+    assert anti_pt_residual(build_hamiltonian(p)) == 0.0
 
 
 def test_anti_pt_residual_real_diagonal_defect(h_small_ratio):

@@ -14,28 +14,11 @@ from nhchain.model import (
 )
 from nhchain.spectral import dirac_overlap, numeric_spectrum
 from nhchain.dynamics import IntegratorConfig, propagate
-from nhchain.quench import (
-    PulseSchedule,
-    QuenchPlan,
-    impulse_parity,
-    pulse_amplitude,
-    quenched_hamiltonian,
-    run_switch_experiment,
-)
+from nhchain.quench import PulseSchedule, QuenchPlan, quenched_hamiltonian, run_switch_experiment
 
 
 # ---------------------------------------------------------------------------
 # schedule and plan
-
-def test_pulse_amplitude_window():
-    sched = PulseSchedule(delta=0.02, start=1.0)
-    mu = math.pi / 0.02
-    assert sched.mu == mu
-    assert pulse_amplitude(1.01, sched) == mu
-    # open interval: zero at both endpoints and outside
-    for t in (0.0, 1.0, 1.02, 2.0):
-        assert pulse_amplitude(t, sched) == 0.0
-
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, math.inf, math.nan])
 def test_schedule_rejects_bad_duration(delta):
@@ -44,6 +27,7 @@ def test_schedule_rejects_bad_duration(delta):
 
 
 def test_pulse_area_is_pi():
+    assert PulseSchedule(delta=0.02, start=1.0).mu == math.pi / 0.02
     # mu * delta == pi independent of the duration
     for delta in (0.005, 0.02, 0.3):
         sched = PulseSchedule(delta=delta)
@@ -62,53 +46,36 @@ def test_plan_validation(params_small_ratio):
     sched = PulseSchedule(delta=0.02)
     with pytest.raises(ModelError):
         QuenchPlan(params=params_small_ratio, schedule=sched, t_relax=-1.0)
-    with pytest.raises(ModelError):
-        QuenchPlan(params=params_small_ratio, schedule=sched, dt_pulse=0.02 / 100.0)
-    plan = QuenchPlan(params=params_small_ratio, schedule=sched)
-    assert plan.resolved_dt_pulse() == pytest.approx(0.02 / 400.0)
+    assert sched.dt == 0.02 / 400.0
 
 
 # ---------------------------------------------------------------------------
 # quenched Hamiltonian
 
-def test_quenched_hamiltonian_identity_outside_window(h_small_ratio):
-    sched = PulseSchedule(delta=0.02, start=5.0)
-    assert quenched_hamiltonian(h_small_ratio, 0.0, sched) is h_small_ratio
-    assert quenched_hamiltonian(h_small_ratio, 5.02, sched) is h_small_ratio
-
-
 def test_quenched_hamiltonian_linear_shift(h_small_ratio):
     sched = PulseSchedule(delta=0.02)
-    hq = quenched_hamiltonian(h_small_ratio, 0.01, sched)
+    hq = quenched_hamiltonian(h_small_ratio, sched)
     shift = hq.diagonal - h_small_ratio.diagonal
     mu = sched.mu
     assert shift[0] == pytest.approx(-100.0 * mu)
     assert shift[100] == 0.0
     assert shift[200] == pytest.approx(100.0 * mu)
     assert hq.off_diagonal == h_small_ratio.off_diagonal
+    assert hq.params is None and h_small_ratio.params is not None
 
 
 def test_linear_field_breaks_antisymmetry(h_small_ratio):
     sched = PulseSchedule(delta=0.02)
-    hq = quenched_hamiltonian(h_small_ratio, 0.01, sched)
+    hq = quenched_hamiltonian(h_small_ratio, sched)
     assert anti_pt_residual(hq) == pytest.approx(2.0 * sched.mu * 100.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # impulse limit
 
-def test_impulse_is_parity(stable_modes):
-    ground, _ = stable_modes
-    out = impulse_parity(ground.right_vector)
-    ref = apply_parity(ground.right_vector)
-    assert np.array_equal(out.amplitudes, ref.amplitudes)
-    back = impulse_parity(out)
-    assert np.array_equal(back.amplitudes, ground.right_vector.amplitudes)
-
-
 def test_parity_maps_ground_to_conjugate_excited(stable_modes):
     ground, excited = stable_modes
-    flipped = impulse_parity(ground.right_vector)
+    flipped = apply_parity(ground.right_vector)
     conj_excited = excited.right_vector.with_amplitudes(
         np.conj(excited.right_vector.amplitudes)
     )
@@ -189,16 +156,6 @@ def test_soft_pulse_warns(params_small_ratio):
     )
     with pytest.warns(UserWarning, match="hardness"):
         run_switch_experiment(plan, initial="g")
-
-
-def test_soft_pulse_validated_raises(params_small_ratio):
-    plan = QuenchPlan(
-        params=params_small_ratio,
-        schedule=PulseSchedule(delta=2.0),
-        t_relax=0.0,
-    )
-    with pytest.raises(ModelError, match="hardness"):
-        run_switch_experiment(plan, initial="g", validated=True)
 
 
 def test_bad_initial_label(short_plan):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhchain.model import ChainParams, SiteState, apply_parity, build_hamiltonian
 from nhchain.spectral import (
@@ -159,6 +160,31 @@ def test_biorthogonality_matrix(spectrum12):
     assert np.abs(np.diag(mat) - 1.0).max() < 1e-10
     off = mat - np.diag(np.diag(mat))
     assert off.max() < 1e-8
+
+
+# Chains in the paper's regime, omega/J = sqrt(V/(2J)) <= 0.4, at small sizes.
+chains = st.builds(
+    lambda J, ratio, M: (J, 2.0 * J * ratio**2, M),
+    J=st.floats(0.5, 2.0), ratio=st.floats(0.01, 0.4), M=st.integers(4, 40),
+)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(chain=chains, count=st.integers(1, 12))
+def test_numeric_spectrum_pairs_and_biorthonormal(chain, count):
+    J, V, M = chain
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        h = build_hamiltonian(ChainParams(J=J, V=V, half_width=M))
+    spec = numeric_spectrum(h, min(count, h.dimension))
+    energies = spec.energies()
+    # E -> -conj(E): the selection is closed under the anti-PT pairing
+    for e in energies:
+        if abs(e.real) > 1e-8:
+            assert np.min(np.abs(energies + np.conj(e))) <= 1e-8
+    # biorthonormal to the eigensolve's residual tolerance, 1e-8 * ||H||
+    h_norm = np.abs(h.diagonal).max() + 2.0 * J
+    assert np.abs(biorthogonality_matrix(spec) - np.eye(len(spec))).max() <= 1e-8 * h_norm
 
 
 def test_biorthogonality_single_mode(spectrum12):
