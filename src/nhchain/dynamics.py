@@ -108,9 +108,9 @@ class ObservableSeries:
     """Time-stamped record of norms, probability and fidelities.
 
     Fidelity targets are registered at construction (name -> normalized
-    state) and evaluated at every recorded time.  Serializes to CSV with
-    columns: time, norm2, P, then one F_<name> column per target, all at
-    17 significant digits.
+    state; their raw norms are computed once) and evaluated at every
+    recorded time.  Serializes to CSV with columns: time, norm2, P, then one
+    F_<name> column per target, all at 17 significant digits.
     """
 
     def __init__(self, targets: dict[str, SiteState] | None = None):
@@ -118,6 +118,7 @@ class ObservableSeries:
         for name, target in self.targets.items():
             if not target.is_normalized(tol=1e-8):
                 raise ModelError(f"fidelity target {name!r} is not Dirac-normalized")
+        self._target_norm2 = {name: target.raw_norm2() for name, target in self.targets.items()}
         self.times: list[float] = []
         self.norm2: list[float] = []
         self.prob: list[float] = []
@@ -132,14 +133,15 @@ class ObservableSeries:
                 return
             if t < self.times[-1]:
                 raise ModelError(f"times must be strictly increasing, got {t} after {self.times[-1]}")
-        n2 = state.norm2()
+        raw_n2 = state.raw_norm2()
+        n2 = math.exp(2.0 * state.log_scale) * raw_n2  # SiteState.norm2()
         if not math.isfinite(n2) or n2 < 0:
             raise NumericError(f"non-finite norm at t={t}", failure_time=t)
         self.times.append(float(t))
         self.norm2.append(n2)
         self.prob.append(n2 * n2)
         for name, target in self.targets.items():
-            value = fidelity(target, state)
+            value = _fidelity(target.amplitudes, self._target_norm2[name], state.amplitudes, raw_n2)
             if not 0.0 <= value <= 1.0 + 1e-12:
                 raise NumericError(f"fidelity out of [0, 1] at t={t}: {value}", failure_time=t)
             self.fidelities[name].append(min(value, 1.0))
@@ -316,10 +318,14 @@ def fidelity(target: SiteState, evolved: SiteState) -> float:
     Scale-invariant in both arguments, so the split-off ``log_scale``
     factors drop out; always in [0, 1].
     """
-    denom = evolved.raw_norm2() * target.raw_norm2()
+    return _fidelity(target.amplitudes, target.raw_norm2(), evolved.amplitudes, evolved.raw_norm2())
+
+
+def _fidelity(target: np.ndarray, target_n2: float, evolved: np.ndarray, evolved_n2: float) -> float:
+    denom = evolved_n2 * target_n2
     if denom == 0.0:
         raise ModelError("fidelity undefined for a zero state")
-    overlap = np.vdot(target.amplitudes, evolved.amplitudes)
+    overlap = np.vdot(target, evolved)
     return float(abs(overlap) ** 2 / denom)
 
 

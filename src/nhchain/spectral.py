@@ -4,12 +4,16 @@ Two routes are provided and cross-checked in the tests:
 
 * closed-form Hermite-Gaussian modes valid for V << J, with complex scale
   alpha = exp(-i*pi/8) * (V/J)**(1/4) and energies
-  E_m^+ = (2m+1)*omega - 2J - 2i*m*omega,  E_m^- = 2J - (2m+1)*omega - 2i*m*omega;
-* dense numerical diagonalization of the truncated tridiagonal matrix,
-  returning biorthonormalized left/right pairs.  Numeric modes get ladder
-  labels (m, branch) from the closed-form energies of the chain the matrix
-  carries (``Hamiltonian.params``); a matrix without one, such as a pulsed
-  chain, gets none.
+  E_m^+ = (2m+1)*omega - 2J - 2i*m*omega,  E_m^- = 2J - (2m+1)*omega - 2i*m*omega,
+  and their first-order lattice correction i*V*(2m^2+2m+1)/16 (``lattice_shift``);
+* numerical eigenpairs of the truncated tridiagonal matrix, returned as
+  biorthonormalized left/right pairs: shift-invert Arnoldi (ARPACK) at the
+  two band edges for the stable pair of a bare chain, dense
+  diagonalization of all N modes otherwise (``numeric_spectrum`` states
+  the rule).  Numeric modes get ladder labels (m, branch) from the
+  closed-form energies of the chain the matrix carries
+  (``Hamiltonian.params``); a matrix without one, such as a pulsed chain,
+  gets none.
 
 Because the matrix is complex symmetric, the left eigenvector of a right
 vector v is the elementwise conjugate of v up to the scaling that enforces
@@ -25,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .model import ChainParams, Hamiltonian, SiteState, parity_signs
 
@@ -38,6 +44,7 @@ __all__ = [
     "normalization_constant",
     "analytic_wavefunction",
     "analytic_energy",
+    "lattice_shift",
     "numeric_spectrum",
     "biorthogonality_matrix",
     "dirac_overlap",
@@ -45,6 +52,11 @@ __all__ = [
 ]
 
 HERMITE_MAX_DEGREE = 60
+# Modes each band-edge search returns beyond its half of ``count``; they
+# certify the cut (every kept Im E must lie above every spare's).
+EDGE_SPARES = 3
+# Dense diagonalization holds a few N x N complex arrays (64 MB each at the cap).
+DENSE_MAX_DIMENSION = 2001
 
 
 class SpectralError(ValueError):
@@ -142,6 +154,17 @@ def analytic_energy(m: int, branch: str, params: ChainParams) -> complex:
     raise SpectralError(f"branch must be '+' or '-', got {branch!r}")
 
 
+def lattice_shift(m: int, params: ChainParams) -> complex:
+    """First-order lattice correction to the closed-form energy of mode m.
+
+    The continuum ladder drops the -J k^4/12 term of the band dispersion;
+    first-order perturbation theory in it gives
+    Delta E_m = -(J/12) <p^4> = i V (2m^2 + 2m + 1) / 16 on both branches.
+    The remainder is O(V^(3/2)).
+    """
+    return 1j * params.V * (2 * m * m + 2 * m + 1) / 16.0
+
+
 @dataclass(frozen=True)
 class EigenMode:
     """One spectral solution with biorthonormalized left/right vectors.
@@ -210,24 +233,110 @@ def _ladder_labels(params: ChainParams, max_m: int) -> list[tuple[int, str, comp
     return labels
 
 
+def _uses_edge_search(h: Hamiltonian, count: int) -> bool:
+    """Whether ``numeric_spectrum`` takes the band-edge shift-invert route.
+
+    Besides a bare chain, it needs ARPACK's basis of max(2k+1, 20) vectors
+    to fit in N/4 (k modes per edge search) and the closed-form ladder of
+    each search's k modes to stay on its own side of the band centre,
+    (2k - 1) omega < 2J; past that a stiff chain's slowest modes leave the
+    ladder and the spares stop certifying the cut.  Counts above 2 stay
+    dense while they fit: the two members of an E <-> -conj(E) pair tie in
+    Im E, so their order in a spectrum table is set by rounding, and the
+    dense route keeps the order of the tables written so far.
+    """
+    params = h.params
+    if params is None or (count > 2 and h.dimension <= DENSE_MAX_DIMENSION):
+        return False
+    k = -(-count // 2) + EDGE_SPARES
+    return 4 * max(2 * k + 1, 20) <= h.dimension and (2 * k - 1) * params.omega < 2.0 * params.J
+
+
+def _edge_eigenpairs(
+    h: Hamiltonian, count: int, tol: float, spares: int = EDGE_SPARES
+) -> tuple[np.ndarray, np.ndarray]:
+    """Modes nearest the two band edges, by shift-invert Arnoldi (ARPACK).
+
+    Each edge search returns ceil(count/2) + ``spares`` modes.  ARPACK's
+    vectors of the modes away from the shift carry residuals up to ~1e-9, so
+    each is refined by one inverse-iteration step at its Ritz value (a
+    tridiagonal solve) and its energy replaced by the complex-symmetric
+    Rayleigh quotient v^T H v / v^T v; both then match dense ``eig``.  The
+    '+' search keeps the modes with Re E <= tol (so a mode on the imaginary
+    axis, which both searches find, is kept once) and the '-' search the rest.
+    """
+    params = h.params
+    n = h.dimension
+    off = np.full(n - 1, h.off_diagonal, dtype=complex)
+    matrix = scipy.sparse.diags_array([off, h.diagonal, off], offsets=[-1, 0, 1], format="csc")
+    banded = np.zeros((3, n), dtype=complex)  # LAPACK band storage of H - E
+    banded[0, 1:] = off
+    banded[2, :-1] = off
+    # Fixed start vector: repeated solves are bit-identical, and a random one
+    # is not reflection-symmetric, so it reaches parity-odd modes directly.
+    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    energies, vectors = [], []
+    for branch in ("+", "-"):
+        sigma = analytic_energy(0, branch, params) + lattice_shift(0, params)
+        try:
+            ritz, v = scipy.sparse.linalg.eigs(
+                matrix, k=-(-count // 2) + spares, sigma=sigma, v0=v0
+            )
+            for j, value in enumerate(ritz):
+                banded[1] = h.diagonal - value
+                x = scipy.linalg.solve_banded((1, 1), banded, v[:, j], check_finite=False)
+                v[:, j] = x / np.linalg.norm(x)
+        except (scipy.sparse.linalg.ArpackError, np.linalg.LinAlgError) as exc:  # incl. no convergence
+            raise ConvergenceError(
+                f"shift-invert search at {sigma:.6g} failed: {exc}", float("nan")
+            ) from exc
+        e = np.sum(v * (matrix @ v), axis=0) / np.sum(v * v, axis=0)
+        own = e.real <= tol if branch == "+" else e.real > tol
+        energies.append(e[own])
+        vectors.append(v[:, own])
+    return np.concatenate(energies), np.hstack(vectors)
+
+
 def numeric_spectrum(h: Hamiltonian, count: int, tol: float = 1e-8) -> Spectrum:
     """Diagonalize the chain and return the slowest-decaying modes.
 
-    Dense diagonalization (dimension <= a few hundred in practice).  The
-    ``count`` modes with the largest Im(E) are selected; if the cut would
-    split a pair related by E -> -conj(E), the partner is pulled in as
-    well, so the result can hold up to one extra mode.  Right vectors are
-    Dirac-normalized with a deterministic phase (largest-magnitude entry
-    made real positive); left vectors are conjugates of the right ones,
-    rescaled so <left|right> = 1.
+    Two routes give the raw eigenpairs, picked by ``_uses_edge_search``:
+    for the stable pair (``count`` <= 2) of a bare chain with N >= 80 and
+    7 omega < 2J, or a small ``count`` of a chain above
+    DENSE_MAX_DIMENSION, two shift-invert Arnoldi searches at the band
+    edges, each asking for ceil(count/2) + EDGE_SPARES modes, whose spare
+    modes must all decay faster than every kept one (else
+    ConvergenceError); otherwise dense diagonalization of all N modes,
+    refused with SpectralError above DENSE_MAX_DIMENSION before anything is
+    allocated.  Either way the ``count`` modes with the largest Im(E) are
+    selected; if the cut would split a pair related by E -> -conj(E), the
+    partner is pulled in as well, so the result can hold up to one extra
+    mode.  Right vectors are Dirac-normalized with a deterministic phase
+    (largest-magnitude entry made real positive); left vectors are
+    conjugates of the right ones, rescaled so <left|right> = 1.
     """
     if count < 1 or count > h.dimension:
         raise SpectralError(f"count must be in [1, {h.dimension}], got {count}")
     if tol <= 0:
         raise SpectralError(f"tol must be > 0, got {tol}")
+    if _uses_edge_search(h, count):
+        return _spectrum(h, count, tol, *_edge_eigenpairs(h, count, tol))
+    if h.dimension > DENSE_MAX_DIMENSION:
+        raise SpectralError(
+            f"count {count} needs the dense eigensolve, which is capped at dimension "
+            f"{DENSE_MAX_DIMENSION}; this chain has N = {h.dimension}"
+        )
+    return _spectrum(h, count, tol, *scipy.linalg.eig(h.to_dense()))
 
-    dense = h.to_dense()
-    eigenvalues, right = scipy.linalg.eig(dense)
+
+def _spectrum(
+    h: Hamiltonian, count: int, tol: float, eigenvalues: np.ndarray, right: np.ndarray
+) -> Spectrum:
+    """Select, normalize, check and label ``count`` modes from raw eigenpairs.
+
+    ``eigenvalues``/``right`` are all N modes, or a partial set whose
+    unselected modes must certify the cut.
+    """
     order = sorted(range(len(eigenvalues)), key=lambda i: _sort_key(eigenvalues[i]))
 
     selected = list(order[:count])
@@ -246,6 +355,14 @@ def numeric_spectrum(h: Hamiltonian, count: int, tol: float = 1e-8) -> Spectrum:
             selected.append(candidates[0])
             selected_set.add(candidates[0])
     selected.sort(key=lambda i: _sort_key(eigenvalues[i]))
+    if len(eigenvalues) < h.dimension:
+        spare_imag = [eigenvalues[i].imag for i in order if i not in selected_set]
+        kept_imag = min(eigenvalues[i].imag for i in selected)
+        if not spare_imag or kept_imag <= max(spare_imag):
+            raise ConvergenceError(
+                f"spare modes do not certify the cut below the {len(selected)} slowest-decaying"
+                f" modes (lowest kept Im E {kept_imag:.6g})", float("nan")
+            )
 
     params = h.params
     labels = _ladder_labels(params, min(HERMITE_MAX_DEGREE, h.half_width)) if params else []

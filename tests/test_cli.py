@@ -6,6 +6,7 @@ import warnings
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nhchain import cli
 from nhchain.dynamics import DEFAULT_SEED, ObservableSeries
 from nhchain.model import ModelError, SiteState
 from nhchain.cli import (
@@ -213,7 +214,7 @@ def test_probability_sweep_layout(tmp_path):
         assert label in svg
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text('{"experiment": "spectrum", "V": -2}')
     assert main(["run", str(bad), "--out", str(tmp_path / "x")]) == 1
@@ -238,6 +239,8 @@ def test_main_exit_codes(tmp_path, capsys):
     huge_m.write_text('{"experiment": "spectrum", "M": %s}' % huge)
     too_long = tmp_path / "too_long.json"
     too_long.write_text('{"experiment": "spectrum", "seed": 1%s}' % ("0" * 5000))
+    full_wide = tmp_path / "full_wide.json"  # all 10001 modes: refused before allocating
+    full_wide.write_text('{"experiment": "spectrum", "M": 5000, "count": 10001}')
     capsys.readouterr()
     for argv in (["run", str(tmp_path / "missing.json")],  # no such file
                  ["run", str(tmp_path)],  # a directory
@@ -245,10 +248,19 @@ def test_main_exit_codes(tmp_path, capsys):
                  ["preset", "fig2", "--out", str(taken)],  # --out is a file
                  ["run", str(huge_j)],
                  ["run", str(huge_m)],
-                 ["run", str(too_long)]):  # beyond Python's integer digit limit
+                 ["run", str(too_long)],  # beyond Python's integer digit limit
+                 ["run", str(full_wide), "--out", str(tmp_path / "w")]):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert "N = 10001" in err and not (tmp_path / "w").exists()
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.49 GiB for an array")
+
+    monkeypatch.setattr(cli, "run_config", out_of_memory)
+    assert main(["run", str(unstable)]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.49 GiB for an array\n"
 
 
 def test_seed_override_changes_random_profile(tmp_path):

@@ -311,7 +311,7 @@ def test_dirac_probability():
 
 
 def test_series_recording_and_csv(stable_modes):
-    ground, _ = stable_modes
+    ground, excited = stable_modes
     series = ObservableSeries(targets={"g": ground.right_vector})
     series.record(0.0, ground.right_vector)
     series.record(0.0, ground.right_vector)  # duplicate time is ignored
@@ -324,6 +324,13 @@ def test_series_recording_and_csv(stable_modes):
     assert lines[0] == "time,norm2,P,F_g"
     assert len(lines) == 3
     assert float(lines[1].split(",")[3]) == pytest.approx(1.0)
+    # the cached target norm gives the same bits as norm2() and fidelity()
+    mixed = SiteState(0.3 * ground.right_vector.amplitudes + 0.1 * excited.right_vector.amplitudes,
+                      ground.right_vector.half_width, log_scale=-2.5)
+    series.record(2.0, mixed)
+    assert series.norm2[-1] == mixed.norm2()
+    assert series.prob[-1] == dirac_probability(mixed)
+    assert series.fidelities["g"][-1] == fidelity(ground.right_vector, mixed)
 
 
 def test_series_rejects_unnormalized_target(stable_modes):

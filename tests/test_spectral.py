@@ -4,17 +4,25 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+import scipy.sparse.linalg
+from hypothesis import example, given, settings, strategies as st
 
-from nhchain.model import ChainParams, SiteState, apply_parity, build_hamiltonian
+from nhchain.model import ChainParams, Hamiltonian, SiteState, apply_parity, build_hamiltonian
 from nhchain.spectral import (
+    DENSE_MAX_DIMENSION,
+    ConvergenceError,
     SpectralError,
     Spectrum,
+    _edge_eigenpairs,
+    _spectrum,
+    _uses_edge_search,
     analytic_energy,
     analytic_wavefunction,
     biorthogonality_matrix,
     dirac_overlap,
     hermite_polynomial,
+    lattice_shift,
     mode_scale,
     normalization_constant,
     numeric_spectrum,
@@ -99,6 +107,22 @@ def test_analytic_energies(params_small_ratio):
         analytic_energy(0, "x", p)
 
 
+def test_lattice_shift_matches_numeric_ladder():
+    # First-order k^4 correction iV(2m^2+2m+1)/16; the remainder is O(V^1.5)
+    # with a V-independent coefficient (1.34-1.37 at m = 5, far less below).
+    for V in (5e-5, 1e-4, 2e-4, 2e-3):
+        h = _chain(V, 100)
+        p = h.params
+        spec = numeric_spectrum(h, 12)
+        assert {(mode.m, mode.branch) for mode in spec.modes} == {
+            (m, b) for m in range(6) for b in "+-"
+        }
+        for mode in spec.modes:
+            predicted = analytic_energy(mode.m, mode.branch, p) + lattice_shift(mode.m, p)
+            assert abs(mode.energy - predicted) <= 2.0 * V**1.5
+    assert lattice_shift(0, ChainParams(J=1.0, V=2e-4)) == pytest.approx(1.25e-5j, rel=1e-15)
+
+
 def test_numeric_spectrum_contract(h_small_ratio, spectrum12):
     spec = spectrum12
     assert len(spec) >= 12
@@ -132,6 +156,94 @@ def test_numeric_spectrum_validation(h_small_ratio):
         numeric_spectrum(h_small_ratio, 2, tol=0.0)
 
 
+def _chain(V, M):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short chains exceed the tail budget
+        return build_hamiltonian(ChainParams(J=1.0, V=V, half_width=M))
+
+
+# V = 2e-4 at M = 30, 100, 400 (M = 100 is fig4's omega/J = 0.01 chain), then
+# fig4's omega/J = 0.1 and 0.4 chains.
+EDGE_CHAINS = [(2e-4, 30), (2e-4, 100), (2e-4, 400), (0.02, 50), (0.32, 30)]
+
+
+def test_edge_route_agrees_with_dense():
+    for V, M in EDGE_CHAINS:
+        h = _chain(V, M)
+        h_norm = np.abs(h.diagonal).max() + 2.0
+        dense_pairs = scipy.linalg.eig(h.to_dense())
+        for count in (2, 12):
+            dense = _spectrum(h, count, 1e-8, *dense_pairs)
+            if (V, count) == (0.32, 12):
+                # Past m = 1 the stiff chain's slowest modes sit on the imaginary
+                # axis, off both ladders: the spares refuse to certify the cut.
+                with pytest.raises(ConvergenceError, match="certify"):
+                    _spectrum(h, count, 1e-8, *_edge_eigenpairs(h, count, 1e-8))
+                continue
+            sparse = _spectrum(h, count, 1e-8, *_edge_eigenpairs(h, count, 1e-8))
+            assert len(sparse) == len(dense)
+            for mode in dense.modes:
+                # match by nearest energy: the two members of a pair tie in Im E
+                twin = min(sparse.modes, key=lambda other: abs(other.energy - mode.energy))
+                assert abs(twin.energy - mode.energy) <= 1e-12 * h_norm
+                assert (twin.m, twin.branch) == (mode.m, mode.branch)
+                assert twin.residual <= 1e-13 * h_norm
+                # vectors agree up to phase (odd modes tie at +-l, so pivots differ)
+                overlap = dirac_overlap(mode.left_vector, twin.right_vector)
+                assert abs(abs(overlap) - 1.0) <= 1e-10
+
+
+def test_edge_route_is_deterministic_and_needs_spares():
+    h = _chain(2e-4, 100)
+    first = _edge_eigenpairs(h, 12, 1e-8)
+    again = _edge_eigenpairs(h, 12, 1e-8)
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ConvergenceError, match="certify"):
+        _spectrum(h, 2, 1e-8, *_edge_eigenpairs(h, 2, 1e-8, spares=0))
+
+
+def test_edge_route_maps_arpack_failures(monkeypatch):
+    h = _chain(2e-4, 100)
+    for failure in (scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], []),
+                    scipy.sparse.linalg.ArpackError(-9999)):
+        def fail(*args, failure=failure, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", fail)
+        with pytest.raises(ConvergenceError, match="shift-invert search"):
+            numeric_spectrum(h, 2)
+
+
+def test_route_rule():
+    weak = _chain(2e-4, 100)
+    assert _uses_edge_search(weak, 1) and _uses_edge_search(weak, 2)
+    assert not _uses_edge_search(weak, 12)  # larger counts that fit stay dense
+    assert not _uses_edge_search(weak, weak.dimension)
+    assert not _uses_edge_search(_chain(2e-4, 39), 2)  # N = 79 < 4 * 20
+    assert _uses_edge_search(_chain(2e-4, 40), 2)
+    assert not _uses_edge_search(_chain(0.32, 200), 2)  # stiff: the ladder crosses the band centre
+    pulsed = Hamiltonian(weak.diagonal + 0.1 * weak.sites(), weak.off_diagonal, weak.half_width)
+    assert not _uses_edge_search(pulsed, 2)
+    wide = _chain(2e-4, 5000)  # above the dense cap every small count takes the edge route
+    assert _uses_edge_search(wide, 12) and not _uses_edge_search(wide, 400)
+
+
+def test_dense_route_is_capped_before_allocation():
+    wide = _chain(2e-4, 5000)
+    assert wide.dimension > DENSE_MAX_DIMENSION
+    with pytest.raises(SpectralError, match=r"count 10001 .* N = 10001"):
+        numeric_spectrum(wide, wide.dimension)
+    pulsed = Hamiltonian(wide.diagonal, wide.off_diagonal, wide.half_width)  # no params
+    with pytest.raises(SpectralError, match=r"count 2 .* N = 10001"):
+        numeric_spectrum(pulsed, 2)
+    spec = numeric_spectrum(wide, 12)  # the edge route serves small counts
+    assert {(mode.m, mode.branch) for mode in spec.modes} == {
+        (m, b) for m in range(6) for b in "+-"
+    }
+    assert max(mode.residual for mode in spec.modes) <= 1e-12
+
+
 def test_leading_pair_and_labels(spectrum12, params_small_ratio):
     ground, excited = spectrum12.stable_pair()
     assert ground.energy.real == pytest.approx(-1.99, abs=0.05 * 0.01)
@@ -162,15 +274,18 @@ def test_biorthogonality_matrix(spectrum12):
     assert off.max() < 1e-8
 
 
-# Chains in the paper's regime, omega/J = sqrt(V/(2J)) <= 0.4, at small sizes.
+# Chains in the paper's regime, omega/J = sqrt(V/(2J)) <= 0.4, at sizes on
+# both sides of the band-edge route's N >= 80.
 chains = st.builds(
     lambda J, ratio, M: (J, 2.0 * J * ratio**2, M),
-    J=st.floats(0.5, 2.0), ratio=st.floats(0.01, 0.4), M=st.integers(4, 40),
+    J=st.floats(0.5, 2.0), ratio=st.floats(0.01, 0.4), M=st.integers(4, 150),
 )
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(chain=chains, count=st.integers(1, 12))
+@example(chain=(1.0, 2e-4, 100), count=2)
+@example(chain=(0.7, 0.02, 60), count=1)
 def test_numeric_spectrum_pairs_and_biorthonormal(chain, count):
     J, V, M = chain
     with warnings.catch_warnings():
