@@ -445,12 +445,9 @@ def main(argv=None) -> int:
         for path in paths:
             print(path)
         return 0
-    except (ConfigError, ModelError, SpectralError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, ModelError, SpectralError, OSError, UnicodeDecodeError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # numpy's message names the array that did not fit
-        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
-              file=sys.stderr)
         return 1
     except (NumericError, ConvergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

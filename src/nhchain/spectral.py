@@ -55,8 +55,10 @@ HERMITE_MAX_DEGREE = 60
 # Modes each band-edge search returns beyond its half of ``count``; they
 # certify the cut (every kept Im E must lie above every spare's).
 EDGE_SPARES = 3
-# Dense diagonalization holds a few N x N complex arrays (64 MB each at the cap).
-DENSE_MAX_DIMENSION = 2001
+# Dense diagonalization of all N modes needs about 47*N**2 bytes and O(N**3)
+# time: measured on a 2-core host, N = 2001 took 5.4 s and +191 MB of peak
+# RSS, N = 4001 52 s and +748 MB.
+DENSE_MAX_DIMENSION = 4001
 
 
 class SpectralError(ValueError):
@@ -252,15 +254,14 @@ def _uses_edge_search(h: Hamiltonian, count: int) -> bool:
     return 4 * max(2 * k + 1, 20) <= h.dimension and (2 * k - 1) * params.omega < 2.0 * params.J
 
 
-def _edge_eigenpairs(
-    h: Hamiltonian, count: int, tol: float, spares: int = EDGE_SPARES
-) -> tuple[np.ndarray, np.ndarray]:
+def _edge_eigenpairs(h: Hamiltonian, count: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Modes nearest the two band edges, by shift-invert Arnoldi (ARPACK).
 
-    Each edge search returns ceil(count/2) + ``spares`` modes.  ARPACK's
-    vectors of the modes away from the shift carry residuals up to ~1e-9, so
-    each is refined by one inverse-iteration step at its Ritz value (a
-    tridiagonal solve) and its energy replaced by the complex-symmetric
+    Each edge search returns ceil(count/2) + EDGE_SPARES modes.  ARPACK
+    converges in the shift-inverted operator, so its vectors of the modes
+    away from the shift carry residuals up to ~1e-9 however tight its
+    ``tol``; each is refined by one inverse-iteration step at its Ritz value
+    (a sparse LU solve) and its energy replaced by the complex-symmetric
     Rayleigh quotient v^T H v / v^T v; both then match dense ``eig``.  The
     '+' search keeps the modes with Re E <= tol (so a mode on the imaginary
     axis, which both searches find, is kept once) and the '-' search the rest.
@@ -269,9 +270,7 @@ def _edge_eigenpairs(
     n = h.dimension
     off = np.full(n - 1, h.off_diagonal, dtype=complex)
     matrix = scipy.sparse.diags_array([off, h.diagonal, off], offsets=[-1, 0, 1], format="csc")
-    banded = np.zeros((3, n), dtype=complex)  # LAPACK band storage of H - E
-    banded[0, 1:] = off
-    banded[2, :-1] = off
+    identity = scipy.sparse.eye_array(n, format="csc")
     # Fixed start vector: repeated solves are bit-identical, and a random one
     # is not reflection-symmetric, so it reaches parity-odd modes directly.
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
@@ -280,13 +279,12 @@ def _edge_eigenpairs(
         sigma = analytic_energy(0, branch, params) + lattice_shift(0, params)
         try:
             ritz, v = scipy.sparse.linalg.eigs(
-                matrix, k=-(-count // 2) + spares, sigma=sigma, v0=v0
+                matrix, k=-(-count // 2) + EDGE_SPARES, sigma=sigma, v0=v0
             )
             for j, value in enumerate(ritz):
-                banded[1] = h.diagonal - value
-                x = scipy.linalg.solve_banded((1, 1), banded, v[:, j], check_finite=False)
+                x = scipy.sparse.linalg.splu(matrix - value * identity).solve(v[:, j])
                 v[:, j] = x / np.linalg.norm(x)
-        except (scipy.sparse.linalg.ArpackError, np.linalg.LinAlgError) as exc:  # incl. no convergence
+        except RuntimeError as exc:  # ArpackError (incl. no convergence), exactly singular LU
             raise ConvergenceError(
                 f"shift-invert search at {sigma:.6g} failed: {exc}", float("nan")
             ) from exc

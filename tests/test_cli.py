@@ -260,7 +260,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run_config", out_of_memory)
     assert main(["run", str(unstable)]) == 1
-    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.49 GiB for an array\n"
+    assert capsys.readouterr().err == "error: Unable to allocate 1.49 GiB for an array\n"
 
 
 def test_seed_override_changes_random_profile(tmp_path):

@@ -199,8 +199,11 @@ def test_edge_route_is_deterministic_and_needs_spares():
     again = _edge_eigenpairs(h, 12, 1e-8)
     for a, b in zip(first, again):
         assert a.tobytes() == b.tobytes()
+    # without its spare modes the cut below the stable pair is not certified
+    energies, vectors = _edge_eigenpairs(h, 2, 1e-8)
+    keep = np.argsort(-energies.imag)[:2]
     with pytest.raises(ConvergenceError, match="certify"):
-        _spectrum(h, 2, 1e-8, *_edge_eigenpairs(h, 2, 1e-8, spares=0))
+        _spectrum(h, 2, 1e-8, energies[keep], vectors[:, keep])
 
 
 def test_edge_route_maps_arpack_failures(monkeypatch):
@@ -237,6 +240,10 @@ def test_dense_route_is_capped_before_allocation():
     pulsed = Hamiltonian(wide.diagonal, wide.off_diagonal, wide.half_width)  # no params
     with pytest.raises(SpectralError, match=r"count 2 .* N = 10001"):
         numeric_spectrum(pulsed, 2)
+    stiff = _chain(0.32, 2001)  # 7 omega >= 2J keeps even the pair dense
+    assert stiff.dimension == DENSE_MAX_DIMENSION + 2
+    with pytest.raises(SpectralError, match=r"count 2 .* N = 4003"):
+        numeric_spectrum(stiff, 2)
     spec = numeric_spectrum(wide, 12)  # the edge route serves small counts
     assert {(mode.m, mode.branch) for mode in spec.modes} == {
         (m, b) for m in range(6) for b in "+-"
