@@ -39,7 +39,7 @@ from .quench import PulseSchedule, QuenchPlan, run_switch_experiment
 from .spectral import ConvergenceError, SpectralError, numeric_spectrum, spectrum_table
 from .svgplot import render_line_plot
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "emit_svg", "run_preset", "main"]
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_preset", "main"]
 
 EXPERIMENTS = ("spectrum", "convergence", "probability", "switch")
 PRESETS = ("fig2", "fig3", "fig4", "fig5")
@@ -47,6 +47,8 @@ CONVERGENCE_KINDS = ("point", "gaussian", "tophat", "random")
 
 # ratio omega/J -> (V at J=1, half_width)
 PROBABILITY_SWEEP = ((0.01, 2e-4, 100), (0.1, 0.02, 50), (0.4, 0.32, 30))
+
+TIME_LABEL = "time (1/J)"
 
 
 class ConfigError(ValueError):
@@ -188,42 +190,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def emit_svg(series, style: dict | None = None) -> str:
-    """Render an ObservableSeries (or several) to a self-contained SVG.
-
-    ``series`` is either one ObservableSeries or a list of tuples
-    (label, ObservableSeries, column) where column is 'P', 'norm2' or
-    'F_<target>'.  ``style`` keys: columns, labels, xlabel, ylabel, title.
-    """
-    style = style or {}
-    xlabel = style.get("xlabel", "time (1/J)")
-
-    def column(one: ObservableSeries, name: str):
-        if name == "P":
-            return one.prob
-        if name == "norm2":
-            return one.norm2
-        if name.startswith("F_") and name[2:] in one.fidelities:
-            return one.fidelities[name[2:]]
-        raise ModelError(f"unknown series column {name!r}")
-
-    if isinstance(series, ObservableSeries):
-        if len(series) == 0:
-            raise ModelError("cannot plot an empty series")
-        names = style.get("columns") or (
-            [f"F_{name}" for name in series.targets] if series.targets else ["P"]
-        )
-        labels = style.get("labels") or names
-        curves = [(lab, series.times, column(series, nm)) for lab, nm in zip(labels, names)]
-        ylabel = style.get("ylabel", ", ".join(names))
-    else:
-        if not series:
-            raise ModelError("cannot plot an empty series list")
-        curves = [(label, one.times, column(one, name)) for label, one, name in series]
-        ylabel = style.get("ylabel", "value")
-    return render_line_plot(curves, xlabel=xlabel, ylabel=ylabel, title=style.get("title", ""))
-
-
 # ---------------------------------------------------------------------------
 # file emission
 
@@ -294,9 +260,9 @@ def _run_convergence(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         files[f"profile_{kind}.csv"] = _profile_csv(state)
         files[f"fidelity_{kind}.csv"] = results[kind].to_csv()
     files["profile_ground.csv"] = _profile_csv(results[CONVERGENCE_KINDS[0]].targets["g"])
-    files["fidelity.svg"] = emit_svg(
-        [(kind, results[kind], "F_g") for kind in CONVERGENCE_KINDS],
-        {"ylabel": "F_g(t)", "title": "convergence to the ground mode"},
+    files["fidelity.svg"] = render_line_plot(
+        [(kind, results[kind].times, results[kind].fidelities["g"]) for kind in CONVERGENCE_KINDS],
+        TIME_LABEL, "F_g(t)", "convergence to the ground mode",
     )
     return _finish_run(outdir, cfg.to_json(), files)
 
@@ -307,7 +273,7 @@ def _probability_series(cfg: ExperimentConfig) -> ObservableSeries:
     spec = numeric_spectrum(h, count=2)
     ground, excited = spec.stable_pair()
     amps = (ground.right_vector.amplitudes + excited.right_vector.amplitudes) / math.sqrt(2.0)
-    state = SiteState(amps, params.half_width, label="(g+e)/sqrt2").normalized()
+    state = SiteState(amps, params.half_width).normalized()
     series = ObservableSeries()
     propagate(h, state, cfg.t_end, cfg.integrator(), series=series)
     return series
@@ -317,8 +283,8 @@ def _run_probability(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     series = _probability_series(cfg)
     files = {
         "probability.csv": series.to_csv(),
-        "probability.svg": emit_svg(series, {"columns": ["P"], "ylabel": "P(t)",
-                                             "title": "Dirac probability"}),
+        "probability.svg": render_line_plot([("P", series.times, series.prob)],
+                                            TIME_LABEL, "P(t)", "Dirac probability"),
     }
     return _finish_run(outdir, cfg.to_json(), files)
 
@@ -334,10 +300,10 @@ def _run_probability_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     files: dict[str, str] = {}
     for (ratio, _), series in zip(sub_configs, series_list):
         files[f"probability_ratio_{ratio:g}.csv"] = series.to_csv()
-    files["probability.svg"] = emit_svg(
-        [(f"omega/J = {ratio:g}", series, "P")
+    files["probability.svg"] = render_line_plot(
+        [(f"omega/J = {ratio:g}", series.times, series.prob)
          for (ratio, _), series in zip(sub_configs, series_list)],
-        {"ylabel": "P(t)", "title": "Dirac probability vs dissipation scale"},
+        TIME_LABEL, "P(t)", "Dirac probability vs dissipation scale",
     )
     resolved = {
         "sweep": [dataclasses.asdict(sub) for _, sub in sub_configs],
@@ -367,10 +333,11 @@ def _run_switch(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     files = {
         "switch.csv": series.to_csv(),
         "switch_plan.json": json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
-        "switch.svg": emit_svg(series, {"columns": ["F_g", "F_e"],
-                                        "labels": ["F_g(t)", "F_e(t)"],
-                                        "ylabel": "fidelity",
-                                        "title": "pulse-driven level switch"}),
+        "switch.svg": render_line_plot(
+            [("F_g(t)", series.times, series.fidelities["g"]),
+             ("F_e(t)", series.times, series.fidelities["e"])],
+            TIME_LABEL, "fidelity", "pulse-driven level switch",
+        ),
     }
     return _finish_run(outdir, cfg.to_json(), files)
 

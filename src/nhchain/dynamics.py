@@ -75,10 +75,20 @@ def default_dt(params: ChainParams) -> float:
 # crossover (stride ~2, ~12 and above 32) fits 2^12.  Twice that keeps every
 # preset segment on the exact propagator (the lowest is N = 201 at stride 5).
 EXPM_N2_PER_STRIDE = 2**13
+# Building expm(-i H k dt) holds several dense N x N complex arrays: one build
+# at stride 1000 measured (2-core host, fresh process) 0.98 s and +29 MB peak
+# RSS at N = 401, 1.9 s and +103 MB at N = 801, 4.6 s and +227 MB at N = 1201,
+# 8.1 s and +361 MB at N = 1601 (~150 N^2 bytes).  Larger chains step with RK4.
+EXPM_MAX_DIMENSION = 1601
 
 
 def stepping_method(dimension: int, record_stride: int) -> str:
-    """'expm' if one dense product per recorded sample beats ``record_stride`` RK4 steps."""
+    """'expm' if one dense product per recorded sample beats ``record_stride`` RK4 steps.
+
+    Never 'expm' above EXPM_MAX_DIMENSION, whatever the stride.
+    """
+    if dimension > EXPM_MAX_DIMENSION:
+        return "rk4"
     return "expm" if dimension**2 <= EXPM_N2_PER_STRIDE * record_stride else "rk4"
 
 
@@ -197,7 +207,7 @@ def make_initial_state(
             raise ModelError("random initial state requires an explicit seed")
         rng = np.random.default_rng(seed)
         amps = rng.random(params.dimension).astype(complex)
-    state = SiteState(amps, params.half_width, label=f"{kind} initial state")
+    state = SiteState(amps, params.half_width)
     return state.normalized()
 
 
@@ -268,7 +278,7 @@ def propagate(
     def record(step: int) -> None:
         if series is not None:
             t = t0 + step * dt
-            series.record(t, SiteState(y, h.half_width, label=state.label, log_scale=log_scale))
+            series.record(t, SiteState(y, h.half_width, log_scale=log_scale))
 
     record(0)
     if config.method == "expm":
@@ -283,7 +293,7 @@ def propagate(
             step += k
             log_scale = _checked_log_scale(y, log_scale, t0 + step * dt)
             record(step)
-        return SiteState(y, h.half_width, label=state.label, log_scale=log_scale)
+        return SiteState(y, h.half_width, log_scale=log_scale)
 
     operator = rk4_step_operator(h, dt)
     for step in range(1, n_steps + 1):
@@ -292,7 +302,7 @@ def propagate(
             log_scale = _checked_log_scale(y, log_scale, t0 + step * dt)
         if step % config.record_stride == 0 or step == n_steps:
             record(step)
-    return SiteState(y, h.half_width, label=state.label, log_scale=log_scale)
+    return SiteState(y, h.half_width, log_scale=log_scale)
 
 
 def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: float) -> SiteState:
@@ -304,7 +314,7 @@ def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: flo
     coeffs = expansion_coefficients(state, spectrum)
     vectors = np.column_stack([m.right_vector.amplitudes for m in spectrum.modes])
     y = vectors @ (coeffs * np.exp(-1j * spectrum.energies() * t))
-    return SiteState(y, h.half_width, label=state.label, log_scale=state.log_scale)
+    return SiteState(y, h.half_width, log_scale=state.log_scale)
 
 
 def expansion_coefficients(state: SiteState, spec: Spectrum) -> np.ndarray:
@@ -339,7 +349,7 @@ def run_convergence_experiment(
     kinds,
     params: ChainParams,
     t_end: float,
-    config: IntegratorConfig | None = None,
+    config: IntegratorConfig,
     seed: int = DEFAULT_SEED,
     center: int = 0,
     width: float = 10.0,
@@ -353,8 +363,6 @@ def run_convergence_experiment(
     spec = numeric_spectrum(h, count=2)
     ground, excited = spec.stable_pair()
     targets = {"g": ground.right_vector, "e": excited.right_vector}
-    if config is None:
-        config = IntegratorConfig(dt=default_dt(params))
 
     results: dict[str, ObservableSeries] = {}
     for kind in kinds:

@@ -154,7 +154,6 @@ class SiteState:
 
     amplitudes: np.ndarray
     half_width: int
-    label: str = ""
     log_scale: float = 0.0
 
     def __post_init__(self) -> None:
@@ -184,18 +183,14 @@ class SiteState:
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         return abs(self.norm2() - 1.0) <= tol
 
-    def normalized(self, label: str | None = None) -> "SiteState":
+    def normalized(self) -> "SiteState":
         n2 = self.raw_norm2()
         if n2 == 0.0:
             raise ModelError("cannot normalize a zero state")
-        return SiteState(
-            self.amplitudes / math.sqrt(n2),
-            self.half_width,
-            label=self.label if label is None else label,
-        )
+        return SiteState(self.amplitudes / math.sqrt(n2), self.half_width)
 
-    def with_amplitudes(self, amplitudes: np.ndarray, **changes) -> "SiteState":
-        return replace(self, amplitudes=amplitudes, **changes)
+    def with_amplitudes(self, amplitudes: np.ndarray) -> "SiteState":
+        return replace(self, amplitudes=amplitudes)
 
 
 def build_hamiltonian(params: ChainParams) -> Hamiltonian:

@@ -1,6 +1,6 @@
 """Rectangular linear-field pulse that swaps the two stable bound states.
 
-During the window (t0, t0 + delta) the diagonal gains mu * l with
+During the window (0, delta) the diagonal gains mu * l with
 mu = pi / delta, so the accumulated phase per site is exp(-i*pi*l): the
 staggered parity.  Since parity maps the ground mode onto the conjugate of
 the excited one (and vice versa), a pulse followed by free relaxation
@@ -31,20 +31,17 @@ HARDNESS_ADVERTISED = 10.0
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Rectangular pulse of duration ``delta`` starting at ``start``.
+    """Rectangular pulse of duration ``delta`` starting at t = 0.
 
     The amplitude is derived, mu = pi/delta, so the time integral is pi
     for every duration; the window is integrated in 400 steps of ``dt``.
     """
 
     delta: float
-    start: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ModelError(f"pulse duration must be positive, got {self.delta!r}")
-        if not math.isfinite(self.start):
-            raise ModelError(f"pulse start must be finite, got {self.start!r}")
 
     @property
     def mu(self) -> float:
@@ -96,8 +93,8 @@ def run_switch_experiment(
 
     ``initial`` selects the numeric ground ('g') or excited ('e') mode.
     With ``use_impulse`` the finite pulse is replaced by the exact parity
-    kick at the window start (the comparison oracle).  A pulse softer than
-    the advertised hardness ratio of 10 only warns.
+    kick at t = 0 (the comparison oracle).  A pulse softer than the
+    advertised hardness ratio of 10 only warns.
     """
     if initial not in ("g", "e"):
         raise ModelError(f"initial must be 'g' or 'e', got {initial!r}")
@@ -118,17 +115,13 @@ def run_switch_experiment(
     series = ObservableSeries(targets=targets)
 
     config = plan.resolved_config()
-    t_pulse_end = sched.start + sched.delta
-    if sched.start > 0:
-        state = propagate(h, state, (0.0, sched.start), config, series=series)
-
     if use_impulse:
         state = apply_parity(state)
-        state = propagate(h, state, (sched.start, t_pulse_end + plan.t_relax), config, series=series)
+        propagate(h, state, (0.0, sched.delta + plan.t_relax), config, series=series)
         return series
 
     pulse_h = quenched_hamiltonian(h, sched)
-    state = propagate(pulse_h, state, (sched.start, t_pulse_end), replace(config, dt=sched.dt),
+    state = propagate(pulse_h, state, (0.0, sched.delta), replace(config, dt=sched.dt),
                       series=series)
-    propagate(h, state, (t_pulse_end, t_pulse_end + plan.t_relax), config, series=series)
+    propagate(h, state, (sched.delta, sched.delta + plan.t_relax), config, series=series)
     return series

@@ -59,6 +59,9 @@ EDGE_SPARES = 3
 # time: measured on a 2-core host, N = 2001 took 5.4 s and +191 MB of peak
 # RSS, N = 4001 52 s and +748 MB.
 DENSE_MAX_DIMENSION = 4001
+# Eigenpair residual bound, relative to the matrix scale max(1, |H|); also
+# the |Re E| within which a mode counts as lying on the imaginary axis.
+TOL = 1e-8
 
 
 class SpectralError(ValueError):
@@ -66,11 +69,7 @@ class SpectralError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolve did not meet the requested residual tolerance."""
-
-    def __init__(self, message: str, worst_residual: float):
-        super().__init__(message)
-        self.worst_residual = worst_residual
+    """Eigensolve did not meet the residual tolerance."""
 
 
 def hermite_polynomial(m: int, z):
@@ -123,7 +122,7 @@ def normalization_constant(m: int, params: ChainParams, rtol: float = 1e-10) -> 
             return 1.0 / math.sqrt(value)
         previous = value
         points *= 2
-    raise ConvergenceError("normalization quadrature did not converge", float("nan"))
+    raise ConvergenceError("normalization quadrature did not converge")
 
 
 def analytic_wavefunction(m: int, branch: str, params: ChainParams) -> SiteState:
@@ -144,7 +143,7 @@ def analytic_wavefunction(m: int, branch: str, params: ChainParams) -> SiteState
         amps = psi_plus
     else:
         amps = parity_signs(params.half_width) * np.conj(psi_plus)
-    return SiteState(amps, params.half_width, label=f"analytic m={m} branch={branch}")
+    return SiteState(amps, params.half_width)
 
 
 def analytic_energy(m: int, branch: str, params: ChainParams) -> complex:
@@ -173,8 +172,7 @@ class EigenMode:
 
     ``m``/``branch`` are ladder labels assigned by nearest closed-form
     energy; branch is 'u' (unassigned) when no closed-form energy is
-    within omega/2.  ``degenerate`` flags membership in a cluster of
-    eigenvalues closer than 10*tol.
+    within omega/2.
     """
 
     m: int
@@ -183,18 +181,13 @@ class EigenMode:
     right_vector: SiteState
     left_vector: SiteState
     residual: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Modes sorted by descending Im(E), ties by ascending Re(E).
-
-    ``params`` is the solved matrix's chain (None if it is not a bare chain).
-    """
+    """Modes sorted by descending Im(E), ties by ascending Re(E)."""
 
     modes: tuple
-    params: ChainParams | None
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -254,16 +247,16 @@ def _uses_edge_search(h: Hamiltonian, count: int) -> bool:
     return 4 * max(2 * k + 1, 20) <= h.dimension and (2 * k - 1) * params.omega < 2.0 * params.J
 
 
-def _edge_eigenpairs(h: Hamiltonian, count: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _edge_eigenpairs(h: Hamiltonian, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Modes nearest the two band edges, by shift-invert Arnoldi (ARPACK).
 
     Each edge search returns ceil(count/2) + EDGE_SPARES modes.  ARPACK
     converges in the shift-inverted operator, so its vectors of the modes
-    away from the shift carry residuals up to ~1e-9 however tight its
-    ``tol``; each is refined by one inverse-iteration step at its Ritz value
+    away from the shift carry residuals up to ~1e-9 however tight ARPACK's
+    own ``tol``; each is refined by one inverse-iteration step at its Ritz value
     (a sparse LU solve) and its energy replaced by the complex-symmetric
     Rayleigh quotient v^T H v / v^T v; both then match dense ``eig``.  The
-    '+' search keeps the modes with Re E <= tol (so a mode on the imaginary
+    '+' search keeps the modes with Re E <= TOL (so a mode on the imaginary
     axis, which both searches find, is kept once) and the '-' search the rest.
     """
     params = h.params
@@ -285,17 +278,15 @@ def _edge_eigenpairs(h: Hamiltonian, count: int, tol: float) -> tuple[np.ndarray
                 x = scipy.sparse.linalg.splu(matrix - value * identity).solve(v[:, j])
                 v[:, j] = x / np.linalg.norm(x)
         except RuntimeError as exc:  # ArpackError (incl. no convergence), exactly singular LU
-            raise ConvergenceError(
-                f"shift-invert search at {sigma:.6g} failed: {exc}", float("nan")
-            ) from exc
+            raise ConvergenceError(f"shift-invert search at {sigma:.6g} failed: {exc}") from exc
         e = np.sum(v * (matrix @ v), axis=0) / np.sum(v * v, axis=0)
-        own = e.real <= tol if branch == "+" else e.real > tol
+        own = e.real <= TOL if branch == "+" else e.real > TOL
         energies.append(e[own])
         vectors.append(v[:, own])
     return np.concatenate(energies), np.hstack(vectors)
 
 
-def numeric_spectrum(h: Hamiltonian, count: int, tol: float = 1e-8) -> Spectrum:
+def numeric_spectrum(h: Hamiltonian, count: int) -> Spectrum:
     """Diagonalize the chain and return the slowest-decaying modes.
 
     Two routes give the raw eigenpairs, picked by ``_uses_edge_search``:
@@ -311,25 +302,23 @@ def numeric_spectrum(h: Hamiltonian, count: int, tol: float = 1e-8) -> Spectrum:
     partner is pulled in as well, so the result can hold up to one extra
     mode.  Right vectors are Dirac-normalized with a deterministic phase
     (largest-magnitude entry made real positive); left vectors are
-    conjugates of the right ones, rescaled so <left|right> = 1.
+    conjugates of the right ones, rescaled so <left|right> = 1.  Every
+    kept eigenpair must have a residual |H v - E v| within TOL * max(1, |H|),
+    else ConvergenceError.
     """
     if count < 1 or count > h.dimension:
         raise SpectralError(f"count must be in [1, {h.dimension}], got {count}")
-    if tol <= 0:
-        raise SpectralError(f"tol must be > 0, got {tol}")
     if _uses_edge_search(h, count):
-        return _spectrum(h, count, tol, *_edge_eigenpairs(h, count, tol))
+        return _spectrum(h, count, *_edge_eigenpairs(h, count))
     if h.dimension > DENSE_MAX_DIMENSION:
         raise SpectralError(
             f"count {count} needs the dense eigensolve, which is capped at dimension "
             f"{DENSE_MAX_DIMENSION}; this chain has N = {h.dimension}"
         )
-    return _spectrum(h, count, tol, *scipy.linalg.eig(h.to_dense()))
+    return _spectrum(h, count, *scipy.linalg.eig(h.to_dense()))
 
 
-def _spectrum(
-    h: Hamiltonian, count: int, tol: float, eigenvalues: np.ndarray, right: np.ndarray
-) -> Spectrum:
+def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.ndarray) -> Spectrum:
     """Select, normalize, check and label ``count`` modes from raw eigenpairs.
 
     ``eigenvalues``/``right`` are all N modes, or a partial set whose
@@ -342,7 +331,7 @@ def _spectrum(
     # Close the selection under E -> -conj(E) pairing at the cut.
     for i in list(selected):
         partner_energy = -np.conj(eigenvalues[i])
-        if abs(eigenvalues[i].real) <= tol:
+        if abs(eigenvalues[i].real) <= TOL:
             continue
         if any(abs(eigenvalues[j] - partner_energy) <= 1e-8 for j in selected_set):
             continue
@@ -359,7 +348,7 @@ def _spectrum(
         if not spare_imag or kept_imag <= max(spare_imag):
             raise ConvergenceError(
                 f"spare modes do not certify the cut below the {len(selected)} slowest-decaying"
-                f" modes (lowest kept Im E {kept_imag:.6g})", float("nan")
+                f" modes (lowest kept Im E {kept_imag:.6g})"
             )
 
     params = h.params
@@ -380,15 +369,10 @@ def _spectrum(
         worst = max(worst, residual)
 
         self_product = complex(v @ v)
-        if abs(self_product) < 1e-10:
+        if abs(self_product) < 1e-10:  # self-orthogonal: v^T v cannot be normalized to 1
             left = np.conj(v)
-            degenerate = True
         else:
             left = np.conj(v) / np.conj(self_product)
-            degenerate = False
-        degenerate = degenerate or any(
-            j != i and abs(eigenvalues[j] - energy) < 10.0 * tol for j in selected
-        )
 
         m_label, branch_label = -1, "u"
         if labels:
@@ -401,18 +385,15 @@ def _spectrum(
                 m=m_label,
                 branch=branch_label,
                 energy=energy,
-                right_vector=SiteState(v, h.half_width, label=f"numeric E={energy:.6g}"),
-                left_vector=SiteState(left, h.half_width, label=f"numeric left E={energy:.6g}"),
+                right_vector=SiteState(v, h.half_width),
+                left_vector=SiteState(left, h.half_width),
                 residual=residual,
-                degenerate=degenerate,
             )
         )
 
-    if worst > tol * max(1.0, h_norm):
-        raise ConvergenceError(
-            f"worst eigenpair residual {worst:.3e} exceeds tolerance", worst
-        )
-    return Spectrum(modes=tuple(modes), params=params)
+    if worst > TOL * max(1.0, h_norm):
+        raise ConvergenceError(f"worst eigenpair residual {worst:.3e} exceeds tolerance")
+    return Spectrum(modes=tuple(modes))
 
 
 def dirac_overlap(a: SiteState, b: SiteState) -> complex:

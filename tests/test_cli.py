@@ -7,17 +7,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nhchain import cli
-from nhchain.dynamics import DEFAULT_SEED, ObservableSeries
-from nhchain.model import ModelError, SiteState
+from nhchain.dynamics import DEFAULT_SEED
+from nhchain.model import ModelError
 from nhchain.cli import (
     ConfigError,
     PRESET_CONFIGS,
-    emit_svg,
     main,
     parse_config,
     run_preset,
 )
-import numpy as np
+from nhchain.svgplot import render_line_plot
 
 
 # ---------------------------------------------------------------------------
@@ -110,37 +109,32 @@ def test_parse_config_raises_only_config_error(raw, experiment):
 # ---------------------------------------------------------------------------
 # SVG emission
 
-def _toy_series(n=5):
-    target = SiteState(np.array([1.0 + 0j]), 0)
-    series = ObservableSeries(targets={"g": target})
-    for k in range(n):
-        series.record(float(k), target)
-    return series
+def _toy_curves(n=5):
+    xs = [float(k) for k in range(n)]
+    return [("F_g", xs, [1.0] * n)]
 
 
-def test_emit_svg_structure():
-    svg = emit_svg(_toy_series(), {"title": "demo"})
+def test_render_line_plot_structure():
+    svg = render_line_plot(_toy_curves(), "time (1/J)", "fidelity", "demo")
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
     assert "demo" in svg
     assert "F_g" in svg
 
 
-def test_emit_svg_deterministic():
-    assert emit_svg(_toy_series()) == emit_svg(_toy_series())
+def test_render_line_plot_deterministic():
+    assert render_line_plot(_toy_curves(), "t", "F") == render_line_plot(_toy_curves(), "t", "F")
 
 
-def test_emit_svg_single_point_uses_marker():
-    assert "<circle" in emit_svg(_toy_series(n=1))
+def test_render_line_plot_single_point_uses_marker():
+    assert "<circle" in render_line_plot(_toy_curves(n=1), "t", "F")
 
 
-def test_emit_svg_rejects_empty():
+def test_render_line_plot_rejects_empty():
     with pytest.raises(ModelError):
-        emit_svg(ObservableSeries())
+        render_line_plot([], "t", "F")
     with pytest.raises(ModelError):
-        emit_svg([])
-    with pytest.raises(ModelError):
-        emit_svg(_toy_series(), {"columns": ["F_nope"]})
+        render_line_plot(_toy_curves(n=0), "t", "F")
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +208,25 @@ def test_probability_sweep_layout(tmp_path):
         assert label in svg
 
 
+def test_probability_run_through_main(tmp_path):
+    raw = {"experiment": "probability", "M": 20, "t_end": 5.0, "record_stride": 1,
+           "tail_tol": 1.0}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw))
+    assert main(["run", str(config), "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", str(config), "--out", str(tmp_path / "b")]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == ["config.json", "manifest.json", "probability.csv", "probability.svg"]
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    header, *rows = _read(tmp_path / "a" / "probability.csv").strip().split("\n")
+    assert header == "time,norm2,P"
+    assert len(rows) == 251  # t = 0 and every one of the 250 steps of dt = 0.02
+    for row in rows:
+        _, norm2, prob = map(float, row.split(","))
+        assert prob == norm2 * norm2
+
+
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text('{"experiment": "spectrum", "V": -2}')
@@ -254,6 +267,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     assert "N = 10001" in err and not (tmp_path / "w").exists()
+    with pytest.raises(ConfigError, match="fig9"):
+        run_preset("fig9", tmp_path / "fig9")
+    assert not (tmp_path / "fig9").exists()
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.49 GiB for an array")

@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from nhchain.cli import parse_config
 from nhchain.model import ChainParams, ModelError, SiteState, build_hamiltonian
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
 from nhchain.spectral import numeric_spectrum
 from nhchain.dynamics import (
+    EXPM_MAX_DIMENSION,
     UNDERFLOW_GUARD,
     IntegratorConfig,
     NumericError,
@@ -88,6 +90,8 @@ def test_zero_time_returns_input(small_chain, params_small_ratio):
     state = make_initial_state("gaussian", ChainParams(J=1.0, V=2e-4, half_width=10, tail_tol=1.0), width=3.0)
     out = propagate(h, state, 0.0, IntegratorConfig(dt=0.01))
     assert out is state
+    with pytest.raises(NumericError, match="precedes"):
+        propagate(h, state, (1.0, 0.5), IntegratorConfig(dt=0.01))
 
 
 def test_rk4_matches_eigen_expansion(small_chain):
@@ -96,6 +100,8 @@ def test_rk4_matches_eigen_expansion(small_chain):
     out = propagate(h, state, 100.0, IntegratorConfig(dt=0.004))
     oracle = eigen_propagate(spec, h, state, 100.0)
     assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-8
+    with pytest.raises(NumericError, match="needs all 21 modes"):
+        eigen_propagate(numeric_spectrum(h, 2), h, state, 100.0)
 
 
 def test_fourth_order_convergence(small_chain):
@@ -220,6 +226,12 @@ def test_stepping_method_boundary():
     assert stepping_method(101, 10) == "expm"
     assert stepping_method(801, 1) == "rk4"
     assert IntegratorConfig(dt=0.02).method == "rk4"
+    # above the dimension cap the dense propagator is never built, whatever the stride
+    assert stepping_method(EXPM_MAX_DIMENSION, 10**6) == "expm"
+    assert stepping_method(EXPM_MAX_DIMENSION + 2, 10**6) == "rk4"
+    assert stepping_method(100_001, 10**9) == "rk4"
+    wide = parse_config('{"experiment": "probability", "M": 5000, "record_stride": 20000}')
+    assert wide.integrator().method == "rk4"
 
 
 def test_overflow_detected_with_failure_time(h_small_ratio):

@@ -27,13 +27,13 @@ def test_schedule_rejects_bad_duration(delta):
 
 
 def test_pulse_amplitude_window(h_small_ratio):
-    sched = PulseSchedule(delta=0.02, start=1.0)
+    sched = PulseSchedule(delta=0.02)
     mu = math.pi / 0.02
     assert sched.mu == mu
     # inside the window each site l gains mu * l on the diagonal
     shift = quenched_hamiltonian(h_small_ratio, sched).diagonal - h_small_ratio.diagonal
     assert shift[101] == pytest.approx(mu, rel=1e-12)
-    # the window (start, start + delta) is integrated in 400 steps
+    # the window (0, delta) is integrated in 400 steps
     assert sched.dt * 400 == pytest.approx(sched.delta, rel=1e-15)
 
 

@@ -152,14 +152,21 @@ def test_numeric_spectrum_validation(h_small_ratio):
         numeric_spectrum(h_small_ratio, 0)
     with pytest.raises(SpectralError):
         numeric_spectrum(h_small_ratio, 1000)
-    with pytest.raises(SpectralError):
-        numeric_spectrum(h_small_ratio, 2, tol=0.0)
 
 
 def _chain(V, M):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # short chains exceed the tail budget
         return build_hamiltonian(ChainParams(J=1.0, V=V, half_width=M))
+
+
+def test_residual_gate_rejects_inaccurate_pairs():
+    h = _chain(2e-4, 10)
+    energies, right = scipy.linalg.eig(h.to_dense())
+    assert len(_spectrum(h, 2, energies, right)) == 2
+    # residual |H v - E v| = 1e-6 for every pair, far above 1e-8 * max(1, |H|)
+    with pytest.raises(ConvergenceError, match="exceeds tolerance"):
+        _spectrum(h, 2, energies + 1e-6, right)
 
 
 # V = 2e-4 at M = 30, 100, 400 (M = 100 is fig4's omega/J = 0.01 chain), then
@@ -173,14 +180,14 @@ def test_edge_route_agrees_with_dense():
         h_norm = np.abs(h.diagonal).max() + 2.0
         dense_pairs = scipy.linalg.eig(h.to_dense())
         for count in (2, 12):
-            dense = _spectrum(h, count, 1e-8, *dense_pairs)
+            dense = _spectrum(h, count, *dense_pairs)
             if (V, count) == (0.32, 12):
                 # Past m = 1 the stiff chain's slowest modes sit on the imaginary
                 # axis, off both ladders: the spares refuse to certify the cut.
                 with pytest.raises(ConvergenceError, match="certify"):
-                    _spectrum(h, count, 1e-8, *_edge_eigenpairs(h, count, 1e-8))
+                    _spectrum(h, count, *_edge_eigenpairs(h, count))
                 continue
-            sparse = _spectrum(h, count, 1e-8, *_edge_eigenpairs(h, count, 1e-8))
+            sparse = _spectrum(h, count, *_edge_eigenpairs(h, count))
             assert len(sparse) == len(dense)
             for mode in dense.modes:
                 # match by nearest energy: the two members of a pair tie in Im E
@@ -195,15 +202,15 @@ def test_edge_route_agrees_with_dense():
 
 def test_edge_route_is_deterministic_and_needs_spares():
     h = _chain(2e-4, 100)
-    first = _edge_eigenpairs(h, 12, 1e-8)
-    again = _edge_eigenpairs(h, 12, 1e-8)
+    first = _edge_eigenpairs(h, 12)
+    again = _edge_eigenpairs(h, 12)
     for a, b in zip(first, again):
         assert a.tobytes() == b.tobytes()
     # without its spare modes the cut below the stable pair is not certified
-    energies, vectors = _edge_eigenpairs(h, 2, 1e-8)
+    energies, vectors = _edge_eigenpairs(h, 2)
     keep = np.argsort(-energies.imag)[:2]
     with pytest.raises(ConvergenceError, match="certify"):
-        _spectrum(h, 2, 1e-8, energies[keep], vectors[:, keep])
+        _spectrum(h, 2, energies[keep], vectors[:, keep])
 
 
 def test_edge_route_maps_arpack_failures(monkeypatch):
@@ -310,10 +317,12 @@ def test_numeric_spectrum_pairs_and_biorthonormal(chain, count):
 
 
 def test_biorthogonality_single_mode(spectrum12):
-    single = Spectrum(modes=(spectrum12.modes[0],), params=spectrum12.params)
+    single = Spectrum(modes=(spectrum12.modes[0],))
     mat = biorthogonality_matrix(single)
     assert mat.shape == (1, 1)
     assert mat[0, 0] == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(SpectralError, match="fewer than two"):
+        single.stable_pair()
 
 
 def test_dirac_overlap_basics(stable_modes):
