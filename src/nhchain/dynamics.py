@@ -2,16 +2,21 @@
 
 States are propagated without renormalization: the returned amplitudes are
 the raw decaying ones, except that an overall factor is split off into
-``SiteState.log_scale`` if the norm would otherwise underflow.  Three
-propagation routes exist and serve as mutual checks: a fixed-step 4th-order
-Runge-Kutta integrator, whose step is applied as one precomputed 9-diagonal
-sparse matrix, the exact propagator expm(-i H k dt) applied once per
-recorded sample, and direct expansion in a full numeric eigenbasis.
+``SiteState.log_scale`` if the norm would otherwise underflow.  Several
+states can be stepped together as the columns of one N x k block, each
+column keeping its own ``log_scale``; recorded samples reach an
+``ObservableSeries`` in bounded chunks, whose norms and fidelities are
+computed per chunk.  Three propagation routes exist and serve as mutual
+checks: a fixed-step 4th-order Runge-Kutta integrator, whose step is
+applied as one precomputed 9-diagonal sparse matrix, the exact propagator
+expm(-i H k dt) applied once per recorded sample, and direct expansion in a
+full numeric eigenbasis.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +45,9 @@ __all__ = [
 
 DEFAULT_SEED = 223
 UNDERFLOW_GUARD = 1e-150
+# Recorded samples reach an ObservableSeries in chunks of at most this many
+# bytes of amplitudes, so a long stride-1 run never holds its trajectory.
+RECORD_CHUNK_BYTES = 2**20
 STATE_KINDS = ("point", "gaussian", "tophat", "random")
 
 
@@ -119,8 +127,9 @@ class ObservableSeries:
 
     Fidelity targets are registered at construction (name -> normalized
     state; their raw norms are computed once) and evaluated at every
-    recorded time.  Serializes to CSV with columns: time, norm2, P, then one
-    F_<name> column per target, all at 17 significant digits.
+    recorded time.  Samples arrive in chunks (see ``record``).  Serializes
+    to CSV with columns: time, norm2, P, then one F_<name> column per
+    target, all at 17 significant digits.
     """
 
     def __init__(self, targets: dict[str, SiteState] | None = None):
@@ -128,7 +137,8 @@ class ObservableSeries:
         for name, target in self.targets.items():
             if not target.is_normalized(tol=1e-8):
                 raise ModelError(f"fidelity target {name!r} is not Dirac-normalized")
-        self._target_norm2 = {name: target.raw_norm2() for name, target in self.targets.items()}
+        self._target_rows = np.array([target.amplitudes.conj() for target in self.targets.values()])
+        self._target_norm2 = np.array([target.raw_norm2() for target in self.targets.values()])
         self.times: list[float] = []
         self.norm2: list[float] = []
         self.prob: list[float] = []
@@ -137,24 +147,48 @@ class ObservableSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def record(self, t: float, state: SiteState) -> None:
-        if self.times:
-            if t == self.times[-1]:
-                return
-            if t < self.times[-1]:
-                raise ModelError(f"times must be strictly increasing, got {t} after {self.times[-1]}")
-        raw_n2 = state.raw_norm2()
-        n2 = math.exp(2.0 * state.log_scale) * raw_n2  # SiteState.norm2()
-        if not math.isfinite(n2) or n2 < 0:
-            raise NumericError(f"non-finite norm at t={t}", failure_time=t)
-        self.times.append(float(t))
-        self.norm2.append(n2)
-        self.prob.append(n2 * n2)
-        for name, target in self.targets.items():
-            value = _fidelity(target.amplitudes, self._target_norm2[name], state.amplitudes, raw_n2)
-            if not 0.0 <= value <= 1.0 + 1e-12:
-                raise NumericError(f"fidelity out of [0, 1] at t={t}: {value}", failure_time=t)
-            self.fidelities[name].append(min(value, 1.0))
+    def record(self, times, amplitudes: np.ndarray, log_scale) -> None:
+        """Append one chunk of samples.
+
+        Column i of the N x s array ``amplitudes`` is the raw state at
+        ``times[i]``, with ``log_scale[i]`` its split-off factor.  Times must
+        increase strictly, except that a first time equal to the last one
+        recorded is skipped: two segments share their seam sample.
+        """
+        times = np.asarray(times, dtype=float)
+        log_scale = np.asarray(log_scale, dtype=float)
+        samples = np.ascontiguousarray(amplitudes.T)  # one row per sample
+        if self.times and len(times) and times[0] == self.times[-1]:
+            times, samples, log_scale = times[1:], samples[1:], log_scale[1:]
+        if not len(times):
+            return
+        before = np.concatenate([self.times[-1:] or [-math.inf], times[:-1]])
+        if np.any(times <= before):
+            i = int(np.argmax(times <= before))
+            raise ModelError(
+                f"times must be strictly increasing, got {times[i]} after {before[i]}"
+            )
+        # einsum rather than BLAS: a threaded BLAS call after a stretch of
+        # sparse RK4 steps waits for the BLAS threads to wake, which measured
+        # 1-30 ms per chunk with two OpenBLAS threads.
+        parts = samples.view(np.float64)
+        raw_n2 = np.einsum("ij,ij->i", parts, parts)
+        n2 = np.exp(2.0 * log_scale) * raw_n2  # SiteState.norm2()
+        _raise_at_first(~np.isfinite(n2), times, "non-finite norm")
+        fidelities = {}
+        if self.targets:
+            denom = self._target_norm2[:, None] * raw_n2
+            if np.any(denom == 0.0):
+                raise ModelError("fidelity undefined for a zero state")
+            values = np.abs(np.einsum("tn,sn->ts", self._target_rows, samples)) ** 2 / denom
+            in_range = (values >= 0.0) & (values <= 1.0 + 1e-12)
+            _raise_at_first(~in_range.all(axis=0), times, "fidelity out of [0, 1]")
+            fidelities = dict(zip(self.targets, np.minimum(values, 1.0)))
+        self.times.extend(times.tolist())
+        self.norm2.extend(n2.tolist())
+        self.prob.extend((n2 * n2).tolist())
+        for name, values in fidelities.items():
+            self.fidelities[name].extend(values.tolist())
 
     def column_names(self) -> list[str]:
         return ["time", "norm2", "P"] + [f"F_{name}" for name in self.targets]
@@ -171,6 +205,12 @@ class ObservableSeries:
         for row in zip(*self.columns()):
             lines.append(",".join(f"{value:.17g}" for value in row))
         return "\n".join(lines) + "\n"
+
+
+def _raise_at_first(bad: np.ndarray, times: np.ndarray, what: str) -> None:
+    if bad.any():
+        t = float(times[np.argmax(bad)])
+        raise NumericError(f"{what} at t={t}", failure_time=t)
 
 
 def make_initial_state(
@@ -227,82 +267,109 @@ def rk4_step_operator(h: Hamiltonian, dt: float) -> scipy.sparse.csr_array:
     return step
 
 
-def _checked_log_scale(y: np.ndarray, log_scale: float, t: float) -> float:
-    """Fail on non-finite amplitudes; rescale ``y`` in place before it underflows."""
-    norm = float(scipy.linalg.norm(y, check_finite=False))  # scaled: exact where |y|^2 underflows
-    if not math.isfinite(norm):
-        raise NumericError(f"non-finite amplitudes at t = {t:g}", failure_time=t)
-    if 0.0 < norm < UNDERFLOW_GUARD:
-        y /= norm
-        log_scale += math.log(norm)
-    return log_scale
+def _check_columns(y: np.ndarray, log_scale: np.ndarray, t: float) -> None:
+    """Fail on non-finite amplitudes; rescale each column of ``y`` before it underflows."""
+    for j in range(y.shape[1]):
+        # BLAS nrm2 scales: exact where |y|^2 underflows
+        norm = float(scipy.linalg.norm(y[:, j], check_finite=False))
+        if not math.isfinite(norm):
+            raise NumericError(f"non-finite amplitudes at t = {t:g}", failure_time=t)
+        if 0.0 < norm < UNDERFLOW_GUARD:
+            y[:, j] /= norm
+            log_scale[j] += math.log(norm)
 
 
 def propagate(
     h: Hamiltonian,
-    state: SiteState,
+    state: SiteState | Sequence[SiteState],
     t_span,
     config: IntegratorConfig,
-    series: ObservableSeries | None = None,
-) -> SiteState:
+    series: ObservableSeries | Sequence[ObservableSeries] | None = None,
+) -> SiteState | list[SiteState]:
     """Evolve ``state`` under dpsi/dt = -i H psi on a uniform mesh.
 
-    ``t_span`` is (t0, t1) or a bare end time (then t0 = 0).  The state is
-    returned raw (decaying), with any underflow-prevention factor recorded
-    in ``log_scale``.  Both methods record at the same times: every
-    ``record_stride`` steps and at the last step.  With ``method='expm'``
-    the evolution between two recorded samples is the exact propagator
-    expm(-i H k dt), built once per chunk length k.
+    ``state`` is one state or a sequence of k states, stepped together as
+    the columns of one N x k block: each step is one sparse (RK4) or dense
+    (expm) product for all k.  ``series`` is then None or one
+    ObservableSeries per state.  ``t_span`` is (t0, t1) or a bare end time
+    (then t0 = 0).  Every state is returned raw (decaying) with its own
+    underflow-prevention factor in ``log_scale``; a sequence returns a
+    list.  Both methods record at the same times: every ``record_stride``
+    steps and at the last step, handed to the series in chunks of at most
+    RECORD_CHUNK_BYTES.  With ``method='expm'`` the evolution between two
+    recorded samples is the exact propagator expm(-i H k dt), built once per
+    chunk length k; only RK4 is bound by ``stability_limit``.
     """
     t0, t1 = (0.0, float(t_span)) if np.isscalar(t_span) else (float(t_span[0]), float(t_span[1]))
     if t1 < t0:
         raise NumericError(f"t_span end {t1} precedes start {t0}")
-    if h.dimension != state.dimension:
-        raise ModelError(f"dimension mismatch: H is {h.dimension}, state is {state.dimension}")
-    if t1 == t0:
-        if series is not None:
-            series.record(t0, state)
-        return state
+    single = isinstance(state, SiteState)
+    states = [state] if single else list(state)
+    if not states:
+        raise ModelError("no state to propagate")
+    series_list = None if series is None else [series] if single else list(series)
+    if series_list is not None and len(series_list) != len(states):
+        raise ModelError(f"{len(series_list)} series for {len(states)} states")
+    for s in states:
+        if h.dimension != s.dimension:
+            raise ModelError(f"dimension mismatch: H is {h.dimension}, state is {s.dimension}")
 
-    limit = stability_limit(h)
-    if config.dt > limit:
-        raise NumericError(
-            f"dt = {config.dt:g} exceeds the stability limit {limit:g} for this matrix"
-        )
+    if t1 == t0:
+        for target, s in zip(series_list or (), states):
+            target.record([t0], s.amplitudes[:, None], [s.log_scale])
+        return state
 
     n_steps = max(1, round((t1 - t0) / config.dt))
     dt = (t1 - t0) / n_steps
-    y = state.amplitudes.copy()
-    log_scale = state.log_scale
-
-    def record(step: int) -> None:
-        if series is not None:
-            t = t0 + step * dt
-            series.record(t, SiteState(y, h.half_width, log_scale=log_scale))
-
-    record(0)
     if config.method == "expm":
         dense = h.to_dense()
-        propagators: dict[int, np.ndarray] = {}
-        step = 0
-        while step < n_steps:
-            k = min(config.record_stride, n_steps - step)
-            if k not in propagators:
-                propagators[k] = scipy.linalg.expm(dense * (-1j * k * dt))
-            y = propagators[k] @ y
-            step += k
-            log_scale = _checked_log_scale(y, log_scale, t0 + step * dt)
-            record(step)
-        return SiteState(y, h.half_width, log_scale=log_scale)
+        jump, check_every = config.record_stride, 1
+        lengths = {min(jump, n_steps), n_steps % jump} - {0}  # full chunks, remainder
+        operators = {k: scipy.linalg.expm(dense * (-1j * k * dt)) for k in lengths}
+    else:
+        limit = stability_limit(h)
+        if config.dt > limit:
+            raise NumericError(
+                f"dt = {config.dt:g} exceeds the stability limit {limit:g} for this matrix"
+            )
+        jump, check_every = 1, 32
+        operators = {1: rk4_step_operator(h, dt)}
 
-    operator = rk4_step_operator(h, dt)
-    for step in range(1, n_steps + 1):
-        y = operator @ y
-        if step % 32 == 0 or step == n_steps:
-            log_scale = _checked_log_scale(y, log_scale, t0 + step * dt)
+    y = np.column_stack([s.amplitudes for s in states])
+    log_scale = np.array([s.log_scale for s in states])
+    n_records = n_steps // config.record_stride + 2 if series_list else 0
+    rows = min(n_records, max(1, RECORD_CHUNK_BYTES // (16 * y.size)))
+    chunk = np.empty((len(states), rows, h.dimension), dtype=complex)
+    chunk_times = np.empty(rows)
+    chunk_logs = np.empty((len(states), rows))
+    filled = 0
+
+    def record(step: int) -> None:
+        nonlocal filled
+        if series_list is None:
+            return
+        chunk_times[filled] = t0 + step * dt
+        chunk[:, filled] = y.T
+        chunk_logs[:, filled] = log_scale
+        filled += 1
+        if filled == rows or step == n_steps:
+            for j, target in enumerate(series_list):
+                target.record(chunk_times[:filled], chunk[j, :filled].T, chunk_logs[j, :filled])
+            filled = 0
+
+    record(0)
+    step = 0
+    while step < n_steps:
+        k = min(jump, n_steps - step)
+        y = operators[k] @ y
+        step += k
+        if step % check_every == 0 or step == n_steps:
+            _check_columns(y, log_scale, t0 + step * dt)
         if step % config.record_stride == 0 or step == n_steps:
             record(step)
-    return SiteState(y, h.half_width, log_scale=log_scale)
+    out = [SiteState(y[:, j], h.half_width, log_scale=float(log_scale[j]))
+           for j in range(len(states))]
+    return out[0] if single else out
 
 
 def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: float) -> SiteState:
@@ -328,14 +395,10 @@ def fidelity(target: SiteState, evolved: SiteState) -> float:
     Scale-invariant in both arguments, so the split-off ``log_scale``
     factors drop out; always in [0, 1].
     """
-    return _fidelity(target.amplitudes, target.raw_norm2(), evolved.amplitudes, evolved.raw_norm2())
-
-
-def _fidelity(target: np.ndarray, target_n2: float, evolved: np.ndarray, evolved_n2: float) -> float:
-    denom = evolved_n2 * target_n2
+    denom = evolved.raw_norm2() * target.raw_norm2()
     if denom == 0.0:
         raise ModelError("fidelity undefined for a zero state")
-    overlap = np.vdot(target, evolved)
+    overlap = np.vdot(target.amplitudes, evolved.amplitudes)
     return float(abs(overlap) ** 2 / denom)
 
 
@@ -354,20 +417,19 @@ def run_convergence_experiment(
     center: int = 0,
     width: float = 10.0,
 ) -> dict[str, ObservableSeries]:
-    """Propagate each stock initial state and track fidelity to |g> and |e>.
+    """Propagate the stock initial states and track fidelity to |g> and |e>.
 
     The targets are the two slowest-decaying numeric eigenmodes of the
-    chain.  Returns one series per requested kind.
+    chain.  All states are stepped as one block.  Returns one series per
+    requested kind.
     """
     h = build_hamiltonian(params)
     spec = numeric_spectrum(h, count=2)
     ground, excited = spec.stable_pair()
     targets = {"g": ground.right_vector, "e": excited.right_vector}
 
-    results: dict[str, ObservableSeries] = {}
-    for kind in kinds:
-        initial = make_initial_state(kind, params, center=center, width=width, seed=seed)
-        series = ObservableSeries(targets=targets)
-        propagate(h, initial, t_end, config, series=series)
-        results[kind] = series
-    return results
+    initials = [make_initial_state(kind, params, center=center, width=width, seed=seed)
+                for kind in kinds]
+    series = [ObservableSeries(targets=targets) for _ in initials]
+    propagate(h, initials, t_end, config, series=series)
+    return dict(zip(kinds, series))

@@ -227,6 +227,18 @@ def test_probability_run_through_main(tmp_path):
         assert prob == norm2 * norm2
 
 
+def test_stiff_chain_steps_beyond_the_rk4_limit_with_expm(tmp_path):
+    # dt = 0.02 exceeds this chain's RK4 stability limit 0.0087, but N = 61
+    # at stride 5 steps with the exact propagator, which has no such limit.
+    raw = {"experiment": "probability", "V": 0.32, "M": 30, "dt": 0.02, "t_end": 200.0}
+    assert parse_config(json.dumps(raw)).integrator().method == "expm"
+    config = tmp_path / "stiff.json"
+    config.write_text(json.dumps(raw))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    header, *rows = _read(tmp_path / "out" / "probability.csv").strip().split("\n")
+    assert header == "time,norm2,P" and len(rows) == 2001
+
+
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text('{"experiment": "spectrum", "V": -2}')

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nhchain.cli import parse_config
-from nhchain.model import ChainParams, ModelError, SiteState, build_hamiltonian
+from nhchain.model import ChainParams, Hamiltonian, ModelError, SiteState, build_hamiltonian
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
 from nhchain.spectral import numeric_spectrum
 from nhchain.dynamics import (
@@ -158,10 +158,20 @@ def test_rk4_step_operator_is_one_classical_step(h_small_ratio):
 
 def test_stability_violation_raises_before_integration(h_small_ratio, stable_modes):
     ground, _ = stable_modes
-    for method in ("rk4", "expm"):
-        with pytest.raises(NumericError, match="stability"):
-            propagate(h_small_ratio, ground.right_vector, 1.0,
-                      IntegratorConfig(dt=5.0, method=method))
+    series = ObservableSeries()
+    with pytest.raises(NumericError, match="stability"):
+        propagate(h_small_ratio, ground.right_vector, 1.0, IntegratorConfig(dt=5.0), series=series)
+    assert len(series) == 0
+
+
+def test_expm_is_not_bound_by_the_rk4_stability_limit(small_chain):
+    # The exact propagator is stable at any dt: 20 steps of 5.0, twice the
+    # 1.25 RK4 limit of this chain, land on the mode expansion.
+    p, h, spec = small_chain
+    state = make_initial_state("gaussian", p, width=3.0)
+    out = propagate(h, state, 100.0, IntegratorConfig(dt=5.0, method="expm", record_stride=3))
+    oracle = eigen_propagate(spec, h, state, 100.0)
+    assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
 
 
 def test_expm_matches_eigen_expansion(small_chain):
@@ -216,6 +226,55 @@ def test_underflow_split_into_log_scale():
         assert out.log_scale < math.log(UNDERFLOW_GUARD)
         log_norms.append(out.log_scale + 0.5 * math.log(out.raw_norm2()))
     assert log_norms[1] == pytest.approx(log_norms[0], abs=1e-6)
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+def test_block_propagation_matches_solo_runs(method):
+    # The edge column falls below the underflow guard and splits a factor
+    # into log_scale; the stable-pair column never does.  At M = 30 the edge
+    # norm bottoms out near exp(-117), above the guard, so the chain is M = 70.
+    p, h, edge = _stiff_edge_state(70)
+    ground, _ = numeric_spectrum(h, 2).stable_pair()
+    states = [edge, ground.right_vector, make_initial_state("gaussian", p, width=5.0)]
+    cfg = IntegratorConfig(dt=default_dt(p), method=method, record_stride=60)
+    assert round(1.0 / cfg.dt) % cfg.record_stride != 0  # a remainder chunk
+    block_series = [ObservableSeries() for _ in states]
+    block = propagate(h, states, 1.0, cfg, series=block_series)
+    for state, out, series in zip(states, block, block_series):
+        solo_series = ObservableSeries()
+        solo = propagate(h, state, 1.0, cfg, series=solo_series)
+        scale = np.abs(solo.amplitudes).max()
+        assert np.abs(out.amplitudes - solo.amplitudes).max() <= 1e-13 * scale
+        assert out.log_scale == pytest.approx(solo.log_scale, rel=1e-13, abs=0.0)
+        assert out.norm2() == pytest.approx(solo.norm2(), rel=1e-13, abs=0.0)
+        assert series.times == solo_series.times
+        assert np.allclose(series.norm2, solo_series.norm2, rtol=1e-13, atol=0.0)
+    assert block[0].log_scale < math.log(UNDERFLOW_GUARD)
+    assert block[1].log_scale == block[2].log_scale == 0.0
+
+
+def test_compensated_chain_conserves_probability():
+    # Removing the lattice shift V/16 from the diagonal (a multiple of the
+    # identity, so the modes are unchanged) leaves the stable pair with
+    # |Im E| of order V^(3/2): criterion 5's drift is the lattice term.
+    for V, M, bound in ((2e-4, 100, 1e-4), (0.02, 50, 0.02)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = ChainParams(J=1.0, V=V, half_width=M)
+        bare = build_hamiltonian(p)
+        l = p.sites().astype(float)
+        compensated = Hamiltonian(diagonal=1j * (p.omega - V / 16.0 - V * l * l),
+                                  off_diagonal=-p.J, half_width=M)
+        ground, excited = numeric_spectrum(bare, 2).stable_pair()
+        state = SiteState(ground.right_vector.amplitudes + excited.right_vector.amplitudes,
+                          M).normalized()
+        deviations = []
+        for h in (bare, compensated):
+            series = ObservableSeries()
+            propagate(h, state, 200.0, IntegratorConfig(dt=default_dt(p), method="expm",
+                                                        record_stride=10), series=series)
+            deviations.append(max(abs(prob - 1.0) for prob in series.prob))
+        assert deviations[1] <= bound < deviations[0]
 
 
 def test_stepping_method_boundary():
@@ -322,27 +381,41 @@ def test_dirac_probability():
     assert dirac_probability(halved) == pytest.approx(0.25, abs=1e-12)
 
 
+def _record(series, t, state):
+    series.record([t], state.amplitudes[:, None], [state.log_scale])
+
+
 def test_series_recording_and_csv(stable_modes):
     ground, excited = stable_modes
     series = ObservableSeries(targets={"g": ground.right_vector})
-    series.record(0.0, ground.right_vector)
-    series.record(0.0, ground.right_vector)  # duplicate time is ignored
-    series.record(1.0, ground.right_vector)
+    _record(series, 0.0, ground.right_vector)
+    _record(series, 0.0, ground.right_vector)  # duplicate time is ignored
+    _record(series, 1.0, ground.right_vector)
     assert series.times == [0.0, 1.0]
     with pytest.raises(ModelError):
-        series.record(0.5, ground.right_vector)
+        _record(series, 0.5, ground.right_vector)
     csv = series.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "time,norm2,P,F_g"
     assert len(lines) == 3
     assert float(lines[1].split(",")[3]) == pytest.approx(1.0)
-    # the cached target norm gives the same bits as norm2() and fidelity()
+    # a chunk gives what norm2(), dirac_probability() and fidelity() give
+    # per state, up to the summation order of the column sums
     mixed = SiteState(0.3 * ground.right_vector.amplitudes + 0.1 * excited.right_vector.amplitudes,
                       ground.right_vector.half_width, log_scale=-2.5)
-    series.record(2.0, mixed)
-    assert series.norm2[-1] == mixed.norm2()
-    assert series.prob[-1] == dirac_probability(mixed)
-    assert series.fidelities["g"][-1] == fidelity(ground.right_vector, mixed)
+    states = [mixed, excited.right_vector, ground.right_vector]
+    chunk = [ground.right_vector] + states  # its first sample repeats t = 1.0: the seam
+    series.record([1.0, 2.0, 3.0, 4.0], np.column_stack([s.amplitudes for s in chunk]),
+                  [s.log_scale for s in chunk])
+    assert series.times == [0.0, 1.0, 2.0, 3.0, 4.0]
+    for i, state in enumerate(states, start=2):
+        assert series.norm2[i] == pytest.approx(state.norm2(), rel=1e-14)
+        assert series.prob[i] == pytest.approx(dirac_probability(state), rel=1e-14)
+        assert series.fidelities["g"][i] == pytest.approx(fidelity(ground.right_vector, state),
+                                                          rel=1e-14, abs=1e-15)
+    with pytest.raises(ModelError, match="strictly increasing"):
+        series.record([5.0, 5.0], np.column_stack([ground.right_vector.amplitudes] * 2), [0.0, 0.0])
+    assert len(series) == 5
 
 
 def test_series_rejects_unnormalized_target(stable_modes):
