@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .model import ChainParams, Hamiltonian, ModelError, SiteState, build_hamiltonian
+from .model import ChainParams, Hamiltonian, ModelError, SiteState, build_hamiltonian, row_norm2
 from .spectral import Spectrum, dirac_overlap, numeric_spectrum
 
 __all__ = [
@@ -147,17 +147,16 @@ class ObservableSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def record(self, times, amplitudes: np.ndarray, log_scale) -> None:
+    def record(self, times, samples: np.ndarray, log_scale) -> None:
         """Append one chunk of samples.
 
-        Column i of the N x s array ``amplitudes`` is the raw state at
+        Row i of the s x N array ``samples`` is the raw state at
         ``times[i]``, with ``log_scale[i]`` its split-off factor.  Times must
         increase strictly, except that a first time equal to the last one
         recorded is skipped: two segments share their seam sample.
         """
         times = np.asarray(times, dtype=float)
         log_scale = np.asarray(log_scale, dtype=float)
-        samples = np.ascontiguousarray(amplitudes.T)  # one row per sample
         if self.times and len(times) and times[0] == self.times[-1]:
             times, samples, log_scale = times[1:], samples[1:], log_scale[1:]
         if not len(times):
@@ -168,11 +167,7 @@ class ObservableSeries:
             raise ModelError(
                 f"times must be strictly increasing, got {times[i]} after {before[i]}"
             )
-        # einsum rather than BLAS: a threaded BLAS call after a stretch of
-        # sparse RK4 steps waits for the BLAS threads to wake, which measured
-        # 1-30 ms per chunk with two OpenBLAS threads.
-        parts = samples.view(np.float64)
-        raw_n2 = np.einsum("ij,ij->i", parts, parts)
+        raw_n2 = row_norm2(samples)
         n2 = np.exp(2.0 * log_scale) * raw_n2  # SiteState.norm2()
         _raise_at_first(~np.isfinite(n2), times, "non-finite norm")
         fidelities = {}
@@ -180,7 +175,7 @@ class ObservableSeries:
             denom = self._target_norm2[:, None] * raw_n2
             if np.any(denom == 0.0):
                 raise ModelError("fidelity undefined for a zero state")
-            values = np.abs(np.einsum("tn,sn->ts", self._target_rows, samples)) ** 2 / denom
+            values = np.abs(_overlaps(self._target_rows, samples)) ** 2 / denom
             in_range = (values >= 0.0) & (values <= 1.0 + 1e-12)
             _raise_at_first(~in_range.all(axis=0), times, "fidelity out of [0, 1]")
             fidelities = dict(zip(self.targets, np.minimum(values, 1.0)))
@@ -205,6 +200,16 @@ class ObservableSeries:
         for row in zip(*self.columns()):
             lines.append(",".join(f"{value:.17g}" for value in row))
         return "\n".join(lines) + "\n"
+
+
+def _overlaps(conj_targets: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """<target|sample> for each conjugated target row and sample row (t x s).
+
+    An entry's bits do not depend on the number of rows.  einsum rather than
+    BLAS: a threaded BLAS call after a stretch of sparse RK4 steps waits for
+    the BLAS threads to wake, measured 1-30 ms with two OpenBLAS threads.
+    """
+    return np.einsum("tn,sn->ts", conj_targets, samples)
 
 
 def _raise_at_first(bad: np.ndarray, times: np.ndarray, what: str) -> None:
@@ -307,17 +312,22 @@ def propagate(
     states = [state] if single else list(state)
     if not states:
         raise ModelError("no state to propagate")
-    series_list = None if series is None else [series] if single else list(series)
-    if series_list is not None and len(series_list) != len(states):
-        raise ModelError(f"{len(series_list)} series for {len(states)} states")
+    if series is None:
+        series_list = None
+    elif single != isinstance(series, ObservableSeries):
+        raise ModelError("pass one series for one state, a sequence of series for a sequence")
+    else:
+        series_list = [series] if single else list(series)
+        if len(series_list) != len(states):
+            raise ModelError(f"{len(series_list)} series for {len(states)} states")
     for s in states:
         if h.dimension != s.dimension:
             raise ModelError(f"dimension mismatch: H is {h.dimension}, state is {s.dimension}")
 
     if t1 == t0:
         for target, s in zip(series_list or (), states):
-            target.record([t0], s.amplitudes[:, None], [s.log_scale])
-        return state
+            target.record([t0], s.amplitudes[None], [s.log_scale])
+        return states[0] if single else states
 
     n_steps = max(1, round((t1 - t0) / config.dt))
     dt = (t1 - t0) / n_steps
@@ -354,7 +364,7 @@ def propagate(
         filled += 1
         if filled == rows or step == n_steps:
             for j, target in enumerate(series_list):
-                target.record(chunk_times[:filled], chunk[j, :filled].T, chunk_logs[j, :filled])
+                target.record(chunk_times[:filled], chunk[j, :filled], chunk_logs[j, :filled])
             filled = 0
 
     record(0)
@@ -393,13 +403,13 @@ def fidelity(target: SiteState, evolved: SiteState) -> float:
     """|<target|evolved>|^2 with the evolved state renormalized.
 
     Scale-invariant in both arguments, so the split-off ``log_scale``
-    factors drop out; always in [0, 1].
+    factors drop out; rounding above 1 is clipped, as in ObservableSeries.
     """
     denom = evolved.raw_norm2() * target.raw_norm2()
     if denom == 0.0:
         raise ModelError("fidelity undefined for a zero state")
-    overlap = np.vdot(target.amplitudes, evolved.amplitudes)
-    return float(abs(overlap) ** 2 / denom)
+    overlap = _overlaps(target.amplitudes.conj()[None], evolved.amplitudes[None])[0, 0]
+    return min(float(abs(overlap) ** 2 / denom), 1.0)
 
 
 def dirac_probability(state: SiteState) -> float:
