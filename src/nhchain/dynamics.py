@@ -11,6 +11,21 @@ checks: a fixed-step 4th-order Runge-Kutta integrator, whose step is
 applied as one precomputed 9-diagonal sparse matrix, the exact propagator
 expm(-i H k dt) applied once per recorded sample, and direct expansion in a
 full numeric eigenbasis.
+
+Amplitudes too small to matter are zeroed, so that steps, dense products
+and recorded chunks do not compute on subnormal numbers, which are many
+times slower on x86.  Every check of the block zeroes, after the underflow
+split, each real and imaginary part below FLUSH_BELOW = 1e-250, and so does
+the hand-off of every recorded chunk; each propagator expm(-i H k dt) has
+its subnormal entries zeroed once, when it is built (its larger small
+entries stay: the stiff edge lives in them).  A flush at t_j changes a
+column y by at most sqrt(2N) FLUSH_BELOW / ||y(t_j)|| relative, which the
+split bounds by sqrt(2N) 1e-100.  Since max Im H_ll = omega,
+||expm(-i H tau)|| <= exp(omega tau), so by t_j + tau that error grows by
+at most exp(omega tau) ||y(t_j)|| / ||y(t_j + tau)|| (RK4 follows the exact
+flow to its truncation error).  The propagator flush changes U y by at most
+sqrt(2) N tiny ||y||.  The chunk flush leaves every recorded norm
+unchanged: a part below 1e-162 squares to zero.
 """
 
 from __future__ import annotations
@@ -45,6 +60,12 @@ __all__ = [
 
 DEFAULT_SEED = 223
 UNDERFLOW_GUARD = 1e-150
+# Real and imaginary parts below this are zeroed (see the module docstring).
+FLUSH_BELOW = 1e-250
+# RK4 steps between two checks of the block: subnormal parts regrow within a
+# few steps of a flush, so 32 left most of their cost in place; 4-8 measured
+# fastest on an N = 801, stride-1 run.
+RK4_CHECK_EVERY = 8
 # Recorded samples reach an ObservableSeries in chunks of at most this many
 # bytes of amplitudes, so a long stride-1 run never holds its trajectory.
 RECORD_CHUNK_BYTES = 2**20
@@ -78,24 +99,30 @@ def default_dt(params: ChainParams) -> float:
     return min(0.02 / params.J, 0.5 / radius)
 
 
-# One dense N x N product per recorded sample grows as N^2 (25, 150, 700 us
-# at N = 101, 201, 401); one sparse RK4 step costs 15-50 us, so the measured
-# crossover (stride ~2, ~12 and above 32) fits 2^12.  Twice that keeps every
-# preset segment on the exact propagator (the lowest is N = 201 at stride 5).
+# One dense N x N product per recorded sample, subnormal entries flushed,
+# costs 6, 40-65 and 210 us at N = 101, 201, 401 (median of 2,000, 2-core
+# host, two OpenBLAS threads); one sparse RK4 step costs 10, 12 and 17 us, so
+# the crossover (stride ~1, 3-5 and ~12) fits 2^13.  That keeps every preset
+# segment on the exact propagator (the lowest is N = 201 at stride 5).
 EXPM_N2_PER_STRIDE = 2**13
 # Building expm(-i H k dt) holds several dense N x N complex arrays: one build
 # at stride 1000 measured (2-core host, fresh process) 0.98 s and +29 MB peak
 # RSS at N = 401, 1.9 s and +103 MB at N = 801, 4.6 s and +227 MB at N = 1201,
 # 8.1 s and +361 MB at N = 1601 (~150 N^2 bytes).  Larger chains step with RK4.
 EXPM_MAX_DIMENSION = 1601
+# The same build costs N^2/6 to N^2/55 RK4 steps (N = 201-1601, stride
+# 5-1000, same host), so a run of fewer than N^2/8 steps uses RK4.
+EXPM_N2_PER_STEP = 8
 
 
-def stepping_method(dimension: int, record_stride: int) -> str:
+def stepping_method(dimension: int, record_stride: int, n_steps: int) -> str:
     """'expm' if one dense product per recorded sample beats ``record_stride`` RK4 steps.
 
-    Never 'expm' above EXPM_MAX_DIMENSION, whatever the stride.
+    The one-time build of the propagator must also pay for itself: a run of
+    fewer than N^2/EXPM_N2_PER_STEP steps, or a chain above
+    EXPM_MAX_DIMENSION, steps with RK4 whatever the stride.
     """
-    if dimension > EXPM_MAX_DIMENSION:
+    if dimension > EXPM_MAX_DIMENSION or dimension**2 > EXPM_N2_PER_STEP * n_steps:
         return "rk4"
     return "expm" if dimension**2 <= EXPM_N2_PER_STRIDE * record_stride else "rk4"
 
@@ -272,16 +299,30 @@ def rk4_step_operator(h: Hamiltonian, dt: float) -> scipy.sparse.csr_array:
     return step
 
 
+def _flush(a: np.ndarray, below: float) -> None:
+    """Zero in place every real and imaginary part of ``a`` smaller than ``below``."""
+    parts = a.view(np.float64)
+    parts[np.abs(parts) < below] = 0.0
+
+
 def _check_columns(y: np.ndarray, log_scale: np.ndarray, t: float) -> None:
-    """Fail on non-finite amplitudes; rescale each column of ``y`` before it underflows."""
+    """Fail on non-finite amplitudes; rescale each column of ``y`` before it underflows.
+
+    Then zero the parts of ``y`` below FLUSH_BELOW: after the split a
+    nonzero column has norm >= UNDERFLOW_GUARD, so this removes at most
+    sqrt(2N) FLUSH_BELOW / UNDERFLOW_GUARD of it, relative to its norm (the
+    module docstring bounds how that error grows).
+    """
     for j in range(y.shape[1]):
-        # BLAS nrm2 scales: exact where |y|^2 underflows
-        norm = float(scipy.linalg.norm(y[:, j], check_finite=False))
+        # BLAS nrm2 scales: exact where |y|^2 underflows.  Called directly,
+        # it costs half of scipy.linalg.norm's wrapper on these short columns.
+        norm = float(scipy.linalg.blas.dznrm2(y[:, j]))
         if not math.isfinite(norm):
             raise NumericError(f"non-finite amplitudes at t = {t:g}", failure_time=t)
         if 0.0 < norm < UNDERFLOW_GUARD:
             y[:, j] /= norm
             log_scale[j] += math.log(norm)
+    _flush(y, FLUSH_BELOW)
 
 
 def propagate(
@@ -336,13 +377,15 @@ def propagate(
         jump, check_every = config.record_stride, 1
         lengths = {min(jump, n_steps), n_steps % jump} - {0}  # full chunks, remainder
         operators = {k: scipy.linalg.expm(dense * (-1j * k * dt)) for k in lengths}
+        for u in operators.values():
+            _flush(u, np.finfo(float).tiny)
     else:
         limit = stability_limit(h)
         if config.dt > limit:
             raise NumericError(
                 f"dt = {config.dt:g} exceeds the stability limit {limit:g} for this matrix"
             )
-        jump, check_every = 1, 32
+        jump, check_every = 1, RK4_CHECK_EVERY
         operators = {1: rk4_step_operator(h, dt)}
 
     y = np.column_stack([s.amplitudes for s in states])
@@ -363,6 +406,7 @@ def propagate(
         chunk_logs[:, filled] = log_scale
         filled += 1
         if filled == rows or step == n_steps:
+            _flush(chunk[:, :filled], FLUSH_BELOW)  # parts regrown since the last check
             for j, target in enumerate(series_list):
                 target.record(chunk_times[:filled], chunk[j, :filled], chunk_logs[j, :filled])
             filled = 0

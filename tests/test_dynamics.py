@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nhchain.cli import parse_config
 from nhchain.model import ChainParams, Hamiltonian, ModelError, SiteState, build_hamiltonian
@@ -10,6 +11,8 @@ from nhchain.quench import PulseSchedule, quenched_hamiltonian
 from nhchain.spectral import numeric_spectrum
 from nhchain.dynamics import (
     EXPM_MAX_DIMENSION,
+    FLUSH_BELOW,
+    RK4_CHECK_EVERY,
     UNDERFLOW_GUARD,
     IntegratorConfig,
     NumericError,
@@ -253,6 +256,99 @@ def test_block_propagation_matches_solo_runs(method):
     assert block[1].log_scale == block[2].log_scale == 0.0
 
 
+def _unflushed_propagate(h, states, t, cfg):
+    """propagate's steps and underflow splits, with no flush anywhere.
+
+    Also counts the parts a flush would have zeroed at the checks.
+    """
+    n_steps = round(t / cfg.dt)
+    dt = t / n_steps
+    if cfg.method == "expm":
+        jump, check_every = cfg.record_stride, 1
+        operators = {k: scipy.linalg.expm(h.to_dense() * (-1j * k * dt))
+                     for k in {jump, n_steps % jump} - {0}}
+    else:
+        jump, check_every = 1, RK4_CHECK_EVERY
+        operators = {1: rk4_step_operator(h, dt)}
+    y = np.column_stack([s.amplitudes for s in states])
+    log_scale = np.zeros(len(states))
+    step = would_flush = 0
+    while step < n_steps:
+        k = min(jump, n_steps - step)
+        y = operators[k] @ y
+        step += k
+        if step % check_every == 0 or step == n_steps:
+            for j in range(len(states)):
+                norm = scipy.linalg.norm(y[:, j])
+                if norm < UNDERFLOW_GUARD:
+                    y[:, j] /= norm
+                    log_scale[j] += math.log(norm)
+            parts = np.abs(y.view(np.float64))
+            would_flush += np.count_nonzero((parts > 0) & (parts < FLUSH_BELOW))
+    return y, log_scale, would_flush
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+def test_flush_error_stays_within_its_bound(method):
+    # The edge column's front and the propagator's far entries leave parts
+    # below FLUSH_BELOW, which propagate zeroes.  Each of at most one flush
+    # per step removes sqrt(2N) * FLUSH_BELOW of a state whose initial norm
+    # is 1 (log_scale only falls), and max Im H_ll = omega lets that grow by
+    # at most exp(omega * t): the documented bound, in true amplitudes.
+    p, h, edge = _stiff_edge_state(70)
+    ground, _ = numeric_spectrum(h, 2).stable_pair()
+    states = [edge, ground.right_vector, make_initial_state("gaussian", p, width=5.0)]
+    cfg = IntegratorConfig(dt=default_dt(p), method=method, record_stride=60)
+    t = 1.0
+    block = propagate(h, states, t, cfg)
+    reference, ref_log_scale, would_flush = _unflushed_propagate(h, states, t, cfg)
+    assert would_flush > 0
+    n_steps = round(t / cfg.dt)
+    flushed_true = n_steps * math.sqrt(2 * h.dimension) * FLUSH_BELOW * math.exp(p.omega * t)
+    for out, ref, ref_log in zip(block, reference.T, ref_log_scale):
+        assert out.log_scale == pytest.approx(ref_log, rel=1e-13, abs=0.0)
+        error = np.linalg.norm(out.amplitudes * math.exp(out.log_scale - ref_log) - ref)
+        assert error <= flushed_true * math.exp(-ref_log)  # in the reference's raw units
+
+
+def test_flush_keeps_subnormals_out_of_states_and_records(monkeypatch):
+    # On this 801-site chain the stable pair's far tails decay below the
+    # normal range by t ~ 25: unflushed, 64 parts of the state at t = 30 and
+    # 11,345 parts of the recorded samples are subnormal.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = ChainParams(J=1.0, V=2e-4, half_width=400)
+    h = build_hamiltonian(p)
+    ground, excited = numeric_spectrum(h, 2).stable_pair()
+    state = SiteState(ground.right_vector.amplitudes + excited.right_vector.amplitudes,
+                      p.half_width).normalized()
+    chunks = []
+    record = ObservableSeries.record
+
+    def keep_chunk(self, times, samples, log_scale):
+        chunks.append(samples.copy())
+        record(self, times, samples, log_scale)
+
+    monkeypatch.setattr(ObservableSeries, "record", keep_chunk)
+    series = ObservableSeries()
+    cfg = IntegratorConfig(dt=default_dt(p))
+    out = propagate(h, state, 30.0, cfg, series=series)
+    tiny = np.finfo(float).tiny
+    for amplitudes in [out.amplitudes, *chunks]:
+        parts = np.abs(amplitudes.view(np.float64))
+        assert not np.any((parts > 0) & (parts < tiny))
+    # a plain loop with no flush gives the same recorded bits
+    n_steps = round(30.0 / cfg.dt)
+    step = rk4_step_operator(h, 30.0 / n_steps)
+    y = state.amplitudes
+    norm2 = [state.norm2()]
+    for _ in range(n_steps):
+        y = step @ y
+        norm2.append(state.with_amplitudes(y).norm2())
+    assert series.norm2 == norm2
+    assert series.prob == [n2 * n2 for n2 in norm2]
+
+
 def test_compensated_chain_conserves_probability():
     # Removing the lattice shift V/16 from the diagonal (a multiple of the
     # identity, so the modes are unchanged) leaves the stable pair with
@@ -278,19 +374,28 @@ def test_compensated_chain_conserves_probability():
 
 
 def test_stepping_method_boundary():
-    assert stepping_method(201, 1) == "rk4"
-    assert stepping_method(201, 4) == "rk4"
-    assert stepping_method(201, 5) == "expm"  # fig4's 201-site segment
-    assert stepping_method(201, 15) == "expm"
-    assert stepping_method(101, 10) == "expm"
-    assert stepping_method(801, 1) == "rk4"
+    long_run = 10**9
+    assert stepping_method(201, 1, long_run) == "rk4"
+    assert stepping_method(201, 4, long_run) == "rk4"
+    assert stepping_method(201, 5, 10_000) == "expm"  # fig4's 201-site segment
+    assert stepping_method(201, 15, long_run) == "expm"
+    assert stepping_method(101, 10, long_run) == "expm"
+    assert stepping_method(801, 1, long_run) == "rk4"
     assert IntegratorConfig(dt=0.02).method == "rk4"
     # above the dimension cap the dense propagator is never built, whatever the stride
-    assert stepping_method(EXPM_MAX_DIMENSION, 10**6) == "expm"
-    assert stepping_method(EXPM_MAX_DIMENSION + 2, 10**6) == "rk4"
-    assert stepping_method(100_001, 10**9) == "rk4"
+    assert stepping_method(EXPM_MAX_DIMENSION, 10**6, long_run) == "expm"
+    assert stepping_method(EXPM_MAX_DIMENSION + 2, 10**6, long_run) == "rk4"
+    assert stepping_method(100_001, 10**9, long_run) == "rk4"
     wide = parse_config('{"experiment": "probability", "M": 5000, "record_stride": 20000}')
     assert wide.integrator().method == "rk4"
+    # a run shorter than N^2/8 steps does not pay for the build
+    assert stepping_method(201, 5, 201**2 // 8 + 1) == "expm"
+    assert stepping_method(201, 5, 201**2 // 8) == "rk4"
+    # one 1,000-step chunk at N = 1601: 8.1 s by expm, 0.06 s by RK4
+    short = parse_config('{"experiment": "probability", "M": 800, "V": 1.5625e-4, '
+                         '"t_end": 20.0, "dt": 0.02, "record_stride": 1000}')
+    assert short.integrator().method == "rk4"
+    assert stepping_method(EXPM_MAX_DIMENSION, 1000, 1000) == "rk4"
 
 
 def test_overflow_detected_with_failure_time(h_small_ratio):
