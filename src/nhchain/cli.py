@@ -78,17 +78,12 @@ class ExperimentConfig:
         return ChainParams(J=self.J, V=self.V, half_width=self.M, tail_tol=self.tail_tol)
 
     def integrator(self) -> IntegratorConfig:
-        n_steps = round(_horizon(self.experiment, self.t_end, self.delta, self.t_relax) / self.dt)
-        method = stepping_method(2 * self.M + 1, self.record_stride, n_steps)
+        h = build_hamiltonian(self.chain_params())
+        method = stepping_method(h, self.dt, self.record_stride)
         return IntegratorConfig(dt=self.dt, method=method, record_stride=self.record_stride)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
-
-
-def _horizon(experiment: str, t_end: float, delta: float, t_relax: float) -> float:
-    """Time span a run propagates over: the pulse and relaxation for a switch."""
-    return t_end if experiment != "switch" else delta + t_relax
 
 
 def _require(condition: bool, key: str, message: str) -> None:
@@ -152,7 +147,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
     delta = number("delta", 0.02, minimum=0.0)
     t_relax = number("t_relax", 600.0, minimum=0.0, exclusive=False)
 
-    horizon = _horizon(experiment, t_end, delta, t_relax)
+    horizon = t_end if experiment != "switch" else delta + t_relax  # pulse and relaxation
     steps = horizon / dt
     _require(math.isfinite(steps), "dt", f"the step count over time {horizon!r} is not finite")
     auto_stride = max(1, int(round(steps)) // 2000)

@@ -6,25 +6,29 @@ the raw decaying ones, except that an overall factor is split off into
 states can be stepped together as the columns of one N x k block, each
 column keeping its own ``log_scale``; recorded samples reach an
 ``ObservableSeries`` in bounded chunks, whose norms and fidelities are
-computed per chunk.  Three propagation routes exist and serve as mutual
-checks: a fixed-step 4th-order Runge-Kutta integrator, whose step is
-applied as one precomputed 9-diagonal sparse matrix, the exact propagator
-expm(-i H k dt) applied once per recorded sample, and direct expansion in a
-full numeric eigenbasis.
+computed per chunk.
 
-Amplitudes too small to matter are zeroed, so that steps, dense products
-and recorded chunks do not compute on subnormal numbers, which are many
-times slower on x86.  Every check of the block zeroes, after the underflow
-split, each real and imaginary part below FLUSH_BELOW = 1e-250, and so does
-the hand-off of every recorded chunk; each propagator expm(-i H k dt) has
-its subnormal entries zeroed once, when it is built (its larger small
-entries stay: the stiff edge lives in them).  A flush at t_j changes a
-column y by at most sqrt(2N) FLUSH_BELOW / ||y(t_j)|| relative, which the
-split bounds by sqrt(2N) 1e-100.  Since max Im H_ll = omega,
-||expm(-i H tau)|| <= exp(omega tau), so by t_j + tau that error grows by
-at most exp(omega tau) ||y(t_j)|| / ||y(t_j + tau)|| (RK4 follows the exact
-flow to its truncation error).  The propagator flush changes U y by at most
-sqrt(2) N tiny ||y||.  The chunk flush leaves every recorded norm
+Both stepping routes apply ``taylor_operator(h, tau, p)``, the degree-p
+Taylor polynomial of expm(-i H tau) as a CSR matrix with 2p + 1 diagonals.
+RK4 is p = 4 at tau = dt, within ``stability_limit``.  The exact route
+('expm') applies it s times per recorded sample of k steps, at tau = k dt/s,
+with (p, s) from ``taylor_terms``: p <= MAX_DEGREE and
+x^(p+1)/(p+1)! e^x <= 2^-53 for x = ||H||_inf tau.  The remainder then moves
+each entry of a column y by at most 2^-53 ||y||_inf, so y by at most
+sqrt(N) 2^-53 ||y||_2, for any matrix; as ||expm(-i H t)||_2 <= exp(omega t)
+(max Im H_ll = omega), a sample is off expm(-i H k dt) y(t_j) by at most
+s sqrt(N) 2^-53 exp(omega k dt) ||y(t_j)||_2, to first order.  Rounding comes
+on top: Horner's sums reach e^x ||y||, so a part of y that decays like e^-x
+(the stiff edge) is rounded to about 2^-53 e^(2x) of itself.  There is no
+dimension cap: an operator holds (2p + 1) N entries.  The mode expansion
+``eigen_propagate`` is the oracle for both routes.
+
+Parts of the amplitudes below FLUSH_BELOW = 1e-250 are zeroed at every
+check of the block and in every recorded chunk, since x86 arithmetic on
+subnormal numbers is many times slower.  A flush at t_j changes a column y
+by at most sqrt(2N) 1e-100 relative (``_check_columns``); by t_j + tau that
+error grows by at most exp(omega tau) ||y(t_j)|| / ||y(t_j + tau)|| (RK4
+follows the exact flow to its truncation error).  Recorded norms are
 unchanged: a part below 1e-162 squares to zero.
 """
 
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .model import ChainParams, Hamiltonian, ModelError, SiteState, build_hamiltonian, row_norm2
 from .spectral import Spectrum, dirac_overlap, numeric_spectrum
@@ -50,7 +55,8 @@ __all__ = [
     "stepping_method",
     "make_initial_state",
     "propagate",
-    "rk4_step_operator",
+    "taylor_operator",
+    "taylor_terms",
     "eigen_propagate",
     "expansion_coefficients",
     "fidelity",
@@ -80,9 +86,6 @@ class NumericError(RuntimeError):
         self.failure_time = failure_time
 
 
-RK4_STABILITY_FACTOR = 2.5
-
-
 def stability_limit(h: Hamiltonian) -> float:
     """Largest stable dt for the explicit integrator on this matrix.
 
@@ -90,7 +93,7 @@ def stability_limit(h: Hamiltonian) -> float:
     real (decay) and imaginary (oscillation) axes; 2.5 leaves margin.
     Accuracy-motivated defaults (``default_dt``) are much stricter.
     """
-    return RK4_STABILITY_FACTOR / h.spectral_radius_estimate()
+    return 2.5 / max(2.0 * abs(h.off_diagonal), np.abs(h.diagonal).max())
 
 
 def default_dt(params: ChainParams) -> float:
@@ -99,40 +102,51 @@ def default_dt(params: ChainParams) -> float:
     return min(0.02 / params.J, 0.5 / radius)
 
 
-# One dense N x N product per recorded sample, subnormal entries flushed,
-# costs 6, 40-65 and 210 us at N = 101, 201, 401 (median of 2,000, 2-core
-# host, two OpenBLAS threads); one sparse RK4 step costs 10, 12 and 17 us, so
-# the crossover (stride ~1, 3-5 and ~12) fits 2^13.  That keeps every preset
-# segment on the exact propagator (the lowest is N = 201 at stride 5).
-EXPM_N2_PER_STRIDE = 2**13
-# Building expm(-i H k dt) holds several dense N x N complex arrays: one build
-# at stride 1000 measured (2-core host, fresh process) 0.98 s and +29 MB peak
-# RSS at N = 401, 1.9 s and +103 MB at N = 801, 4.6 s and +227 MB at N = 1201,
-# 8.1 s and +361 MB at N = 1601 (~150 N^2 bytes).  Larger chains step with RK4.
-EXPM_MAX_DIMENSION = 1601
-# The same build costs N^2/6 to N^2/55 RK4 steps (N = 201-1601, stride
-# 5-1000, same host), so a run of fewer than N^2/8 steps uses RK4.
-EXPM_N2_PER_STEP = 8
+# Highest Taylor degree of the exact route, as in Al-Mohy and Higham, SIAM
+# J. Sci. Comput. 33:488-511 (2011), "Computing the action of the matrix exponential".
+MAX_DEGREE = 55
 
 
-def stepping_method(dimension: int, record_stride: int, n_steps: int) -> str:
-    """'expm' if one dense product per recorded sample beats ``record_stride`` RK4 steps.
+def _theta(degree: int) -> float:
+    """Largest x with x^(p+1) / (p+1)! e^x <= 2^-53 for p = ``degree``, by bisection."""
+    lo, hi = 0.0, 2.0 * MAX_DEGREE
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        within = mid ** (degree + 1) / math.factorial(degree + 1) * math.exp(mid) <= 2.0**-53
+        lo, hi = (mid, hi) if within else (lo, mid)
+    return lo
 
-    The one-time build of the propagator must also pay for itself: a run of
-    fewer than N^2/EXPM_N2_PER_STEP steps, or a chain above
-    EXPM_MAX_DIMENSION, steps with RK4 whatever the stride.
+
+_THETA = {degree: _theta(degree) for degree in range(1, MAX_DEGREE + 1)}
+
+
+def taylor_terms(h: Hamiltonian, tau: float) -> tuple[int, int]:
+    """Degree p and substeps s over ``tau``: fewest nonzeros s (2p + 1), lower p on a tie.
+
+    Each substep's x = ||H||_inf tau / s meets the module docstring's bound.
     """
-    if dimension > EXPM_MAX_DIMENSION or dimension**2 > EXPM_N2_PER_STEP * n_steps:
-        return "rk4"
-    return "expm" if dimension**2 <= EXPM_N2_PER_STRIDE * record_stride else "rk4"
+    x = scipy.sparse.linalg.norm(h.to_sparse("csr"), np.inf) * tau
+    return min(((degree, max(1, math.ceil(x / theta))) for degree, theta in _THETA.items()),
+               key=lambda terms: terms[1] * (2 * terms[0] + 1))
+
+
+def stepping_method(h: Hamiltonian, dt: float, record_stride: int) -> str:
+    """'rk4' if ``record_stride`` RK4 steps of ``dt`` are stable and cheaper than one exact sample.
+
+    Cheaper means fewer nonzeros applied: 9 per RK4 step against s (2p + 1)
+    per exact sample (``taylor_terms``).  Everything else steps exactly.
+    """
+    degree, substeps = taylor_terms(h, record_stride * dt)
+    rk4 = dt <= stability_limit(h) and substeps * (2 * degree + 1) > 9 * record_stride
+    return "rk4" if rk4 else "expm"
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step integration parameters.
 
-    ``method`` is 'rk4' (default) or 'expm'; the latter applies the exact
-    propagator expm(-i H k dt) once per recorded sample on the same mesh.
+    ``method`` is 'rk4' (default, within ``stability_limit``) or 'expm'
+    (exact per recorded sample at any dt and chain size; module docstring).
     ``record_stride`` thins the recorded observable mesh.
     """
 
@@ -212,19 +226,12 @@ class ObservableSeries:
         for name, values in fidelities.items():
             self.fidelities[name].extend(values.tolist())
 
-    def column_names(self) -> list[str]:
-        return ["time", "norm2", "P"] + [f"F_{name}" for name in self.targets]
-
-    def columns(self) -> list[np.ndarray]:
-        cols = [np.asarray(self.times), np.asarray(self.norm2), np.asarray(self.prob)]
-        cols.extend(np.asarray(self.fidelities[name]) for name in self.targets)
-        return cols
-
     def to_csv(self) -> str:
         if not self.times:
             raise ModelError("cannot serialize an empty series")
-        lines = [",".join(self.column_names())]
-        for row in zip(*self.columns()):
+        lines = [",".join(["time", "norm2", "P"] + [f"F_{name}" for name in self.targets])]
+        columns = [self.times, self.norm2, self.prob] + list(self.fidelities.values())
+        for row in zip(*columns):
             lines.append(",".join(f"{value:.17g}" for value in row))
         return "\n".join(lines) + "\n"
 
@@ -283,26 +290,39 @@ def make_initial_state(
     return state.normalized()
 
 
-def rk4_step_operator(h: Hamiltonian, dt: float) -> scipy.sparse.csr_array:
-    """One classical RK4 step of dpsi/dt = -i H psi as a sparse matrix.
+def taylor_operator(h: Hamiltonian, tau: float, degree: int) -> scipy.sparse.csr_array:
+    """Degree-p Taylor polynomial of expm(-i H tau) as a sparse matrix with 2p + 1 diagonals.
 
-    For a linear system the four stages collapse into the degree-4 Taylor
-    polynomial P = I + A + A^2/2 + A^3/6 + A^4/24 with A = -i H dt, built
-    here in Horner form; for a tridiagonal H it has 9 diagonals.
+    Built in Horner form, I + A (I + A/2 (... (I + A/p))) with A = -i H tau.
+    Degree 4 at tau = dt is one classical RK4 step: for a linear system the
+    four stages collapse into this polynomial.
     """
-    off = np.full(h.dimension - 1, -1j * dt * h.off_diagonal)
-    a = scipy.sparse.diags_array([off, -1j * dt * h.diagonal, off], offsets=[-1, 0, 1], format="csr")
+    a = h.to_sparse("csr") * (-1j * tau)
     identity = scipy.sparse.eye_array(h.dimension, dtype=complex, format="csr")
     step = identity
-    for k in (4, 3, 2, 1):
+    for k in range(degree, 0, -1):
         step = identity + (a @ step) / k
     return step
 
 
-def _flush(a: np.ndarray, below: float) -> None:
-    """Zero in place every real and imaginary part of ``a`` smaller than ``below``."""
+def _step_operators(h: Hamiltonian, dt: float, n_steps: int, config: IntegratorConfig):
+    """(jump, check_every, {k: (operator, substeps)}): k steps are ``substeps`` products."""
+    if config.method == "rk4":
+        limit, largest = stability_limit(h), max(dt, config.dt)
+        if largest > limit:
+            raise NumericError(f"dt = {largest:g} exceeds the stability limit {limit:g} for this matrix")
+        return 1, RK4_CHECK_EVERY, {1: (taylor_operator(h, dt, 4), 1)}
+    jump, operators = config.record_stride, {}
+    for k in {min(jump, n_steps), n_steps % jump} - {0}:  # full chunks, remainder
+        degree, substeps = taylor_terms(h, k * dt)
+        operators[k] = (taylor_operator(h, k * dt / substeps, degree), substeps)
+    return jump, 1, operators
+
+
+def _flush(a: np.ndarray) -> None:
+    """Zero in place every real and imaginary part of ``a`` smaller than FLUSH_BELOW."""
     parts = a.view(np.float64)
-    parts[np.abs(parts) < below] = 0.0
+    parts[np.abs(parts) < FLUSH_BELOW] = 0.0
 
 
 def _check_columns(y: np.ndarray, log_scale: np.ndarray, t: float) -> None:
@@ -322,7 +342,7 @@ def _check_columns(y: np.ndarray, log_scale: np.ndarray, t: float) -> None:
         if 0.0 < norm < UNDERFLOW_GUARD:
             y[:, j] /= norm
             log_scale[j] += math.log(norm)
-    _flush(y, FLUSH_BELOW)
+    _flush(y)
 
 
 def propagate(
@@ -335,16 +355,17 @@ def propagate(
     """Evolve ``state`` under dpsi/dt = -i H psi on a uniform mesh.
 
     ``state`` is one state or a sequence of k states, stepped together as
-    the columns of one N x k block: each step is one sparse (RK4) or dense
-    (expm) product for all k.  ``series`` is then None or one
+    the columns of one N x k block: each product with a Taylor operator
+    advances all k.  ``series`` is then None or one
     ObservableSeries per state.  ``t_span`` is (t0, t1) or a bare end time
     (then t0 = 0).  Every state is returned raw (decaying) with its own
     underflow-prevention factor in ``log_scale``; a sequence returns a
     list.  Both methods record at the same times: every ``record_stride``
     steps and at the last step, handed to the series in chunks of at most
-    RECORD_CHUNK_BYTES.  With ``method='expm'`` the evolution between two
-    recorded samples is the exact propagator expm(-i H k dt), built once per
-    chunk length k; only RK4 is bound by ``stability_limit``.
+    RECORD_CHUNK_BYTES.  With ``method='expm'`` each recorded sample is exact
+    to the bound in the module docstring.  Only RK4 is bound by
+    ``stability_limit``: both ``config.dt`` and the step actually taken,
+    (t1 - t0) / n_steps, must meet it.
     """
     t0, t1 = (0.0, float(t_span)) if np.isscalar(t_span) else (float(t_span[0]), float(t_span[1]))
     if t1 < t0:
@@ -372,21 +393,7 @@ def propagate(
 
     n_steps = max(1, round((t1 - t0) / config.dt))
     dt = (t1 - t0) / n_steps
-    if config.method == "expm":
-        dense = h.to_dense()
-        jump, check_every = config.record_stride, 1
-        lengths = {min(jump, n_steps), n_steps % jump} - {0}  # full chunks, remainder
-        operators = {k: scipy.linalg.expm(dense * (-1j * k * dt)) for k in lengths}
-        for u in operators.values():
-            _flush(u, np.finfo(float).tiny)
-    else:
-        limit = stability_limit(h)
-        if config.dt > limit:
-            raise NumericError(
-                f"dt = {config.dt:g} exceeds the stability limit {limit:g} for this matrix"
-            )
-        jump, check_every = 1, RK4_CHECK_EVERY
-        operators = {1: rk4_step_operator(h, dt)}
+    jump, check_every, operators = _step_operators(h, dt, n_steps, config)
 
     y = np.column_stack([s.amplitudes for s in states])
     log_scale = np.array([s.log_scale for s in states])
@@ -406,7 +413,7 @@ def propagate(
         chunk_logs[:, filled] = log_scale
         filled += 1
         if filled == rows or step == n_steps:
-            _flush(chunk[:, :filled], FLUSH_BELOW)  # parts regrown since the last check
+            _flush(chunk[:, :filled])  # parts regrown since the last check
             for j, target in enumerate(series_list):
                 target.record(chunk_times[:filled], chunk[j, :filled], chunk_logs[j, :filled])
             filled = 0
@@ -415,7 +422,9 @@ def propagate(
     step = 0
     while step < n_steps:
         k = min(jump, n_steps - step)
-        y = operators[k] @ y
+        operator, substeps = operators[k]
+        for _ in range(substeps):
+            y = operator @ y
         step += k
         if step % check_every == 0 or step == n_steps:
             _check_columns(y, log_scale, t0 + step * dt)

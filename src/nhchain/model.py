@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "ModelError",
@@ -108,9 +109,9 @@ class Hamiltonian:
     ``diagonal`` holds the on-site entries in site order l = -M..M;
     ``off_diagonal`` is the constant nearest-neighbour entry (-J for the
     bare chain).  ``matvec`` computes H @ psi without forming the matrix;
-    ``to_dense`` builds the full matrix, which diagonalization and the
-    exact propagator expm(-i H k dt) need.  ``params`` is the chain the
-    matrix was built from; None for any other matrix (a pulsed chain).
+    ``to_sparse`` builds it as a scipy sparse array, ``to_dense`` as a full
+    one.  ``params`` is the chain the matrix was built from; None for any
+    other matrix (a pulsed chain).
     """
 
     diagonal: np.ndarray
@@ -135,22 +136,18 @@ class Hamiltonian:
         return np.arange(-self.half_width, self.half_width + 1)
 
     def to_dense(self) -> np.ndarray:
-        n = self.dimension
-        mat = np.diag(self.diagonal)
-        idx = np.arange(n - 1)
-        mat[idx, idx + 1] = self.off_diagonal
-        mat[idx + 1, idx] = self.off_diagonal
-        return mat
+        return self.to_sparse("csr").toarray()
+
+    def to_sparse(self, format: str) -> scipy.sparse.sparray:
+        """The matrix as a scipy sparse array in ``format`` ('csr', 'csc', ...)."""
+        off = np.full(self.dimension - 1, self.off_diagonal, dtype=complex)
+        return scipy.sparse.diags_array([off, self.diagonal, off], offsets=[-1, 0, 1], format=format)
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         out = self.diagonal * psi
         out[:-1] += self.off_diagonal * psi[1:]
         out[1:] += self.off_diagonal * psi[:-1]
         return out
-
-    def spectral_radius_estimate(self) -> float:
-        """Cheap upper-scale estimate used for step-size limits."""
-        return float(max(2.0 * abs(self.off_diagonal), np.abs(self.diagonal).max()))
 
 
 @dataclass(frozen=True)

@@ -260,13 +260,11 @@ def _edge_eigenpairs(h: Hamiltonian, count: int) -> tuple[np.ndarray, np.ndarray
     axis, which both searches find, is kept once) and the '-' search the rest.
     """
     params = h.params
-    n = h.dimension
-    off = np.full(n - 1, h.off_diagonal, dtype=complex)
-    matrix = scipy.sparse.diags_array([off, h.diagonal, off], offsets=[-1, 0, 1], format="csc")
-    identity = scipy.sparse.eye_array(n, format="csc")
+    matrix = h.to_sparse("csc")
+    identity = scipy.sparse.eye_array(h.dimension, format="csc")
     # Fixed start vector: repeated solves are bit-identical, and a random one
     # is not reflection-symmetric, so it reaches parity-odd modes directly.
-    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    v0 = np.random.default_rng(0).standard_normal(h.dimension).astype(complex)
     energies, vectors = [], []
     for branch in ("+", "-"):
         sigma = analytic_energy(0, branch, params) + lattice_shift(0, params)

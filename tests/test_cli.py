@@ -228,8 +228,8 @@ def test_probability_run_through_main(tmp_path):
 
 
 def test_stiff_chain_steps_beyond_the_rk4_limit_with_expm(tmp_path):
-    # dt = 0.02 exceeds this chain's RK4 stability limit 0.0087, but N = 61
-    # at stride 5 steps with the exact propagator, which has no such limit.
+    # dt = 0.02 exceeds this chain's RK4 stability limit 0.0087, so it steps
+    # with the exact route, which has no such limit.
     raw = {"experiment": "probability", "V": 0.32, "M": 30, "dt": 0.02, "t_end": 200.0}
     assert parse_config(json.dumps(raw)).integrator().method == "expm"
     config = tmp_path / "stiff.json"
@@ -249,9 +249,15 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     broken.write_text("{not json")
     assert main(["run", str(broken), "--out", str(tmp_path / "y")]) == 1
 
+    # dt = 1.2 is within this chain's RK4 limit 1.25, but a span of 1.74 is
+    # one step of 1.74; a dt past the limit steps exactly instead.
     unstable = tmp_path / "unstable.json"
-    unstable.write_text('{"experiment": "probability", "t_end": 1.0, "dt": 10.0}')
+    unstable.write_text('{"experiment": "probability", "t_end": 1.74, "dt": 1.2}')
     assert main(["run", str(unstable), "--out", str(tmp_path / "z")]) == 2
+    assert "stability limit" in capsys.readouterr().err
+    beyond = tmp_path / "beyond.json"
+    beyond.write_text('{"experiment": "probability", "t_end": 1.0, "dt": 10.0}')
+    assert main(["run", str(beyond), "--out", str(tmp_path / "v")]) == 0
 
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"experiment": "spectr\xe9"}')

@@ -4,15 +4,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from nhchain.cli import parse_config
 from nhchain.model import ChainParams, Hamiltonian, ModelError, SiteState, build_hamiltonian
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
 from nhchain.spectral import numeric_spectrum
 from nhchain.dynamics import (
-    EXPM_MAX_DIMENSION,
     FLUSH_BELOW,
-    RK4_CHECK_EVERY,
     UNDERFLOW_GUARD,
     IntegratorConfig,
     NumericError,
@@ -24,9 +23,12 @@ from nhchain.dynamics import (
     fidelity,
     make_initial_state,
     propagate,
-    rk4_step_operator,
     run_convergence_experiment,
+    stability_limit,
     stepping_method,
+    taylor_operator,
+    taylor_terms,
+    _step_operators,
 )
 
 
@@ -152,7 +154,7 @@ def test_rk4_step_operator_is_one_classical_step(h_small_ratio):
     rng = np.random.default_rng(11)
     y = rng.normal(size=201) + 1j * rng.normal(size=201)
     for h, dt in ((h_small_ratio, 0.02), (pulsed, sched.dt)):
-        operator = rk4_step_operator(h, dt)
+        operator = taylor_operator(h, dt, 4)
         expected = _four_stage_step(h, y, dt)
         assert np.abs(operator @ y - expected).max() <= 1e-13 * np.abs(expected).max()
         rows, cols = operator.nonzero()
@@ -165,6 +167,17 @@ def test_stability_violation_raises_before_integration(h_small_ratio, stable_mod
     with pytest.raises(NumericError, match="stability"):
         propagate(h_small_ratio, ground.right_vector, 1.0, IntegratorConfig(dt=5.0), series=series)
     assert len(series) == 0
+
+
+def test_stability_check_uses_the_step_actually_taken():
+    # A span of 1.45 dt is one step of 1.45 dt.  With dt at 0.99 of the
+    # limit, that step is 1.44 times the limit; unchecked, it grew the edge
+    # state's norm^2 from 1 to 9.4.
+    p, h, state = _stiff_edge_state(30)
+    cfg = IntegratorConfig(dt=0.99 * stability_limit(h))
+    with pytest.raises(NumericError, match="stability"):
+        propagate(h, state, 1.45 * cfg.dt, cfg)
+    assert propagate(h, state, 1.01 * cfg.dt, cfg).norm2() < 1.0  # one step of 1.01 dt
 
 
 def test_expm_is_not_bound_by_the_rk4_stability_limit(small_chain):
@@ -218,6 +231,103 @@ def test_expm_keeps_the_small_entries_of_the_propagator():
     assert exact.norm2() == pytest.approx(rk4.norm2(), rel=1e-6, abs=0.0)
 
 
+def _exact_and_dense(h, state, t, dt, stride):
+    """Recorded norm^2 and final state of the exact route and of a dense expm reference.
+
+    The reference applies scipy.linalg.expm(-i H k dt) once per recorded
+    sample of k steps, on propagate's mesh.
+    """
+    series = ObservableSeries()
+    out = propagate(h, state, t, IntegratorConfig(dt=dt, method="expm", record_stride=stride),
+                    series=series)
+    n_steps = round(t / dt)
+    dense = h.to_dense()
+    u = {k: scipy.linalg.expm(dense * (-1j * k * t / n_steps))
+         for k in {stride, n_steps % stride} - {0}}
+    y, norm2 = state.amplitudes, [state.norm2()]
+    for step in range(0, n_steps, stride):
+        y = u[min(stride, n_steps - step)] @ y
+        norm2.append(float(np.vdot(y, y).real))
+    final = out.amplitudes * math.exp(out.log_scale)
+    return (np.array(series.norm2), np.array(norm2),
+            np.linalg.norm(final - y) / np.linalg.norm(y))
+
+
+def _stable_pair_state(h):
+    ground, excited = numeric_spectrum(h, 2).stable_pair()
+    return SiteState(ground.right_vector.amplitudes + excited.right_vector.amplitudes,
+                     h.half_width).normalized()
+
+
+@pytest.mark.parametrize("V, M, stride, start", [
+    (2e-4, 100, 5, "pair"),  # fig4, omega/J = 0.01
+    (2e-4, 100, 15, "gaussian"),  # fig3
+    (0.02, 50, 10, "pair"),  # fig4, omega/J = 0.1
+    (0.32, 30, 57, "pair"),  # fig4, omega/J = 0.4: 4 substeps of degree 46
+])
+def test_exact_route_matches_dense_expm_on_the_preset_chains(V, M, stride, start):
+    # Tolerance 1e-12 relative over 20 time units (up to 204 samples): the
+    # truncation bound is s sqrt(N) 2^-53 per sample, below 1e-14 here; the
+    # rest is rounding, measured at most 3e-13 (the N = 61 chain).
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = ChainParams(J=1.0, V=V, half_width=M)
+    h = build_hamiltonian(p)
+    state = _stable_pair_state(h) if start == "pair" else make_initial_state(start, p)
+    exact, dense, final_error = _exact_and_dense(h, state, 20.0, default_dt(p), stride)
+    assert np.abs(exact - dense).max() <= 1e-12 * dense.min()
+    assert final_error <= 1e-12
+
+
+def test_exact_route_matches_dense_expm_on_the_pulsed_chain(h_small_ratio, stable_modes):
+    # fig5's pulse: 400 steps of delta/400 at stride 15, 2 substeps of
+    # degree 41 per sample (||H||_inf ~ 15,700).  Tolerance as on the
+    # preset chains, 1e-12 relative; measured 6e-15.
+    ground, _ = stable_modes
+    sched = PulseSchedule(delta=0.02)
+    pulsed = quenched_hamiltonian(h_small_ratio, sched)
+    exact, dense, final_error = _exact_and_dense(pulsed, ground.right_vector, sched.delta,
+                                                 sched.dt, 15)
+    assert len(exact) == 400 // 15 + 2
+    assert np.abs(exact - dense).max() <= 1e-12 * dense.min()
+    assert final_error <= 1e-12
+
+
+def test_exact_route_matches_dense_expm_on_the_stiff_edge():
+    # The point state at the stiff edge falls to norm^2 ~ 1e-101 by t = 2.
+    # While its fast-decaying edge part dominates, a substep of x = 8.3
+    # rounds Horner's sums (terms up to e^x) to a result near e^-x, so the
+    # recorded norm^2 may be off by about 2^-53 e^(2x) per substep: measured
+    # 1.4e-9, tolerance 1e-7 relative.  The final state, held by slower
+    # modes, keeps the preset chains' tolerance, 1e-12 relative.
+    p, h, state = _stiff_edge_state(30)
+    exact, dense, final_error = _exact_and_dense(h, state, 2.0, default_dt(p), 50)
+    assert dense[-1] < 1e-100
+    assert np.all(np.abs(exact - dense) <= 1e-7 * dense)
+    assert final_error <= 1e-12
+
+
+def test_chain_above_the_old_dense_cap_steps_exactly():
+    # 1603 sites, above the 1601 that bounded the dense propagator.  At
+    # dt = 2e-4 two RK4 steps (18 nonzeros) cost more than one degree-8
+    # sample (17), so the run steps exactly.  Reference: scipy's
+    # expm_multiply, tolerance 1e-12 relative.
+    cfg = parse_config('{"experiment": "probability", "M": 801, "dt": 2e-4, '
+                       '"record_stride": 2, "t_end": 0.1}')
+    config = cfg.integrator()
+    assert config.method == "expm"
+    p = cfg.chain_params()
+    h = build_hamiltonian(p)
+    state = make_initial_state("gaussian", p, width=5.0)
+    series = ObservableSeries()
+    out = propagate(h, state, cfg.t_end, config, series=series)
+    assert len(series) == 500 // 2 + 1
+    reference = scipy.sparse.linalg.expm_multiply(h.to_sparse("csc") * (-1j * cfg.t_end),
+                                                  state.amplitudes)
+    error = np.linalg.norm(out.amplitudes - reference) / np.linalg.norm(reference)
+    assert error <= 1e-12
+
+
 def test_underflow_split_into_log_scale():
     # The norm falls to about exp(-383), below the 1e-150 guard, so both
     # methods split a factor off into log_scale, at different times.
@@ -262,20 +372,15 @@ def _unflushed_propagate(h, states, t, cfg):
     Also counts the parts a flush would have zeroed at the checks.
     """
     n_steps = round(t / cfg.dt)
-    dt = t / n_steps
-    if cfg.method == "expm":
-        jump, check_every = cfg.record_stride, 1
-        operators = {k: scipy.linalg.expm(h.to_dense() * (-1j * k * dt))
-                     for k in {jump, n_steps % jump} - {0}}
-    else:
-        jump, check_every = 1, RK4_CHECK_EVERY
-        operators = {1: rk4_step_operator(h, dt)}
+    jump, check_every, operators = _step_operators(h, t / n_steps, n_steps, cfg)
     y = np.column_stack([s.amplitudes for s in states])
     log_scale = np.zeros(len(states))
     step = would_flush = 0
     while step < n_steps:
         k = min(jump, n_steps - step)
-        y = operators[k] @ y
+        operator, substeps = operators[k]
+        for _ in range(substeps):
+            y = operator @ y
         step += k
         if step % check_every == 0 or step == n_steps:
             for j in range(len(states)):
@@ -339,7 +444,7 @@ def test_flush_keeps_subnormals_out_of_states_and_records(monkeypatch):
         assert not np.any((parts > 0) & (parts < tiny))
     # a plain loop with no flush gives the same recorded bits
     n_steps = round(30.0 / cfg.dt)
-    step = rk4_step_operator(h, 30.0 / n_steps)
+    step = taylor_operator(h, 30.0 / n_steps, 4)
     y = state.amplitudes
     norm2 = [state.norm2()]
     for _ in range(n_steps):
@@ -374,28 +479,45 @@ def test_compensated_chain_conserves_probability():
 
 
 def test_stepping_method_boundary():
-    long_run = 10**9
-    assert stepping_method(201, 1, long_run) == "rk4"
-    assert stepping_method(201, 4, long_run) == "rk4"
-    assert stepping_method(201, 5, 10_000) == "expm"  # fig4's 201-site segment
-    assert stepping_method(201, 15, long_run) == "expm"
-    assert stepping_method(101, 10, long_run) == "expm"
-    assert stepping_method(801, 1, long_run) == "rk4"
-    assert IntegratorConfig(dt=0.02).method == "rk4"
-    # above the dimension cap the dense propagator is never built, whatever the stride
-    assert stepping_method(EXPM_MAX_DIMENSION, 10**6, long_run) == "expm"
-    assert stepping_method(EXPM_MAX_DIMENSION + 2, 10**6, long_run) == "rk4"
-    assert stepping_method(100_001, 10**9, long_run) == "rk4"
-    wide = parse_config('{"experiment": "probability", "M": 5000, "record_stride": 20000}')
-    assert wide.integrator().method == "rk4"
-    # a run shorter than N^2/8 steps does not pay for the build
-    assert stepping_method(201, 5, 201**2 // 8 + 1) == "expm"
-    assert stepping_method(201, 5, 201**2 // 8) == "rk4"
-    # one 1,000-step chunk at N = 1601: 8.1 s by expm, 0.06 s by RK4
-    short = parse_config('{"experiment": "probability", "M": 800, "V": 1.5625e-4, '
-                         '"t_end": 20.0, "dt": 0.02, "record_stride": 1000}')
-    assert short.integrator().method == "rk4"
-    assert stepping_method(EXPM_MAX_DIMENSION, 1000, 1000) == "rk4"
+    # RK4 only when dt is within the stability limit and one exact sample
+    # applies more nonzeros, s (2p + 1), than record_stride RK4 steps, 9 each.
+    def chain(V, M):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = ChainParams(J=1.0, V=V, half_width=M)
+        return build_hamiltonian(p), default_dt(p)
+
+    def method(raw):
+        return parse_config(raw).integrator().method
+
+    fig4, _ = chain(2e-4, 100)  # dt = 0.02, ||H||_inf = 3.95
+    assert taylor_terms(fig4, 2 * 0.02) == (10, 1)
+    assert stepping_method(fig4, 0.02, 2) == "rk4"  # 21 > 18
+    assert stepping_method(fig4, 0.02, 3) == "expm"  # 23 <= 27
+    # a tie (27 = 27) steps exactly; one degree more does not
+    assert taylor_terms(fig4, 3 * 0.035) == (13, 1)
+    assert stepping_method(fig4, 0.035, 3) == "expm"
+    assert stepping_method(fig4, 0.036, 3) == "rk4"
+    # at the default dt (about 0.5 / ||H||) the crossover is stride 7, or 8
+    for V, M, last_rk4 in ((0.02, 50, 6), (0.32, 30, 6), (2e-4, 400, 7), (2e-4, 801, 6)):
+        h, dt = chain(V, M)
+        assert stepping_method(h, dt, last_rk4) == "rk4"
+        assert stepping_method(h, dt, last_rk4 + 1) == "expm"
+    wide = '{"experiment": "probability", "M": 5000, "record_stride": %d}'
+    assert method(wide % 6) == "rk4"
+    assert method(wide % 7) == "expm"
+    # the stability clause: past the limit the run steps exactly, whatever the cost
+    limit = stability_limit(fig4)
+    assert stepping_method(fig4, limit, 1) == "rk4"
+    assert stepping_method(fig4, math.nextafter(limit, 2.0), 1) == "expm"
+    stiff = '{"experiment": "probability", "V": 0.32, "M": 30, "dt": %r, "record_stride": 1}'
+    assert method(stiff % 0.0086) == "rk4"  # the limit is 0.00869
+    assert method(stiff % 0.0087) == "expm"
+    # stride 1000 at ||H||_inf dt = 2.5: RK4 is cheaper up to its limit (0.025)
+    short = ('{"experiment": "probability", "M": 800, "V": 1.5625e-4, "t_end": 20.0, '
+             '"dt": %r, "record_stride": 1000}')
+    assert method(short % 0.025) == "rk4"
+    assert method(short % 0.0251) == "expm"
 
 
 def test_overflow_detected_with_failure_time(h_small_ratio):
@@ -431,6 +553,7 @@ def test_series_argument_matches_the_state_argument(h_small_ratio, stable_modes)
 
 
 def test_integrator_config_validation():
+    assert IntegratorConfig(dt=0.02).method == "rk4"
     with pytest.raises(NumericError):
         IntegratorConfig(dt=0.0)
     with pytest.raises(NumericError):
