@@ -32,7 +32,6 @@ from .dynamics import (
     make_initial_state,
     propagate,
     run_convergence_experiment,
-    stepping_method,
 )
 from .model import ChainParams, ModelError, SiteState, build_hamiltonian
 from .quench import PulseSchedule, QuenchPlan, run_switch_experiment
@@ -78,9 +77,7 @@ class ExperimentConfig:
         return ChainParams(J=self.J, V=self.V, half_width=self.M, tail_tol=self.tail_tol)
 
     def integrator(self) -> IntegratorConfig:
-        h = build_hamiltonian(self.chain_params())
-        method = stepping_method(h, self.dt, self.record_stride)
-        return IntegratorConfig(dt=self.dt, method=method, record_stride=self.record_stride)
+        return IntegratorConfig(dt=self.dt, record_stride=self.record_stride)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"

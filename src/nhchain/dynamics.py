@@ -10,9 +10,11 @@ computed per chunk.
 
 Both stepping routes apply ``taylor_operator(h, tau, p)``, the degree-p
 Taylor polynomial of expm(-i H tau) as a CSR matrix with 2p + 1 diagonals.
-RK4 is p = 4 at tau = dt, within ``stability_limit``.  The exact route
-('expm') applies it s times per recorded sample of k steps, at tau = k dt/s,
-with (p, s) from ``taylor_terms``: p <= MAX_DEGREE and
+Each ``propagate`` call picks its route with ``stepping_method`` on the
+Hamiltonian it steps, at the step actually taken, dt = (t1 - t0) / n_steps.
+RK4 is p = 4 at tau = dt, taken only within ``stability_limit``.  The
+exact route ('expm') applies it s times per recorded sample of k steps, at
+tau = k dt/s, with (p, s) from ``taylor_terms``: p <= MAX_DEGREE and
 x^(p+1)/(p+1)! e^x <= 2^-53 for x = ||H||_inf tau.  The remainder then moves
 each entry of a column y by at most 2^-53 ||y||_inf, so y by at most
 sqrt(N) 2^-53 ||y||_2, for any matrix; as ||expm(-i H t)||_2 <= exp(omega t)
@@ -79,7 +81,7 @@ STATE_KINDS = ("point", "gaussian", "tophat", "random")
 
 
 class NumericError(RuntimeError):
-    """Integration failure (instability, NaN/overflow, bad step size)."""
+    """Integration failure (NaN/overflow, bad step size or time span)."""
 
     def __init__(self, message: str, failure_time: float | None = None):
         super().__init__(message)
@@ -145,20 +147,17 @@ def stepping_method(h: Hamiltonian, dt: float, record_stride: int) -> str:
 class IntegratorConfig:
     """Fixed-step integration parameters.
 
-    ``method`` is 'rk4' (default, within ``stability_limit``) or 'expm'
-    (exact per recorded sample at any dt and chain size; module docstring).
-    ``record_stride`` thins the recorded observable mesh.
+    ``record_stride`` thins the recorded observable mesh.  ``propagate``
+    picks the stepping route for the Hamiltonian it steps
+    (``stepping_method``).
     """
 
     dt: float
-    method: str = "rk4"
     record_stride: int = 1
 
     def __post_init__(self) -> None:
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise NumericError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.method not in ("rk4", "expm"):
-            raise NumericError(f"unknown method {self.method!r}")
         if self.record_stride < 1:
             raise NumericError("record_stride must be >= 1")
 
@@ -305,18 +304,18 @@ def taylor_operator(h: Hamiltonian, tau: float, degree: int) -> scipy.sparse.csr
     return step
 
 
-def _step_operators(h: Hamiltonian, dt: float, n_steps: int, config: IntegratorConfig):
-    """(jump, check_every, {k: (operator, substeps)}): k steps are ``substeps`` products."""
-    if config.method == "rk4":
-        limit, largest = stability_limit(h), max(dt, config.dt)
-        if largest > limit:
-            raise NumericError(f"dt = {largest:g} exceeds the stability limit {limit:g} for this matrix")
+def _step_operators(h: Hamiltonian, dt: float, n_steps: int, stride: int):
+    """(jump, check_every, {k: (operator, substeps)}): k steps are ``substeps`` products.
+
+    The route is ``stepping_method`` on ``h`` at the step actually taken, ``dt``.
+    """
+    if stepping_method(h, dt, stride) == "rk4":
         return 1, RK4_CHECK_EVERY, {1: (taylor_operator(h, dt, 4), 1)}
-    jump, operators = config.record_stride, {}
-    for k in {min(jump, n_steps), n_steps % jump} - {0}:  # full chunks, remainder
+    operators = {}
+    for k in {min(stride, n_steps), n_steps % stride} - {0}:  # full chunks, remainder
         degree, substeps = taylor_terms(h, k * dt)
         operators[k] = (taylor_operator(h, k * dt / substeps, degree), substeps)
-    return jump, 1, operators
+    return stride, 1, operators
 
 
 def _flush(a: np.ndarray) -> None:
@@ -360,12 +359,12 @@ def propagate(
     ObservableSeries per state.  ``t_span`` is (t0, t1) or a bare end time
     (then t0 = 0).  Every state is returned raw (decaying) with its own
     underflow-prevention factor in ``log_scale``; a sequence returns a
-    list.  Both methods record at the same times: every ``record_stride``
-    steps and at the last step, handed to the series in chunks of at most
-    RECORD_CHUNK_BYTES.  With ``method='expm'`` each recorded sample is exact
-    to the bound in the module docstring.  Only RK4 is bound by
-    ``stability_limit``: both ``config.dt`` and the step actually taken,
-    (t1 - t0) / n_steps, must meet it.
+    list.  The route is ``stepping_method`` on ``h`` at the step actually
+    taken, (t1 - t0) / n_steps, so RK4 never runs past ``stability_limit``;
+    on the exact route each recorded sample is exact to the bound in the
+    module docstring.  Both routes record at the same times: every
+    ``record_stride`` steps and at the last step, handed to the series in
+    chunks of at most RECORD_CHUNK_BYTES.
     """
     t0, t1 = (0.0, float(t_span)) if np.isscalar(t_span) else (float(t_span[0]), float(t_span[1]))
     if t1 < t0:
@@ -393,7 +392,7 @@ def propagate(
 
     n_steps = max(1, round((t1 - t0) / config.dt))
     dt = (t1 - t0) / n_steps
-    jump, check_every, operators = _step_operators(h, dt, n_steps, config)
+    jump, check_every, operators = _step_operators(h, dt, n_steps, config.record_stride)
 
     y = np.column_stack([s.amplitudes for s in states])
     log_scale = np.array([s.log_scale for s in states])

@@ -108,10 +108,9 @@ class Hamiltonian:
 
     ``diagonal`` holds the on-site entries in site order l = -M..M;
     ``off_diagonal`` is the constant nearest-neighbour entry (-J for the
-    bare chain).  ``matvec`` computes H @ psi without forming the matrix;
-    ``to_sparse`` builds it as a scipy sparse array, ``to_dense`` as a full
-    one.  ``params`` is the chain the matrix was built from; None for any
-    other matrix (a pulsed chain).
+    bare chain).  ``to_sparse`` builds the matrix as a scipy sparse array,
+    ``to_dense`` as a full one.  ``params`` is the chain the matrix was
+    built from; None for any other matrix (a pulsed chain).
     """
 
     diagonal: np.ndarray
@@ -142,12 +141,6 @@ class Hamiltonian:
         """The matrix as a scipy sparse array in ``format`` ('csr', 'csc', ...)."""
         off = np.full(self.dimension - 1, self.off_diagonal, dtype=complex)
         return scipy.sparse.diags_array([off, self.diagonal, off], offsets=[-1, 0, 1], format=format)
-
-    def matvec(self, psi: np.ndarray) -> np.ndarray:
-        out = self.diagonal * psi
-        out[:-1] += self.off_diagonal * psi[1:]
-        out[1:] += self.off_diagonal * psi[:-1]
-        return out
 
 
 @dataclass(frozen=True)

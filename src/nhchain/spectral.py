@@ -354,6 +354,7 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
     label_gate = params.omega / 2.0 if params else 0.0
 
     h_norm = float(np.abs(h.diagonal).max() + 2.0 * abs(h.off_diagonal))
+    matrix = h.to_sparse("csr")
     modes = []
     worst = 0.0
     for i in selected:
@@ -363,7 +364,7 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
         pivot = int(np.argmax(np.abs(v)))
         phase = v[pivot] / abs(v[pivot])
         v = v / phase
-        residual = float(np.linalg.norm(h.matvec(v.copy()) - energy * v))
+        residual = float(np.linalg.norm(matrix @ v - energy * v))
         worst = max(worst, residual)
 
         self_product = complex(v @ v)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nhchain import cli
-from nhchain.dynamics import DEFAULT_SEED
-from nhchain.model import ModelError
+from nhchain.dynamics import DEFAULT_SEED, stepping_method
+from nhchain.model import ModelError, build_hamiltonian
+from nhchain.quench import PulseSchedule, quenched_hamiltonian
 from nhchain.cli import (
     ConfigError,
     PRESET_CONFIGS,
@@ -231,12 +232,33 @@ def test_stiff_chain_steps_beyond_the_rk4_limit_with_expm(tmp_path):
     # dt = 0.02 exceeds this chain's RK4 stability limit 0.0087, so it steps
     # with the exact route, which has no such limit.
     raw = {"experiment": "probability", "V": 0.32, "M": 30, "dt": 0.02, "t_end": 200.0}
-    assert parse_config(json.dumps(raw)).integrator().method == "expm"
+    cfg = parse_config(json.dumps(raw))
+    assert stepping_method(build_hamiltonian(cfg.chain_params()), cfg.dt, cfg.record_stride) == "expm"
     config = tmp_path / "stiff.json"
     config.write_text(json.dumps(raw))
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
     header, *rows = _read(tmp_path / "out" / "probability.csv").strip().split("\n")
     assert header == "time,norm2,P" and len(rows) == 2001
+
+
+def test_wide_switch_steps_its_pulse_exactly(tmp_path):
+    # At M = 400 the relaxation (stride 1) steps with RK4, but the pulse's
+    # field mu * l puts its step of 5e-5 past the pulsed chain's RK4 limit
+    # 3.98e-5.  The pulse is routed on its own Hamiltonian, so it steps
+    # exactly and the run succeeds.
+    raw = {"experiment": "switch", "M": 400, "record_stride": 1, "t_relax": 1.0}
+    cfg = parse_config(json.dumps(raw))
+    h = build_hamiltonian(cfg.chain_params())
+    sched = PulseSchedule(delta=cfg.delta)
+    assert stepping_method(h, cfg.dt, 1) == "rk4"
+    assert stepping_method(quenched_hamiltonian(h, sched), sched.dt, 1) == "expm"
+    config = tmp_path / "switch.json"
+    config.write_text(json.dumps(raw))
+    with pytest.warns(UserWarning, match="hardness"):  # 4.91 at M = 400
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    header, *rows = _read(tmp_path / "out" / "switch.csv").strip().split("\n")
+    assert header == "time,norm2,P,F_g,F_e"
+    assert len(rows) == 400 + 1 + round(cfg.t_relax / cfg.dt)  # the seam sample once
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
@@ -250,11 +272,11 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["run", str(broken), "--out", str(tmp_path / "y")]) == 1
 
     # dt = 1.2 is within this chain's RK4 limit 1.25, but a span of 1.74 is
-    # one step of 1.74; a dt past the limit steps exactly instead.
+    # one step of 1.74, past the limit, so it steps exactly, as does a dt
+    # past the limit.
     unstable = tmp_path / "unstable.json"
     unstable.write_text('{"experiment": "probability", "t_end": 1.74, "dt": 1.2}')
-    assert main(["run", str(unstable), "--out", str(tmp_path / "z")]) == 2
-    assert "stability limit" in capsys.readouterr().err
+    assert main(["run", str(unstable), "--out", str(tmp_path / "z")]) == 0
     beyond = tmp_path / "beyond.json"
     beyond.write_text('{"experiment": "probability", "t_end": 1.0, "dt": 10.0}')
     assert main(["run", str(beyond), "--out", str(tmp_path / "v")]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,13 +6,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
+from nhchain import dynamics
 from nhchain.cli import parse_config
 from nhchain.model import ChainParams, Hamiltonian, ModelError, SiteState, build_hamiltonian
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
 from nhchain.spectral import numeric_spectrum
 from nhchain.dynamics import (
     FLUSH_BELOW,
+    RK4_CHECK_EVERY,
     UNDERFLOW_GUARD,
     IntegratorConfig,
     NumericError,
@@ -140,10 +144,11 @@ def test_excited_ladder_decay_rate(h_small_ratio, spectrum12, params_small_ratio
 
 
 def _four_stage_step(h, y, dt):
-    k1 = -1j * h.matvec(y)
-    k2 = -1j * h.matvec(y + 0.5 * dt * k1)
-    k3 = -1j * h.matvec(y + 0.5 * dt * k2)
-    k4 = -1j * h.matvec(y + dt * k3)
+    matrix = h.to_sparse("csr")
+    k1 = -1j * (matrix @ y)
+    k2 = -1j * (matrix @ (y + 0.5 * dt * k1))
+    k3 = -1j * (matrix @ (y + 0.5 * dt * k2))
+    k4 = -1j * (matrix @ (y + dt * k3))
     return y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -161,23 +166,52 @@ def test_rk4_step_operator_is_one_classical_step(h_small_ratio):
         assert np.abs(rows - cols).max() == 4  # 9 diagonals, none further out
 
 
-def test_stability_violation_raises_before_integration(h_small_ratio, stable_modes):
-    ground, _ = stable_modes
-    series = ObservableSeries()
-    with pytest.raises(NumericError, match="stability"):
-        propagate(h_small_ratio, ground.right_vector, 1.0, IntegratorConfig(dt=5.0), series=series)
-    assert len(series) == 0
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(V=st.floats(1e-4, 0.5), M=st.integers(1, 40), dt_per_limit=st.floats(0.05, 4.0),
+       record_stride=st.integers(1, 80), span_per_dt=st.floats(0.3, 12.0))
+def test_rk4_steps_only_within_the_stability_limit(V, M, dt_per_limit, record_stride,
+                                                   span_per_dt):
+    # propagate routes on the step it takes, span / n_steps, which differs
+    # from dt whenever the span is not a whole number of steps.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = ChainParams(J=1.0, V=V, half_width=M, tail_tol=1.0)
+    h = build_hamiltonian(p)
+    limit = stability_limit(h)
+    cfg = IntegratorConfig(dt=dt_per_limit * limit, record_stride=record_stride)
+    span = span_per_dt * cfg.dt
+    routes = []
+
+    def spy(h, dt, n_steps, stride):
+        jump, check_every, operators = step_operators(h, dt, n_steps, stride)
+        routes.append((dt, n_steps, check_every == RK4_CHECK_EVERY))  # RK4's check interval
+        return jump, check_every, operators
+
+    step_operators = dynamics._step_operators
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_step_operators", spy)
+        out = propagate(h, make_initial_state("point", p, center=M), span, cfg)
+    [(taken, n_steps, rk4)] = routes
+    assert n_steps == max(1, round(span / cfg.dt)) and taken == span / n_steps
+    assert taken <= limit or not rk4
+    assert math.isfinite(out.norm2())
 
 
-def test_stability_check_uses_the_step_actually_taken():
+def test_a_step_past_the_rk4_limit_steps_exactly():
     # A span of 1.45 dt is one step of 1.45 dt.  With dt at 0.99 of the
-    # limit, that step is 1.44 times the limit; unchecked, it grew the edge
-    # state's norm^2 from 1 to 9.4.
+    # limit, that step is 1.44 times the limit; taken with RK4 it grew the
+    # edge state's norm^2 from 1 to 9.4.  It is taken exactly instead, and
+    # lands on the mode expansion (measured 2e-16 off).
     p, h, state = _stiff_edge_state(30)
     cfg = IntegratorConfig(dt=0.99 * stability_limit(h))
-    with pytest.raises(NumericError, match="stability"):
-        propagate(h, state, 1.45 * cfg.dt, cfg)
-    assert propagate(h, state, 1.01 * cfg.dt, cfg).norm2() < 1.0  # one step of 1.01 dt
+    assert stepping_method(h, 1.45 * cfg.dt, 1) == "expm"
+    out = propagate(h, state, 1.45 * cfg.dt, cfg)
+    assert out.norm2() < 1.0
+    oracle = eigen_propagate(numeric_spectrum(h, h.dimension), h, state, 1.45 * cfg.dt)
+    assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
+    # one step of 1.01 dt is within the limit and steps with RK4
+    assert stepping_method(h, 1.01 * cfg.dt, 1) == "rk4"
+    assert propagate(h, state, 1.01 * cfg.dt, cfg).norm2() < 1.0
 
 
 def test_expm_is_not_bound_by_the_rk4_stability_limit(small_chain):
@@ -185,7 +219,8 @@ def test_expm_is_not_bound_by_the_rk4_stability_limit(small_chain):
     # 1.25 RK4 limit of this chain, land on the mode expansion.
     p, h, spec = small_chain
     state = make_initial_state("gaussian", p, width=3.0)
-    out = propagate(h, state, 100.0, IntegratorConfig(dt=5.0, method="expm", record_stride=3))
+    assert stepping_method(h, 5.0, 3) == "expm"
+    out = propagate(h, state, 100.0, IntegratorConfig(dt=5.0, record_stride=3))
     oracle = eigen_propagate(spec, h, state, 100.0)
     assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
 
@@ -193,20 +228,21 @@ def test_expm_is_not_bound_by_the_rk4_stability_limit(small_chain):
 def test_expm_matches_eigen_expansion(small_chain):
     p, h, spec = small_chain
     state = make_initial_state("gaussian", p, width=3.0)
-    out = propagate(h, state, 100.0, IntegratorConfig(dt=0.004, method="expm", record_stride=1000))
+    assert stepping_method(h, 0.004, 1000) == "expm"
+    out = propagate(h, state, 100.0, IntegratorConfig(dt=0.004, record_stride=1000))
     oracle = eigen_propagate(spec, h, state, 100.0)
     assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
 
 
-def test_expm_records_on_the_rk4_mesh(small_chain):
+def test_expm_records_on_the_rk4_mesh(small_chain, monkeypatch):
     p, h, _ = small_chain
     state = make_initial_state("gaussian", p, width=3.0)
     runs = {}
     for method in ("rk4", "expm"):
         # 1000 steps at stride 7: the last chunk is a 6-step remainder
+        monkeypatch.setattr(dynamics, "stepping_method", lambda *args: method)
         series = ObservableSeries()
-        propagate(h, state, 10.0, IntegratorConfig(dt=0.01, method=method, record_stride=7),
-                  series=series)
+        propagate(h, state, 10.0, IntegratorConfig(dt=0.01, record_stride=7), series=series)
         runs[method] = series
     assert runs["expm"].times == runs["rk4"].times
     assert len(runs["expm"]) == len(runs["rk4"]) == 1000 // 7 + 2
@@ -224,9 +260,10 @@ def test_expm_keeps_the_small_entries_of_the_propagator():
     # A state decaying from the stiff edge lives in entries of U far below
     # max|U|; dropping them changes this norm by ten orders of magnitude.
     p, h, state = _stiff_edge_state(30)
+    dt = 20.0 / round(20.0 / default_dt(p))  # the step taken
+    assert stepping_method(h, dt, 1) == "rk4" and stepping_method(h, dt, 50) == "expm"
     rk4 = propagate(h, state, 20.0, IntegratorConfig(dt=default_dt(p)))
-    exact = propagate(h, state, 20.0,
-                      IntegratorConfig(dt=default_dt(p), method="expm", record_stride=50))
+    exact = propagate(h, state, 20.0, IntegratorConfig(dt=default_dt(p), record_stride=50))
     assert rk4.norm2() < 1e-100
     assert exact.norm2() == pytest.approx(rk4.norm2(), rel=1e-6, abs=0.0)
 
@@ -237,10 +274,10 @@ def _exact_and_dense(h, state, t, dt, stride):
     The reference applies scipy.linalg.expm(-i H k dt) once per recorded
     sample of k steps, on propagate's mesh.
     """
-    series = ObservableSeries()
-    out = propagate(h, state, t, IntegratorConfig(dt=dt, method="expm", record_stride=stride),
-                    series=series)
     n_steps = round(t / dt)
+    assert dynamics.stepping_method(h, t / n_steps, stride) == "expm"
+    series = ObservableSeries()
+    out = propagate(h, state, t, IntegratorConfig(dt=dt, record_stride=stride), series=series)
     dense = h.to_dense()
     u = {k: scipy.linalg.expm(dense * (-1j * k * t / n_steps))
          for k in {stride, n_steps % stride} - {0}}
@@ -279,10 +316,13 @@ def test_exact_route_matches_dense_expm_on_the_preset_chains(V, M, stride, start
     assert final_error <= 1e-12
 
 
-def test_exact_route_matches_dense_expm_on_the_pulsed_chain(h_small_ratio, stable_modes):
+def test_exact_route_matches_dense_expm_on_the_pulsed_chain(h_small_ratio, stable_modes,
+                                                           monkeypatch):
     # fig5's pulse: 400 steps of delta/400 at stride 15, 2 substeps of
     # degree 41 per sample (||H||_inf ~ 15,700).  Tolerance as on the
-    # preset chains, 1e-12 relative; measured 6e-15.
+    # preset chains, 1e-12 relative; measured 6e-15.  The rule steps fig5's
+    # pulse with RK4 (fewer nonzeros), so the exact route is forced here.
+    monkeypatch.setattr(dynamics, "stepping_method", lambda *args: "expm")
     ground, _ = stable_modes
     sched = PulseSchedule(delta=0.02)
     pulsed = quenched_hamiltonian(h_small_ratio, sched)
@@ -315,9 +355,9 @@ def test_chain_above_the_old_dense_cap_steps_exactly():
     cfg = parse_config('{"experiment": "probability", "M": 801, "dt": 2e-4, '
                        '"record_stride": 2, "t_end": 0.1}')
     config = cfg.integrator()
-    assert config.method == "expm"
     p = cfg.chain_params()
     h = build_hamiltonian(p)
+    assert stepping_method(h, cfg.t_end / 500, 2) == "expm"
     state = make_initial_state("gaussian", p, width=5.0)
     series = ObservableSeries()
     out = propagate(h, state, cfg.t_end, config, series=series)
@@ -333,8 +373,9 @@ def test_underflow_split_into_log_scale():
     # methods split a factor off into log_scale, at different times.
     p, h, state = _stiff_edge_state(70)
     log_norms = []
-    for cfg in (IntegratorConfig(dt=default_dt(p)),
-                IntegratorConfig(dt=default_dt(p), method="expm", record_stride=50)):
+    for cfg, method in ((IntegratorConfig(dt=default_dt(p)), "rk4"),
+                        (IntegratorConfig(dt=default_dt(p), record_stride=50), "expm")):
+        assert stepping_method(h, 5.0 / round(5.0 / cfg.dt), cfg.record_stride) == method
         out = propagate(h, state, 5.0, cfg)
         assert out.log_scale < math.log(UNDERFLOW_GUARD)
         log_norms.append(out.log_scale + 0.5 * math.log(out.raw_norm2()))
@@ -342,14 +383,15 @@ def test_underflow_split_into_log_scale():
 
 
 @pytest.mark.parametrize("method", ["rk4", "expm"])
-def test_block_propagation_matches_solo_runs(method):
+def test_block_propagation_matches_solo_runs(method, monkeypatch):
     # The edge column falls below the underflow guard and splits a factor
     # into log_scale; the stable-pair column never does.  At M = 30 the edge
     # norm bottoms out near exp(-117), above the guard, so the chain is M = 70.
+    monkeypatch.setattr(dynamics, "stepping_method", lambda *args: method)
     p, h, edge = _stiff_edge_state(70)
     ground, _ = numeric_spectrum(h, 2).stable_pair()
     states = [edge, ground.right_vector, make_initial_state("gaussian", p, width=5.0)]
-    cfg = IntegratorConfig(dt=default_dt(p), method=method, record_stride=60)
+    cfg = IntegratorConfig(dt=default_dt(p), record_stride=60)
     assert round(1.0 / cfg.dt) % cfg.record_stride != 0  # a remainder chunk
     block_series = [ObservableSeries() for _ in states]
     block = propagate(h, states, 1.0, cfg, series=block_series)
@@ -372,7 +414,7 @@ def _unflushed_propagate(h, states, t, cfg):
     Also counts the parts a flush would have zeroed at the checks.
     """
     n_steps = round(t / cfg.dt)
-    jump, check_every, operators = _step_operators(h, t / n_steps, n_steps, cfg)
+    jump, check_every, operators = _step_operators(h, t / n_steps, n_steps, cfg.record_stride)
     y = np.column_stack([s.amplitudes for s in states])
     log_scale = np.zeros(len(states))
     step = would_flush = 0
@@ -394,16 +436,17 @@ def _unflushed_propagate(h, states, t, cfg):
 
 
 @pytest.mark.parametrize("method", ["rk4", "expm"])
-def test_flush_error_stays_within_its_bound(method):
+def test_flush_error_stays_within_its_bound(method, monkeypatch):
     # The edge column's front and the propagator's far entries leave parts
     # below FLUSH_BELOW, which propagate zeroes.  Each of at most one flush
     # per step removes sqrt(2N) * FLUSH_BELOW of a state whose initial norm
     # is 1 (log_scale only falls), and max Im H_ll = omega lets that grow by
     # at most exp(omega * t): the documented bound, in true amplitudes.
+    monkeypatch.setattr(dynamics, "stepping_method", lambda *args: method)
     p, h, edge = _stiff_edge_state(70)
     ground, _ = numeric_spectrum(h, 2).stable_pair()
     states = [edge, ground.right_vector, make_initial_state("gaussian", p, width=5.0)]
-    cfg = IntegratorConfig(dt=default_dt(p), method=method, record_stride=60)
+    cfg = IntegratorConfig(dt=default_dt(p), record_stride=60)
     t = 1.0
     block = propagate(h, states, t, cfg)
     reference, ref_log_scale, would_flush = _unflushed_propagate(h, states, t, cfg)
@@ -471,9 +514,10 @@ def test_compensated_chain_conserves_probability():
                           M).normalized()
         deviations = []
         for h in (bare, compensated):
+            assert stepping_method(h, 200.0 / round(200.0 / default_dt(p)), 10) == "expm"
             series = ObservableSeries()
-            propagate(h, state, 200.0, IntegratorConfig(dt=default_dt(p), method="expm",
-                                                        record_stride=10), series=series)
+            propagate(h, state, 200.0, IntegratorConfig(dt=default_dt(p), record_stride=10),
+                      series=series)
             deviations.append(max(abs(prob - 1.0) for prob in series.prob))
         assert deviations[1] <= bound < deviations[0]
 
@@ -488,7 +532,8 @@ def test_stepping_method_boundary():
         return build_hamiltonian(p), default_dt(p)
 
     def method(raw):
-        return parse_config(raw).integrator().method
+        cfg = parse_config(raw)
+        return stepping_method(build_hamiltonian(cfg.chain_params()), cfg.dt, cfg.record_stride)
 
     fig4, _ = chain(2e-4, 100)  # dt = 0.02, ||H||_inf = 3.95
     assert taylor_terms(fig4, 2 * 0.02) == (10, 1)
@@ -553,11 +598,11 @@ def test_series_argument_matches_the_state_argument(h_small_ratio, stable_modes)
 
 
 def test_integrator_config_validation():
-    assert IntegratorConfig(dt=0.02).method == "rk4"
+    # the route is propagate's choice, not a setting
+    assert [field.name for field in dataclasses.fields(IntegratorConfig)] == ["dt", "record_stride"]
+    assert IntegratorConfig(dt=0.02).record_stride == 1
     with pytest.raises(NumericError):
         IntegratorConfig(dt=0.0)
-    with pytest.raises(NumericError):
-        IntegratorConfig(dt=0.1, method="verlet")
     with pytest.raises(NumericError):
         IntegratorConfig(dt=0.1, record_stride=0)
 
