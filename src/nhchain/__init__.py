@@ -46,7 +46,6 @@ from .dynamics import (
 )
 from .quench import (
     PulseSchedule,
-    QuenchPlan,
     quenched_hamiltonian,
     run_switch_experiment,
 )

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .dynamics import (
     DEFAULT_SEED,
+    STATE_KINDS,
     IntegratorConfig,
     NumericError,
     ObservableSeries,
@@ -34,7 +35,7 @@ from .dynamics import (
     run_convergence_experiment,
 )
 from .model import ChainParams, ModelError, SiteState, build_hamiltonian
-from .quench import PulseSchedule, QuenchPlan, run_switch_experiment
+from .quench import PulseSchedule, run_switch_experiment
 from .spectral import ConvergenceError, SpectralError, numeric_spectrum, spectrum_table
 from .svgplot import render_line_plot
 
@@ -42,7 +43,6 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_preset", "mai
 
 EXPERIMENTS = ("spectrum", "convergence", "probability", "switch")
 PRESETS = ("fig2", "fig3", "fig4", "fig5")
-CONVERGENCE_KINDS = ("point", "gaussian", "tophat", "random")
 
 # ratio omega/J -> (V at J=1, half_width)
 PROBABILITY_SWEEP = ((0.01, 2e-4, 100), (0.1, 0.02, 50), (0.4, 0.32, 30))
@@ -66,7 +66,6 @@ class ExperimentConfig:
     dt: float
     record_stride: int
     seed: int
-    initial_kind: str
     initial_center: int
     initial_width: float
     delta: float
@@ -89,11 +88,7 @@ def _require(condition: bool, key: str, message: str) -> None:
 
 
 def _resolve(raw: dict) -> ExperimentConfig:
-    known = {
-        "experiment", "J", "V", "M", "tail_tol", "count", "t_end", "dt",
-        "record_stride", "seed", "initial_kind", "initial_center",
-        "initial_width", "delta", "t_relax", "initial_level",
-    }
+    known = {field.name for field in dataclasses.fields(ExperimentConfig)}
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key '{key}'")
@@ -150,9 +145,6 @@ def _resolve(raw: dict) -> ExperimentConfig:
     auto_stride = max(1, int(round(steps)) // 2000)
     record_stride = integer("record_stride", auto_stride, minimum=1)
 
-    initial_kind = raw.get("initial_kind", "gaussian")
-    _require(initial_kind in CONVERGENCE_KINDS, "initial_kind",
-             f"must be one of {CONVERGENCE_KINDS}, got {initial_kind!r}")
     initial_center = integer("initial_center", 0, minimum=-M)
     _require(abs(initial_center) <= M, "initial_center", f"must satisfy |center| <= {M}")
     initial_width = number("initial_width", 10.0, minimum=0.0)
@@ -163,9 +155,8 @@ def _resolve(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=experiment, J=J, V=V, M=M, tail_tol=tail_tol, count=count,
         t_end=t_end, dt=dt, record_stride=record_stride, seed=seed,
-        initial_kind=initial_kind, initial_center=initial_center,
-        initial_width=initial_width, delta=delta, t_relax=t_relax,
-        initial_level=initial_level,
+        initial_center=initial_center, initial_width=initial_width,
+        delta=delta, t_relax=t_relax, initial_level=initial_level,
     )
 
 
@@ -241,25 +232,23 @@ def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     curves.append(("Im E", [m for m, _, _ in ladder], [E.imag for _, _, E in ladder]))
     svg = render_line_plot(curves, xlabel="mode index m", ylabel="energy (J)",
                            title="spectral ladder")
-    files = {"spectrum.csv": spectrum_table(spec, sep=","), "ladder.svg": svg}
+    files = {"spectrum.csv": spectrum_table(spec), "ladder.svg": svg}
     return _finish_run(outdir, cfg.to_json(), files)
 
 
 def _run_convergence(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     params = cfg.chain_params()
-    results = run_convergence_experiment(
-        CONVERGENCE_KINDS, params, cfg.t_end, cfg.integrator(),
-        seed=cfg.seed, center=cfg.initial_center, width=cfg.initial_width,
-    )
+    initials = {kind: make_initial_state(kind, params, center=cfg.initial_center,
+                                         width=cfg.initial_width, seed=cfg.seed)
+                for kind in STATE_KINDS}
+    results = run_convergence_experiment(initials, params, cfg.t_end, cfg.integrator())
     files: dict[str, str] = {}
-    for kind in CONVERGENCE_KINDS:
-        state = make_initial_state(kind, params, center=cfg.initial_center,
-                                   width=cfg.initial_width, seed=cfg.seed)
+    for kind, state in initials.items():
         files[f"profile_{kind}.csv"] = _profile_csv(state)
         files[f"fidelity_{kind}.csv"] = results[kind].to_csv()
-    files["profile_ground.csv"] = _profile_csv(results[CONVERGENCE_KINDS[0]].targets["g"])
+    files["profile_ground.csv"] = _profile_csv(results[STATE_KINDS[0]].targets["g"])
     files["fidelity.svg"] = render_line_plot(
-        [(kind, results[kind].times, results[kind].fidelities["g"]) for kind in CONVERGENCE_KINDS],
+        [(kind, series.times, series.fidelities["g"]) for kind, series in results.items()],
         TIME_LABEL, "F_g(t)", "convergence to the ground mode",
     )
     return _finish_run(outdir, cfg.to_json(), files)
@@ -312,20 +301,16 @@ def _run_probability_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 
 def _run_switch(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     params = cfg.chain_params()
-    plan = QuenchPlan(
-        params=params,
-        schedule=PulseSchedule(delta=cfg.delta),
-        t_relax=cfg.t_relax,
-        config=cfg.integrator(),
-    )
-    series = run_switch_experiment(plan, initial=cfg.initial_level)
+    schedule = PulseSchedule(delta=cfg.delta)
+    series = run_switch_experiment(params, schedule, cfg.t_relax, cfg.integrator(),
+                                   initial=cfg.initial_level)
     sidecar = {
         "delta": cfg.delta,
-        "mu": plan.schedule.mu,
-        "hardness_ratio": plan.schedule.hardness_ratio(params),
+        "mu": schedule.mu,
+        "hardness_ratio": schedule.hardness_ratio(params),
         "t_relax": cfg.t_relax,
         "initial_level": cfg.initial_level,
-        "dt_pulse": plan.schedule.dt,
+        "dt_pulse": schedule.dt,
         "chain": {"J": cfg.J, "V": cfg.V, "M": cfg.M},
     }
     files = {

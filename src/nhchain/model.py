@@ -186,8 +186,8 @@ class SiteState:
 
     def normalized(self) -> "SiteState":
         n2 = self.raw_norm2()
-        if n2 == 0.0:
-            raise ModelError("cannot normalize a zero state")
+        if not 0.0 < n2 < math.inf:
+            raise ModelError(f"cannot normalize a state of raw norm^2 {n2!r}")
         return SiteState(self.amplitudes / math.sqrt(n2), self.half_width)
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "SiteState":

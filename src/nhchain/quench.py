@@ -16,12 +16,11 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .model import ChainParams, Hamiltonian, ModelError, apply_parity, build_hamiltonian
-from .dynamics import IntegratorConfig, ObservableSeries, default_dt, propagate
+from .dynamics import IntegratorConfig, ObservableSeries, propagate
 from .spectral import numeric_spectrum
 
 __all__ = [
     "PulseSchedule",
-    "QuenchPlan",
     "quenched_hamiltonian",
     "run_switch_experiment",
 ]
@@ -42,6 +41,8 @@ class PulseSchedule:
     def __post_init__(self) -> None:
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ModelError(f"pulse duration must be positive, got {self.delta!r}")
+        if not math.isfinite(self.mu):
+            raise ModelError(f"pulse amplitude pi/delta overflows for delta = {self.delta!r}")
 
     @property
     def mu(self) -> float:
@@ -56,27 +57,10 @@ class PulseSchedule:
         return self.mu / max(2.0 * params.J, params.V * params.half_width**2)
 
 
-@dataclass(frozen=True)
-class QuenchPlan:
-    """Full switch-experiment description: chain, pulse, relaxation, stepping."""
-
-    params: ChainParams
-    schedule: PulseSchedule
-    t_relax: float = 600.0
-    config: IntegratorConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.t_relax < 0:
-            raise ModelError(f"t_relax must be >= 0, got {self.t_relax}")
-
-    def resolved_config(self) -> IntegratorConfig:
-        if self.config is not None:
-            return self.config
-        return IntegratorConfig(dt=default_dt(self.params))
-
-
 def quenched_hamiltonian(h: Hamiltonian, sched: PulseSchedule) -> Hamiltonian:
     """The chain during the pulse window: diagonal augmented by mu * l."""
+    if not math.isfinite(sched.mu * h.half_width):
+        raise ModelError(f"pulse field mu * l overflows for mu = {sched.mu!r}")
     return Hamiltonian(
         diagonal=h.diagonal + sched.mu * h.sites(),
         off_diagonal=h.off_diagonal,
@@ -85,21 +69,26 @@ def quenched_hamiltonian(h: Hamiltonian, sched: PulseSchedule) -> Hamiltonian:
 
 
 def run_switch_experiment(
-    plan: QuenchPlan,
+    params: ChainParams,
+    schedule: PulseSchedule,
+    t_relax: float,
+    config: IntegratorConfig,
     initial: str = "g",
     use_impulse: bool = False,
 ) -> ObservableSeries:
-    """Drive one stable mode through the pulse and relax; record F_g, F_e.
+    """Drive one stable mode through the pulse and relax for ``t_relax``; record F_g, F_e.
 
     ``initial`` selects the numeric ground ('g') or excited ('e') mode.
-    With ``use_impulse`` the finite pulse is replaced by the exact parity
-    kick at t = 0 (the comparison oracle).  A pulse softer than the
+    ``config`` steps the relaxation; the pulse window takes the schedule's
+    own dt.  With ``use_impulse`` the finite pulse is replaced by the exact
+    parity kick at t = 0 (the comparison oracle).  A pulse softer than the
     advertised hardness ratio of 10 only warns.
     """
+    if t_relax < 0:
+        raise ModelError(f"t_relax must be >= 0, got {t_relax}")
     if initial not in ("g", "e"):
         raise ModelError(f"initial must be 'g' or 'e', got {initial!r}")
-    sched = plan.schedule
-    hardness = sched.hardness_ratio(plan.params)
+    hardness = schedule.hardness_ratio(params)
     if hardness < HARDNESS_ADVERTISED:
         warnings.warn(
             f"pulse hardness ratio {hardness:.3g} < {HARDNESS_ADVERTISED:g}: "
@@ -107,21 +96,20 @@ def run_switch_experiment(
             stacklevel=2,
         )
 
-    h = build_hamiltonian(plan.params)
+    h = build_hamiltonian(params)
     spec = numeric_spectrum(h, count=2)
     ground, excited = spec.stable_pair()
     targets = {"g": ground.right_vector, "e": excited.right_vector}
     state = targets[initial]
     series = ObservableSeries(targets=targets)
 
-    config = plan.resolved_config()
+    t_end = schedule.delta + t_relax
     if use_impulse:
-        state = apply_parity(state)
-        propagate(h, state, (0.0, sched.delta + plan.t_relax), config, series=series)
+        propagate(h, apply_parity(state), (0.0, t_end), config, series=series)
         return series
 
-    pulse_h = quenched_hamiltonian(h, sched)
-    state = propagate(pulse_h, state, (0.0, sched.delta), replace(config, dt=sched.dt),
+    pulse_h = quenched_hamiltonian(h, schedule)
+    state = propagate(pulse_h, state, (0.0, schedule.delta), replace(config, dt=schedule.dt),
                       series=series)
-    propagate(h, state, (sched.delta, sched.delta + plan.t_relax), config, series=series)
+    propagate(h, state, (schedule.delta, t_end), config, series=series)
     return series

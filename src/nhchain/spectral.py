@@ -412,14 +412,11 @@ def biorthogonality_matrix(spec: Spectrum) -> np.ndarray:
     return out
 
 
-def spectrum_table(spec: Spectrum, sep: str = " ") -> str:
-    """Text table, one mode per row: m branch re_energy im_energy residual.
-
-    Columns are joined by ``sep`` (``","`` gives the CLI's spectrum.csv).
-    """
-    lines = [sep.join(("m", "branch", "re_energy", "im_energy", "residual"))]
+def spectrum_table(spec: Spectrum) -> str:
+    """CSV table, one mode per row: m, branch, re_energy, im_energy, residual."""
+    lines = ["m,branch,re_energy,im_energy,residual"]
     for mode in spec.modes:
-        lines.append(sep.join((
+        lines.append(",".join((
             str(mode.m), mode.branch, f"{mode.energy.real:.17g}",
             f"{mode.energy.imag:.17g}", f"{mode.residual:.17g}",
         )))

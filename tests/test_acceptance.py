@@ -18,6 +18,7 @@ from nhchain.spectral import (
     numeric_spectrum,
 )
 from nhchain.dynamics import (
+    DEFAULT_SEED,
     IntegratorConfig,
     ObservableSeries,
     default_dt,
@@ -26,7 +27,7 @@ from nhchain.dynamics import (
     propagate,
     run_convergence_experiment,
 )
-from nhchain.quench import PulseSchedule, QuenchPlan, run_switch_experiment
+from nhchain.quench import PulseSchedule, run_switch_experiment
 from nhchain.cli import run_preset
 
 
@@ -121,9 +122,10 @@ def test_criterion_3_dirac_orthogonality():
 
 def test_criterion_4_convergence_dynamics():
     params = ChainParams(J=1.0, V=2e-4)
+    initials = {kind: make_initial_state(kind, params, seed=DEFAULT_SEED)
+                for kind in ("gaussian", "tophat", "random", "point")}
     results = run_convergence_experiment(
-        ["gaussian", "tophat", "random", "point"], params, 600.0,
-        IntegratorConfig(dt=0.02, record_stride=3000),
+        initials, params, 600.0, IntegratorConfig(dt=0.02, record_stride=3000),
     )
     finals = {kind: series.fidelities["g"][-1] for kind, series in results.items()}
     smooth_ok = all(finals[k] > 0.99 for k in ("gaussian", "tophat", "random"))
@@ -158,14 +160,11 @@ def test_criterion_5_probability_conservation():
 
 
 def test_criterion_6_pulse_switch():
-    plan = QuenchPlan(
-        params=ChainParams(J=1.0, V=2e-4),
-        schedule=PulseSchedule(delta=0.02),
-        t_relax=600.0,
-    )
-    forward = run_switch_experiment(plan, initial="g")
-    backward = run_switch_experiment(plan, initial="e")
-    oracle = run_switch_experiment(plan, initial="g", use_impulse=True)
+    params = ChainParams(J=1.0, V=2e-4)
+    plan = (params, PulseSchedule(delta=0.02), 600.0, IntegratorConfig(dt=default_dt(params)))
+    forward = run_switch_experiment(*plan, initial="g")
+    backward = run_switch_experiment(*plan, initial="e")
+    oracle = run_switch_experiment(*plan, initial="g", use_impulse=True)
     fe, fg = forward.fidelities["e"][-1], forward.fidelities["g"][-1]
     swap_gap = max(
         abs(backward.fidelities["g"][-1] - fe),

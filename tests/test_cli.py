@@ -6,8 +6,8 @@ import warnings
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nhchain import cli
-from nhchain.dynamics import DEFAULT_SEED, stepping_method
+from nhchain import cli, dynamics
+from nhchain.dynamics import DEFAULT_SEED, STATE_KINDS, make_initial_state, stepping_method
 from nhchain.model import ModelError, build_hamiltonian
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
 from nhchain.cli import (
@@ -78,8 +78,7 @@ def test_bad_configs_name_the_offending_key(text, fragment):
 
 
 KEYS = ("experiment", "J", "V", "M", "tail_tol", "count", "t_end", "dt", "record_stride",
-        "seed", "initial_kind", "initial_center", "initial_width", "delta", "t_relax",
-        "initial_level")
+        "seed", "initial_center", "initial_width", "delta", "t_relax", "initial_level")
 json_values = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=8)
     | st.integers() | st.integers(-10**500, 10**500)
@@ -294,6 +293,13 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     too_long.write_text('{"experiment": "spectrum", "seed": 1%s}' % ("0" * 5000))
     full_wide = tmp_path / "full_wide.json"  # all 10001 modes: refused before allocating
     full_wide.write_text('{"experiment": "spectrum", "M": 5000, "count": 10001}')
+    # mu = pi / delta overflows; width**2 underflows; a stride must be an integer
+    tiny_pulse = tmp_path / "tiny_pulse.json"
+    tiny_pulse.write_text('{"experiment": "switch", "delta": 1e-320, "t_relax": 1.0}')
+    tiny_width = tmp_path / "tiny_width.json"
+    tiny_width.write_text('{"experiment": "convergence", "initial_width": 1e-320}')
+    half_stride = tmp_path / "half_stride.json"
+    half_stride.write_text('{"experiment": "probability", "record_stride": 2.5}')
     capsys.readouterr()
     for argv in (["run", str(tmp_path / "missing.json")],  # no such file
                  ["run", str(tmp_path)],  # a directory
@@ -302,6 +308,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
                  ["run", str(huge_j)],
                  ["run", str(huge_m)],
                  ["run", str(too_long)],  # beyond Python's integer digit limit
+                 ["run", str(tiny_pulse), "--out", str(tmp_path / "p")],
+                 ["run", str(tiny_width), "--out", str(tmp_path / "c")],
+                 ["run", str(half_stride), "--out", str(tmp_path / "h")],
                  ["run", str(full_wide), "--out", str(tmp_path / "w")]):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -317,6 +326,20 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_config", out_of_memory)
     assert main(["run", str(unstable)]) == 1
     assert capsys.readouterr().err == "error: Unable to allocate 1.49 GiB for an array\n"
+
+
+def test_convergence_builds_each_initial_state_once(tmp_path, monkeypatch):
+    built = []
+
+    def counting(kind, *args, **kwargs):
+        built.append(kind)
+        return make_initial_state(kind, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_initial_state", counting)
+    monkeypatch.setattr(dynamics, "make_initial_state", counting)
+    cfg = parse_config('{"experiment": "convergence", "t_end": 1.0, "record_stride": 100}')
+    cli.run_config(cfg, tmp_path / "run")
+    assert built == list(STATE_KINDS)
 
 
 def test_seed_override_changes_random_profile(tmp_path):

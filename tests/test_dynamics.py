@@ -83,6 +83,15 @@ def test_initial_state_validation(params_small_ratio):
         make_initial_state("tophat", p, width=-1.0)
     with pytest.raises(ModelError):
         make_initial_state("random", p)  # seed required
+    with pytest.raises(ModelError, match="normalize"):
+        make_initial_state("gaussian", p, width=1e-320)  # width**2 underflows to 0
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, 1e200])
+def test_normalized_rejects_a_non_finite_norm(amplitude):
+    state = SiteState(np.full(3, amplitude, dtype=complex), 1)
+    with pytest.raises(ModelError, match="normalize"):
+        state.normalized()
 
 
 def test_all_kinds_normalized(params_small_ratio):
@@ -605,6 +614,8 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=0.0)
     with pytest.raises(NumericError):
         IntegratorConfig(dt=0.1, record_stride=0)
+    with pytest.raises(NumericError, match="integer"):
+        IntegratorConfig(dt=0.02, record_stride=2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -736,10 +747,11 @@ def test_stable_superposition_norm_follows_lattice_rate(h_small_ratio, stable_mo
 
 
 def test_convergence_experiment_small_scale(params_small_ratio):
+    initials = {kind: make_initial_state(kind, params_small_ratio) for kind in ("gaussian", "point")}
     results = run_convergence_experiment(
-        ["gaussian", "point"], params_small_ratio, 200.0,
-        IntegratorConfig(dt=0.02, record_stride=1000),
+        initials, params_small_ratio, 200.0, IntegratorConfig(dt=0.02, record_stride=1000),
     )
+    assert list(results) == ["gaussian", "point"]
     assert results["gaussian"].fidelities["g"][-1] > 0.99
     assert results["point"].fidelities["g"][-1] == pytest.approx(0.5, abs=0.02)
     for series in results.values():

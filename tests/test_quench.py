@@ -13,14 +13,15 @@ from nhchain.model import (
     build_hamiltonian,
 )
 from nhchain.spectral import dirac_overlap, numeric_spectrum
-from nhchain.dynamics import IntegratorConfig, propagate
-from nhchain.quench import PulseSchedule, QuenchPlan, quenched_hamiltonian, run_switch_experiment
+from nhchain.dynamics import IntegratorConfig, default_dt, propagate
+from nhchain.quench import PulseSchedule, quenched_hamiltonian, run_switch_experiment
 
 
 # ---------------------------------------------------------------------------
-# schedule and plan
+# schedule and experiment inputs
 
-@pytest.mark.parametrize("delta", [0.0, -0.1, math.inf, math.nan])
+# 1e-320 is positive and finite, but pi / 1e-320 overflows
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.inf, math.nan, 1e-320])
 def test_schedule_rejects_bad_duration(delta):
     with pytest.raises(ModelError):
         PulseSchedule(delta=delta)
@@ -54,8 +55,9 @@ def test_hardness_ratio(params_small_ratio):
 
 def test_plan_validation(params_small_ratio):
     sched = PulseSchedule(delta=0.02)
-    with pytest.raises(ModelError):
-        QuenchPlan(params=params_small_ratio, schedule=sched, t_relax=-1.0)
+    config = IntegratorConfig(dt=default_dt(params_small_ratio))
+    with pytest.raises(ModelError, match="t_relax"):
+        run_switch_experiment(params_small_ratio, sched, -1.0, config)
     assert sched.dt == 0.02 / 400.0
 
 
@@ -72,6 +74,12 @@ def test_quenched_hamiltonian_linear_shift(h_small_ratio):
     assert shift[200] == pytest.approx(100.0 * mu)
     assert hq.off_diagonal == h_small_ratio.off_diagonal
     assert hq.params is None and h_small_ratio.params is not None
+
+
+def test_quenched_hamiltonian_rejects_an_overflowing_field(h_small_ratio):
+    # mu = pi / 2e-307 is finite, but mu * l overflows at the chain's edge
+    with pytest.raises(ModelError, match="overflows"):
+        quenched_hamiltonian(h_small_ratio, PulseSchedule(delta=2e-307))
 
 
 def test_linear_field_breaks_antisymmetry(h_small_ratio):
@@ -117,57 +125,50 @@ def test_bare_pulse_propagator_approximates_parity():
 
 @pytest.fixture(scope="module")
 def short_plan(params_small_ratio):
-    return QuenchPlan(
-        params=params_small_ratio,
-        schedule=PulseSchedule(delta=0.02),
-        t_relax=200.0,
-    )
+    """Positional inputs of a 200/J switch: chain, pulse, relaxation, stepping."""
+    return (params_small_ratio, PulseSchedule(delta=0.02), 200.0,
+            IntegratorConfig(dt=default_dt(params_small_ratio)))
 
 
 def test_switch_ground_to_excited(short_plan):
-    series = run_switch_experiment(short_plan, initial="g")
+    series = run_switch_experiment(*short_plan, initial="g")
     assert series.fidelities["g"][0] == pytest.approx(1.0, abs=1e-9)
     assert series.fidelities["e"][-1] > 0.999
     assert series.times[-1] == pytest.approx(200.02)
 
 
 def test_switch_is_symmetric(short_plan):
-    forward = run_switch_experiment(short_plan, initial="g")
-    backward = run_switch_experiment(short_plan, initial="e")
+    forward = run_switch_experiment(*short_plan, initial="g")
+    backward = run_switch_experiment(*short_plan, initial="e")
     assert backward.fidelities["g"][-1] == pytest.approx(
         forward.fidelities["e"][-1], abs=1e-9
     )
 
 
 def test_finite_pulse_matches_impulse(short_plan):
-    finite = run_switch_experiment(short_plan, initial="g")
-    impulse = run_switch_experiment(short_plan, initial="g", use_impulse=True)
+    finite = run_switch_experiment(*short_plan, initial="g")
+    impulse = run_switch_experiment(*short_plan, initial="g", use_impulse=True)
     assert abs(finite.fidelities["e"][-1] - impulse.fidelities["e"][-1]) < 1e-6
 
 
 def test_outcome_independent_of_duration(params_small_ratio):
     # the pulse area is fixed at pi, so halving the duration changes nothing
+    config = IntegratorConfig(dt=default_dt(params_small_ratio))
     results = []
     for delta in (0.02, 0.01):
-        plan = QuenchPlan(
-            params=params_small_ratio,
-            schedule=PulseSchedule(delta=delta),
-            t_relax=200.0,
-        )
-        results.append(run_switch_experiment(plan, initial="g").fidelities["e"][-1])
+        series = run_switch_experiment(params_small_ratio, PulseSchedule(delta=delta), 200.0,
+                                       config, initial="g")
+        results.append(series.fidelities["e"][-1])
     assert abs(results[0] - results[1]) < 1e-6
 
 
 def test_soft_pulse_warns(params_small_ratio):
-    plan = QuenchPlan(
-        params=params_small_ratio,
-        schedule=PulseSchedule(delta=1.0),
-        t_relax=0.0,
-    )
+    config = IntegratorConfig(dt=default_dt(params_small_ratio))
     with pytest.warns(UserWarning, match="hardness"):
-        run_switch_experiment(plan, initial="g")
+        run_switch_experiment(params_small_ratio, PulseSchedule(delta=1.0), 0.0, config,
+                              initial="g")
 
 
 def test_bad_initial_label(short_plan):
     with pytest.raises(ModelError):
-        run_switch_experiment(short_plan, initial="x")
+        run_switch_experiment(*short_plan, initial="x")

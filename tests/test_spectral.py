@@ -378,7 +378,7 @@ def test_stable_pair_imag_tol(spectrum12, stable_modes):
 def test_spectrum_table_format(spectrum12):
     table = spectrum_table(spectrum12)
     lines = table.strip().split("\n")
-    assert lines[0].split() == ["m", "branch", "re_energy", "im_energy", "residual"]
+    assert lines[0].split(",") == ["m", "branch", "re_energy", "im_energy", "residual"]
     assert len(lines) == len(spectrum12) + 1
-    first = lines[1].split()
+    first = lines[1].split(",")
     assert first[0] == "0" and first[1] in "+-"
