@@ -130,8 +130,8 @@ def _resolve(raw: dict) -> ExperimentConfig:
     default_t_end = {"spectrum": 0.0, "convergence": 600.0, "probability": 200.0, "switch": 0.0}
     t_end = number("t_end", default_t_end[experiment], minimum=0.0, exclusive=False)
 
-    try:
-        params = ChainParams(J=J, V=V, half_width=M, tail_tol=tail_tol)
+    try:  # no tail warning here: the run warns once, when it builds its chain
+        params = ChainParams(J=J, V=V, half_width=M, tail_tol=math.inf)
     except ModelError as exc:  # J, V and tail_tol are checked above, so M is at fault
         raise ConfigError(f"config key 'M': {exc}") from exc
     dt = number("dt", default_dt(params), minimum=0.0)

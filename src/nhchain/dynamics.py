@@ -25,13 +25,15 @@ on top: Horner's sums reach e^x ||y||, so a part of y that decays like e^-x
 dimension cap: an operator holds (2p + 1) N entries.  The mode expansion
 ``eigen_propagate`` is the oracle for both routes.
 
-Parts of the amplitudes below FLUSH_BELOW = 1e-250 are zeroed at every
-check of the block and in every recorded chunk, since x86 arithmetic on
-subnormal numbers is many times slower.  A flush at t_j changes a column y
-by at most sqrt(2N) 1e-100 relative (``_check_columns``); by t_j + tau that
-error grows by at most exp(omega tau) ||y(t_j)|| / ||y(t_j + tau)|| (RK4
-follows the exact flow to its truncation error).  Recorded norms are
-unchanged: a part below 1e-162 squares to zero.
+Every check of the block (each exact sample, every RK4_CHECK_EVERY-th RK4
+step) zeroes the real and imaginary parts of each column y below
+FLUSH_RELATIVE ||y||, since x86 arithmetic on subnormal numbers is many
+times slower.  A flush at t_j changes y by at most sqrt(2N) FLUSH_RELATIVE
+relative; by t_j + tau that error grows by at most exp(omega tau) ||y(t_j)||
+/ ||y(t_j + tau)|| (RK4 follows the exact flow to its truncation error).
+Between checks a product shrinks a part by at most the operator's smallest
+entry, (dt J)^4/24 for RK4, so the parts stay normal unless ||y|| << 1.
+Recorded norms are unchanged: a flushed part squares to below 1e-300 ||y||^2.
 """
 
 from __future__ import annotations
@@ -69,11 +71,10 @@ __all__ = [
 
 DEFAULT_SEED = 223
 UNDERFLOW_GUARD = 1e-150
-# Real and imaginary parts below this are zeroed (see the module docstring).
-FLUSH_BELOW = 1e-250
-# RK4 steps between two checks of the block: subnormal parts regrow within a
-# few steps of a flush, so 32 left most of their cost in place; 4-8 measured
-# fastest on an N = 801, stride-1 run.
+# Parts below this times their column's norm are zeroed (module docstring).
+FLUSH_RELATIVE = 1e-150
+# RK4 steps between two checks of the block: 4-8 measured fastest on an
+# N = 801, stride-1 run.
 RK4_CHECK_EVERY = 8
 # Recorded samples reach an ObservableSeries in chunks of at most this many
 # bytes of amplitudes, so a long stride-1 run never holds its trajectory.
@@ -229,11 +230,10 @@ class ObservableSeries:
     def to_csv(self) -> str:
         if not self.times:
             raise ModelError("cannot serialize an empty series")
-        lines = [",".join(["time", "norm2", "P"] + [f"F_{name}" for name in self.targets])]
+        header = ",".join(["time", "norm2", "P"] + [f"F_{name}" for name in self.targets])
         columns = [self.times, self.norm2, self.prob] + list(self.fidelities.values())
-        for row in zip(*columns):
-            lines.append(",".join(f"{value:.17g}" for value in row))
-        return "\n".join(lines) + "\n"
+        row = ",".join(["%.17g"] * len(columns)) + "\n"  # as f"{value:.17g}"
+        return header + "\n" + (row * len(self.times)) % tuple(np.array(columns).T.ravel().tolist())
 
 
 def _overlaps(conj_targets: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -274,8 +274,8 @@ def make_initial_state(
         amps = np.zeros(params.dimension, dtype=complex)
         amps[center + params.half_width] = 1.0
     elif kind == "gaussian":
-        if width <= 0:
-            raise ModelError(f"width must be > 0, got {width}")
+        if not (width > 0 and math.isfinite(width * width)):  # width**2 raises on overflow
+            raise ModelError(f"width must be > 0 with a finite square, got {width}")
         with np.errstate(divide="ignore", invalid="ignore"):  # width**2 == 0 fails in normalized()
             amps = np.exp(-((l - center) ** 2) / (2.0 * width**2)).astype(complex)
     elif kind == "tophat":
@@ -320,20 +320,15 @@ def _step_operators(h: Hamiltonian, dt: float, n_steps: int, stride: int):
     return stride, 1, operators
 
 
-def _flush(a: np.ndarray) -> None:
-    """Zero in place every real and imaginary part of ``a`` smaller than FLUSH_BELOW."""
-    parts = a.view(np.float64)
-    parts[np.abs(parts) < FLUSH_BELOW] = 0.0
-
-
 def _check_columns(y: np.ndarray, log_scale: np.ndarray, t: float) -> None:
     """Fail on non-finite amplitudes; rescale each column of ``y`` before it underflows.
 
-    Then zero the parts of ``y`` below FLUSH_BELOW: after the split a
-    nonzero column has norm >= UNDERFLOW_GUARD, so this removes at most
-    sqrt(2N) FLUSH_BELOW / UNDERFLOW_GUARD of it, relative to its norm (the
-    module docstring bounds how that error grows).
+    Then zero the parts of each column below FLUSH_RELATIVE times its norm
+    (the norm after the split): this removes at most sqrt(2N) FLUSH_RELATIVE
+    of the column, relative to its norm (the module docstring bounds how that
+    error grows).
     """
+    limits = np.empty(y.shape[1])
     for j in range(y.shape[1]):
         # BLAS nrm2 scales: exact where |y|^2 underflows.  Called directly,
         # it costs half of scipy.linalg.norm's wrapper on these short columns.
@@ -343,7 +338,10 @@ def _check_columns(y: np.ndarray, log_scale: np.ndarray, t: float) -> None:
         if 0.0 < norm < UNDERFLOW_GUARD:
             y[:, j] /= norm
             log_scale[j] += math.log(norm)
-    _flush(y)
+            norm = 1.0
+        limits[j] = FLUSH_RELATIVE * norm
+    parts = y.view(np.float64).reshape(*y.shape, 2)  # [site, column, real/imaginary]
+    parts[np.abs(parts) < limits[:, None]] = 0.0
 
 
 def propagate(
@@ -414,7 +412,6 @@ def propagate(
         chunk_logs[:, filled] = log_scale
         filled += 1
         if filled == rows or step == n_steps:
-            _flush(chunk[:, :filled])  # parts regrown since the last check
             for j, target in enumerate(series_list):
                 target.record(chunk_times[:filled], chunk[j, :filled], chunk_logs[j, :filled])
             filled = 0

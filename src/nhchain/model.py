@@ -90,7 +90,7 @@ class ChainParams:
             warnings.warn(
                 f"envelope tail exp(-omega*M^2/(2J)) = {tail:.3e} exceeds "
                 f"tail_tol = {self.tail_tol:.3e}; boundary effects may matter",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the dataclass __init__
             )
 
     @property

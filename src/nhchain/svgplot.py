@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .model import ModelError
 
 __all__ = ["render_line_plot"]
@@ -72,10 +74,10 @@ def render_line_plot(
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(x: float) -> float:
+    def px(x):  # a float or an array of them
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -129,7 +131,8 @@ def render_line_plot(
                 f'r="4" fill="{color}"/>'
             )
         else:
-            points = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(xs, ys))
+            xy = np.column_stack([px(np.asarray(xs, dtype=float)), py(np.asarray(ys, dtype=float))])
+            points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy.ravel().tolist())
             parts.append(
                 f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from nhchain import cli, dynamics
+from nhchain import cli, dynamics, svgplot
 from nhchain.dynamics import DEFAULT_SEED, STATE_KINDS, make_initial_state, stepping_method
 from nhchain.model import ModelError, build_hamiltonian
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
@@ -128,6 +132,42 @@ def test_render_line_plot_deterministic():
 
 def test_render_line_plot_single_point_uses_marker():
     assert "<circle" in render_line_plot(_toy_curves(n=1), "t", "F")
+
+
+def _padded_range(values, pad):
+    """render_line_plot's axis range of ``values``: widened if flat, then padded by ``pad``."""
+    lo, hi = min(map(float, values)), max(map(float, values))
+    if hi == lo:
+        lo, hi = lo - 0.5, hi + 0.5
+    margin = pad * (hi - lo)
+    lo, hi = lo - margin, hi + margin
+    # ranges whose ticks _ticks cannot step: overflowing, below 1e-300, or
+    # below the rounding of their bounds
+    assume(1e-300 < hi - lo < math.inf and hi - lo > 1e-9 * max(abs(lo), abs(hi)))
+    return lo, hi
+
+
+_PLOT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-310, 1e308, -1e308]),
+    st.integers(-(2**53), 2**53),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_PLOT_VALUES, _PLOT_VALUES), min_size=2, max_size=30))
+def test_polyline_points_match_per_point_formatting(points):
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    x_lo, x_hi = _padded_range(xs, 0.0)
+    y_lo, y_hi = _padded_range(ys, 0.04)
+    plot_w = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
+    plot_h = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
+    expected = " ".join(
+        f"{svgplot.MARGIN_L + (float(x) - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
+        f"{svgplot.MARGIN_T + (y_hi - float(y)) / (y_hi - y_lo) * plot_h:.2f}"
+        for x, y in points
+    )
+    assert f'<polyline points="{expected}" ' in render_line_plot([("c", xs, ys)], "x", "y")
 
 
 def test_render_line_plot_rejects_empty():
@@ -300,6 +340,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     tiny_width.write_text('{"experiment": "convergence", "initial_width": 1e-320}')
     half_stride = tmp_path / "half_stride.json"
     half_stride.write_text('{"experiment": "probability", "record_stride": 2.5}')
+    huge_width = tmp_path / "huge_width.json"  # width**2 overflows
+    huge_width.write_text('{"experiment": "convergence", "M": 5, "t_end": 1.0, '
+                          '"initial_width": 1e155}')
     capsys.readouterr()
     for argv in (["run", str(tmp_path / "missing.json")],  # no such file
                  ["run", str(tmp_path)],  # a directory
@@ -311,6 +354,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
                  ["run", str(tiny_pulse), "--out", str(tmp_path / "p")],
                  ["run", str(tiny_width), "--out", str(tmp_path / "c")],
                  ["run", str(half_stride), "--out", str(tmp_path / "h")],
+                 ["run", str(huge_width), "--out", str(tmp_path / "g")],
                  ["run", str(full_wide), "--out", str(tmp_path / "w")]):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -326,6 +370,21 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_config", out_of_memory)
     assert main(["run", str(unstable)]) == 1
     assert capsys.readouterr().err == "error: Unable to allocate 1.49 GiB for an array\n"
+
+
+def test_cli_run_warns_once_at_the_callers_line(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"experiment": "switch", "M": 20, "t_relax": 1.0}')  # tail 0.135
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-m", "nhchain.cli", "run", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    tail = [line for line in done.stderr.splitlines() if "envelope tail" in line]
+    assert len(tail) == 1
+    assert tail[0].startswith(cli.__file__ + ":")
 
 
 def test_convergence_builds_each_initial_state_once(tmp_path, monkeypatch):

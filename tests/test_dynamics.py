@@ -14,7 +14,7 @@ from nhchain.model import ChainParams, Hamiltonian, ModelError, SiteState, build
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
 from nhchain.spectral import numeric_spectrum
 from nhchain.dynamics import (
-    FLUSH_BELOW,
+    FLUSH_RELATIVE,
     RK4_CHECK_EVERY,
     UNDERFLOW_GUARD,
     IntegratorConfig,
@@ -85,6 +85,10 @@ def test_initial_state_validation(params_small_ratio):
         make_initial_state("random", p)  # seed required
     with pytest.raises(ModelError, match="normalize"):
         make_initial_state("gaussian", p, width=1e-320)  # width**2 underflows to 0
+    with pytest.raises(ModelError, match="finite square"):
+        make_initial_state("gaussian", p, width=1e155)  # width**2 overflows
+    flat = make_initial_state("gaussian", p, width=1e154)  # 2 width**2 overflows to inf
+    assert np.all(flat.amplitudes == flat.amplitudes[0])
 
 
 @pytest.mark.parametrize("amplitude", [math.nan, math.inf, 1e200])
@@ -439,18 +443,21 @@ def _unflushed_propagate(h, states, t, cfg):
                 if norm < UNDERFLOW_GUARD:
                     y[:, j] /= norm
                     log_scale[j] += math.log(norm)
-            parts = np.abs(y.view(np.float64))
-            would_flush += np.count_nonzero((parts > 0) & (parts < FLUSH_BELOW))
+                parts = np.abs(np.concatenate([y[:, j].real, y[:, j].imag]))
+                limit = FLUSH_RELATIVE * scipy.linalg.norm(y[:, j])
+                would_flush += np.count_nonzero((parts > 0) & (parts < limit))
     return y, log_scale, would_flush
 
 
 @pytest.mark.parametrize("method", ["rk4", "expm"])
 def test_flush_error_stays_within_its_bound(method, monkeypatch):
     # The edge column's front and the propagator's far entries leave parts
-    # below FLUSH_BELOW, which propagate zeroes.  Each of at most one flush
-    # per step removes sqrt(2N) * FLUSH_BELOW of a state whose initial norm
-    # is 1 (log_scale only falls), and max Im H_ll = omega lets that grow by
-    # at most exp(omega * t): the documented bound, in true amplitudes.
+    # below FLUSH_RELATIVE times their column's norm, which propagate
+    # zeroes.  Each of at most one flush per step removes sqrt(2N) *
+    # FLUSH_RELATIVE of a column's norm, which is at most exp(omega * t_j)
+    # in true amplitudes for a state whose initial norm is 1, and max Im H_ll
+    # = omega lets that grow by at most exp(omega * (t - t_j)): the documented
+    # bound, in true amplitudes.
     monkeypatch.setattr(dynamics, "stepping_method", lambda *args: method)
     p, h, edge = _stiff_edge_state(70)
     ground, _ = numeric_spectrum(h, 2).stable_pair()
@@ -461,7 +468,7 @@ def test_flush_error_stays_within_its_bound(method, monkeypatch):
     reference, ref_log_scale, would_flush = _unflushed_propagate(h, states, t, cfg)
     assert would_flush > 0
     n_steps = round(t / cfg.dt)
-    flushed_true = n_steps * math.sqrt(2 * h.dimension) * FLUSH_BELOW * math.exp(p.omega * t)
+    flushed_true = n_steps * math.sqrt(2 * h.dimension) * FLUSH_RELATIVE * math.exp(p.omega * t)
     for out, ref, ref_log in zip(block, reference.T, ref_log_scale):
         assert out.log_scale == pytest.approx(ref_log, rel=1e-13, abs=0.0)
         error = np.linalg.norm(out.amplitudes * math.exp(out.log_scale - ref_log) - ref)
@@ -717,6 +724,28 @@ def test_series_recording_and_csv(stable_modes):
     with pytest.raises(ModelError, match="strictly increasing"):
         series.record([5.0, 5.0], np.array([ground.right_vector.amplitudes] * 2), [0.0, 0.0])
     assert len(series) == 5
+
+
+_CSV_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-310, 1e308, -1e308]),
+    st.integers(-(2**53), 2**53),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(
+    lambda k: st.lists(st.lists(_CSV_VALUES, min_size=3 + k, max_size=3 + k),
+                       min_size=1, max_size=20)))
+def test_series_csv_matches_per_value_formatting(rows):
+    unit = SiteState(np.ones(1, dtype=complex), 0)
+    series = ObservableSeries(targets={f"t{i}": unit for i in range(len(rows[0]) - 3)})
+    columns = [list(column) for column in zip(*rows)]
+    series.times, series.norm2, series.prob = columns[:3]
+    series.fidelities = dict(zip(series.targets, columns[3:]))
+    lines = [",".join(["time", "norm2", "P"] + [f"F_{name}" for name in series.targets])]
+    lines += [",".join(f"{value:.17g}" for value in row) for row in rows]
+    assert series.to_csv() == "\n".join(lines) + "\n"
 
 
 def test_series_rejects_unnormalized_target(stable_modes):

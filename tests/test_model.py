@@ -48,9 +48,10 @@ def test_invalid_half_width_rejected():
 
 
 def test_tail_violation_warns_but_does_not_fail():
-    with pytest.warns(UserWarning, match="tail"):
+    with pytest.warns(UserWarning, match="tail") as caught:
         p = ChainParams(J=1.0, V=2e-4, half_width=20)
     assert p.omega == 0.01
+    assert caught[0].filename == __file__  # the caller's line, not the dataclass __init__
 
 
 def test_build_hamiltonian_m1_entries():
