@@ -132,8 +132,8 @@ def _resolve(raw: dict) -> ExperimentConfig:
 
     try:  # no tail warning here: the run warns once, when it builds its chain
         params = ChainParams(J=J, V=V, half_width=M, tail_tol=math.inf)
-    except ModelError as exc:  # J, V and tail_tol are checked above, so M is at fault
-        raise ConfigError(f"config key 'M': {exc}") from exc
+    except ModelError as exc:  # each key is checked above: J * V or V * M**2 is out of range
+        raise ConfigError(f"config keys 'J', 'V' and 'M': {exc}") from exc
     dt = number("dt", default_dt(params), minimum=0.0)
 
     delta = number("delta", 0.02, minimum=0.0)
@@ -172,11 +172,7 @@ def _load_object(text: str) -> dict:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a JSON config; unknown keys and bad values are hard errors."""
-    raw = _load_object(text)
-    try:
-        return _resolve(raw)
-    except ModelError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _resolve(_load_object(text))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,9 @@ times slower.  A flush at t_j changes y by at most sqrt(2N) FLUSH_RELATIVE
 relative; by t_j + tau that error grows by at most exp(omega tau) ||y(t_j)||
 / ||y(t_j + tau)|| (RK4 follows the exact flow to its truncation error).
 Between checks a product shrinks a part by at most the operator's smallest
-entry, (dt J)^4/24 for RK4, so the parts stay normal unless ||y|| << 1.
+entry, (dt J)^4/24 for RK4.  A column whose norm falls below UNDERFLOW_GUARD
+is split into its ``log_scale`` at the check, so the parts kept there are
+at least about 1e-200 and the products up to the next check stay normal.
 Recorded norms are unchanged: a flushed part squares to below 1e-300 ||y||^2.
 """
 
@@ -70,7 +72,8 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 223
-UNDERFLOW_GUARD = 1e-150
+# A column whose norm is below this is split into its log_scale at a check.
+UNDERFLOW_GUARD = 1e-50
 # Parts below this times their column's norm are zeroed (module docstring).
 FLUSH_RELATIVE = 1e-150
 # RK4 steps between two checks of the block: 4-8 measured fastest on an
@@ -323,10 +326,12 @@ def _step_operators(h: Hamiltonian, dt: float, n_steps: int, stride: int):
 def _check_columns(y: np.ndarray, log_scale: np.ndarray, t: float) -> None:
     """Fail on non-finite amplitudes; rescale each column of ``y`` before it underflows.
 
-    Then zero the parts of each column below FLUSH_RELATIVE times its norm
-    (the norm after the split): this removes at most sqrt(2N) FLUSH_RELATIVE
-    of the column, relative to its norm (the module docstring bounds how that
-    error grows).
+    A column of norm below UNDERFLOW_GUARD is divided by its norm, which goes
+    into ``log_scale``.  Then zero the parts of each column below
+    FLUSH_RELATIVE times its norm (the norm after the split): this removes at
+    most sqrt(2N) FLUSH_RELATIVE of the column, relative to its norm (the
+    module docstring bounds how that error grows), and keeps no part below
+    about UNDERFLOW_GUARD * FLUSH_RELATIVE = 1e-200.
     """
     limits = np.empty(y.shape[1])
     for j in range(y.shape[1]):

@@ -170,9 +170,9 @@ def lattice_shift(m: int, params: ChainParams) -> complex:
 class EigenMode:
     """One spectral solution with biorthonormalized left/right vectors.
 
-    ``m``/``branch`` are ladder labels assigned by nearest closed-form
-    energy; branch is 'u' (unassigned) when no closed-form energy is
-    within omega/2.
+    ``m``/``branch`` are ladder labels: the nearer closed-form energy at
+    m = round(-Im E / 2 omega), m in 0..min(60, M); (-1, 'u') (unassigned)
+    when it is not within omega/2.
     """
 
     m: int
@@ -218,14 +218,6 @@ class Spectrum:
 
 def _sort_key(energy: complex) -> tuple:
     return (-energy.imag, energy.real)
-
-
-def _ladder_labels(params: ChainParams, max_m: int) -> list[tuple[int, str, complex]]:
-    labels = []
-    for m in range(max_m + 1):
-        for branch in ("+", "-"):
-            labels.append((m, branch, analytic_energy(m, branch, params)))
-    return labels
 
 
 def _uses_edge_search(h: Hamiltonian, count: int) -> bool:
@@ -350,8 +342,7 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
             )
 
     params = h.params
-    labels = _ladder_labels(params, min(HERMITE_MAX_DEGREE, h.half_width)) if params else []
-    label_gate = params.omega / 2.0 if params else 0.0
+    max_m = min(HERMITE_MAX_DEGREE, h.half_width)
 
     h_norm = float(np.abs(h.diagonal).max() + 2.0 * abs(h.off_diagonal))
     matrix = h.to_sparse("csr")
@@ -373,11 +364,15 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
         else:
             left = np.conj(v) / np.conj(self_product)
 
+        # Im E_m = -2m omega on both branches: only m = round(-Im E / 2 omega)
+        # can lie within the omega/2 gate; the nearer branch wins, '+' on a tie.
         m_label, branch_label = -1, "u"
-        if labels:
-            best = min(labels, key=lambda item: abs(item[2] - energy))
-            if abs(best[2] - energy) <= label_gate:
-                m_label, branch_label = best[0], best[1]
+        ladder_index = -energy.imag / (2.0 * params.omega) if params else math.nan
+        if -0.5 < ladder_index < max_m + 0.5:
+            m = round(ladder_index)
+            gap, branch = min((abs(analytic_energy(m, b, params) - energy), b) for b in "+-")
+            if gap <= params.omega / 2.0:
+                m_label, branch_label = m, branch
 
         modes.append(
             EigenMode(
@@ -404,12 +399,9 @@ def dirac_overlap(a: SiteState, b: SiteState) -> complex:
 
 def biorthogonality_matrix(spec: Spectrum) -> np.ndarray:
     """Entry (a, b) = |<left_a|right_b>|; identity for a converged spectrum."""
-    n = len(spec.modes)
-    out = np.empty((n, n))
-    for a, mode_a in enumerate(spec.modes):
-        for b, mode_b in enumerate(spec.modes):
-            out[a, b] = abs(dirac_overlap(mode_a.left_vector, mode_b.right_vector))
-    return out
+    left = np.array([mode.left_vector.amplitudes for mode in spec.modes])
+    right = np.array([mode.right_vector.amplitudes for mode in spec.modes])
+    return np.abs(left.conj() @ right.T)
 
 
 def spectrum_table(spec: Spectrum) -> str:

@@ -22,21 +22,24 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
+    """Multiples k * step in [lo, hi] of a 1, 2, 2.5 or 5 times 10**n step.
+
+    One tick, lo, when the span is not positive and finite, when span/count
+    underflows, or when the bounds cannot resolve the span (an empty or
+    overlong index range k).
+    """
     span = hi - lo
+    if not np.finfo(float).tiny <= span / count < math.inf:
+        return [lo]
     step = 10.0 ** math.floor(math.log10(span / count))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if span / (step * mult) <= count:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    value = first
-    while value <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(value) < 1e-12 * span else value)
-        value += step
-    return ticks
+    first, last = np.ceil(lo / step), np.floor((hi + 1e-9 * span) / step)
+    if not 0 <= last - first <= count + 1:
+        return [lo]
+    return [k * step for k in range(int(first), int(last) + 1)]
 
 
 def _fmt(value: float) -> str:
@@ -64,10 +67,11 @@ def render_line_plot(
     all_y = [float(y) for _, _, ys in curves for y in ys]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
+    # A flat range is widened by 0.5, or by one ulp where that is more.
     if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+        x_lo, x_hi = x_lo - max(0.5, math.ulp(x_lo)), x_hi + max(0.5, math.ulp(x_hi))
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        y_lo, y_hi = y_lo - max(0.5, math.ulp(y_lo)), y_hi + max(0.5, math.ulp(y_hi))
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -4,16 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nhchain import cli, dynamics, svgplot
 from nhchain.dynamics import DEFAULT_SEED, STATE_KINDS, make_initial_state, stepping_method
 from nhchain.model import ModelError, build_hamiltonian
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
+from nhchain.spectral import ConvergenceError
 from nhchain.cli import (
     ConfigError,
     PRESET_CONFIGS,
@@ -138,12 +140,10 @@ def _padded_range(values, pad):
     """render_line_plot's axis range of ``values``: widened if flat, then padded by ``pad``."""
     lo, hi = min(map(float, values)), max(map(float, values))
     if hi == lo:
-        lo, hi = lo - 0.5, hi + 0.5
-    margin = pad * (hi - lo)
-    lo, hi = lo - margin, hi + margin
-    # ranges whose ticks _ticks cannot step: overflowing, below 1e-300, or
-    # below the rounding of their bounds
-    assume(1e-300 < hi - lo < math.inf and hi - lo > 1e-9 * max(abs(lo), abs(hi)))
+        lo, hi = lo - max(0.5, math.ulp(lo)), hi + max(0.5, math.ulp(hi))
+    if pad:  # the y axis only: 0 * an overflowing span would be nan
+        margin = pad * (hi - lo)
+        lo, hi = lo - margin, hi + margin
     return lo, hi
 
 
@@ -154,8 +154,12 @@ _PLOT_VALUES = st.one_of(
 )
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(_PLOT_VALUES, _PLOT_VALUES), min_size=2, max_size=30))
+@example([(1e20, 0.0), (1e20, 1.0)])  # flat x where x +- 0.5 rounds back to x
+@example([(0.0, -1e20), (1.0, -1e20)])  # the same for y
+@example([(1e308, 0.0), (-1e308, 1.0)])  # an x span that overflows
 def test_polyline_points_match_per_point_formatting(points):
     xs, ys = [x for x, _ in points], [y for _, y in points]
     x_lo, x_hi = _padded_range(xs, 0.0)
@@ -168,6 +172,42 @@ def test_polyline_points_match_per_point_formatting(points):
         for x, y in points
     )
     assert f'<polyline points="{expected}" ' in render_line_plot([("c", xs, ys)], "x", "y")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_render_line_plot_returns_on_unresolvable_ranges():
+    # A span near the rounding of its bounds gets its ticks on the float
+    # grid (spacing 2 at 1e16); one whose span/count underflows and one that
+    # overflows get one tick, at the low end.
+    for xs, ticks in (([1e16, 1e16 + 4], [1e16, 1e16, 1e16 + 2, 1e16 + 4, 1e16 + 4]),
+                      ([0.0, 5e-324], [0.0]), ([-1e308, 1e308], [-1e308])):
+        done = []
+        worker = threading.Thread(
+            target=lambda: done.append(render_line_plot([("c", xs, [0.0, 1.0])], "x", "y")),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=1.0)
+        assert done, f"render_line_plot did not return on x in {xs}"
+        assert svgplot._ticks(*xs) == ticks
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PLOT_VALUES, _PLOT_VALUES)
+def test_ticks_are_few_sorted_and_within_the_range(a, b):
+    lo, hi = min(a, b), max(a, b)
+    ticks = svgplot._ticks(lo, hi)
+    assert 1 <= len(ticks) <= 7 and ticks == sorted(ticks)
+    if len(ticks) > 1:
+        slack = 1e-9 * (hi - lo)
+        assert lo - slack <= ticks[0] and ticks[-1] <= hi + slack
+
+
+def test_ticks_are_integer_multiples_of_the_step():
+    assert svgplot._ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 3 * 0.2, 0.8, 1.0]
+    assert svgplot._ticks(-0.3, 0.7) == [-0.2, 0.0, 0.2, 0.4, 3 * 0.2]
+    assert svgplot._ticks(2.0, 2.0) == [2.0]
+    assert svgplot._ticks(3.0, 1.0) == [3.0]
 
 
 def test_render_line_plot_rejects_empty():
@@ -370,6 +410,50 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_config", out_of_memory)
     assert main(["run", str(unstable)]) == 1
     assert capsys.readouterr().err == "error: Unable to allocate 1.49 GiB for an array\n"
+
+
+def test_main_reports_an_overflowing_omega_by_its_keys(tmp_path, capsys):
+    # J and V are each finite, but omega = sqrt(J V / 2) is not
+    config = tmp_path / "cfg.json"
+    config.write_text('{"experiment": "spectrum", "J": 1e200, "V": 1e200, "M": 1}')
+    with pytest.raises(ConfigError, match="'J', 'V'"):
+        parse_config(config.read_text())
+    assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config keys 'J', 'V'") and err.count("\n") == 1
+    assert "J * V" in err and "'dt'" not in err
+
+
+def test_main_exit_code_2_on_numeric_failures(tmp_path, capsys, monkeypatch):
+    # The slowest mode of this 7-site chain has Im E = +1.74, so the state
+    # grows like exp(1.74 t) and overflows long before t = 2000.
+    config = tmp_path / "overflow.json"
+    config.write_text('{"experiment": "probability", "V": 8, "M": 3, "t_end": 2000, '
+                      '"record_stride": 100000}')
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the tail warning of the M = 3 chain
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: non-finite amplitudes") and err.count("\n") == 1
+
+    def not_converged(*args, **kwargs):
+        raise ConvergenceError("worst eigenpair residual 1.000e-03 exceeds tolerance")
+
+    monkeypatch.setattr(cli, "numeric_spectrum", not_converged)
+    assert main(["preset", "fig2", "--out", str(tmp_path / "fig2")]) == 2
+    assert capsys.readouterr().err == (
+        "numeric failure: worst eigenpair residual 1.000e-03 exceeds tolerance\n"
+    )
+
+
+def test_fig4_preset_passes_its_seed_to_every_sweep_entry(tmp_path):
+    paths = run_preset("fig4", tmp_path / "fig4", seed=7)
+    names = sorted(p.name for p in paths if p.name.startswith("probability_ratio_"))
+    assert names == [f"probability_ratio_{ratio:g}.csv" for ratio, _, _ in cli.PROBABILITY_SWEEP]
+    resolved = json.loads(_read(tmp_path / "fig4" / "config.json"))
+    assert resolved["base"]["seed"] == 7
+    assert [entry["seed"] for entry in resolved["sweep"]] == [7, 7, 7]
 
 
 def test_cli_run_warns_once_at_the_callers_line(tmp_path):

@@ -382,7 +382,7 @@ def test_chain_above_the_old_dense_cap_steps_exactly():
 
 
 def test_underflow_split_into_log_scale():
-    # The norm falls to about exp(-383), below the 1e-150 guard, so both
+    # The norm falls to about exp(-383), far below the 1e-50 guard, so both
     # methods split a factor off into log_scale, at different times.
     p, h, state = _stiff_edge_state(70)
     log_norms = []
@@ -399,7 +399,8 @@ def test_underflow_split_into_log_scale():
 def test_block_propagation_matches_solo_runs(method, monkeypatch):
     # The edge column falls below the underflow guard and splits a factor
     # into log_scale; the stable-pair column never does.  At M = 30 the edge
-    # norm bottoms out near exp(-117), above the guard, so the chain is M = 70.
+    # norm bottoms out near exp(-117), just below the 1e-50 guard, so M = 30
+    # splits too; M = 70 splits by a wide margin.
     monkeypatch.setattr(dynamics, "stepping_method", lambda *args: method)
     p, h, edge = _stiff_edge_state(70)
     ground, _ = numeric_spectrum(h, 2).stable_pair()
@@ -511,6 +512,30 @@ def test_flush_keeps_subnormals_out_of_states_and_records(monkeypatch):
         norm2.append(state.with_amplitudes(y).norm2())
     assert series.norm2 == norm2
     assert series.prob == [n2 * n2 for n2 in norm2]
+
+
+def test_split_keeps_subnormals_out_of_a_decayed_column(monkeypatch):
+    # The stiff edge's norm decays to about exp(-345) by t = 5.  Were it
+    # split only below 1e-150, its parts kept by the relative flush could be
+    # near 1e-300, and the RK4 steps between two checks would take 2,088 of
+    # them into the subnormal range, in 573 recorded rows.
+    p, h, state = _stiff_edge_state(70)
+    chunks = []
+    record = ObservableSeries.record
+
+    def keep_chunk(self, times, samples, log_scale):
+        chunks.append(samples.copy())
+        record(self, times, samples, log_scale)
+
+    monkeypatch.setattr(ObservableSeries, "record", keep_chunk)
+    cfg = IntegratorConfig(dt=default_dt(p))
+    assert stepping_method(h, cfg.dt, cfg.record_stride) == "rk4"
+    out = propagate(h, state, 5.0, cfg, series=ObservableSeries())
+    assert out.log_scale < -300.0
+    tiny = np.finfo(float).tiny
+    for amplitudes in [out.amplitudes, *chunks]:
+        parts = np.abs(amplitudes.view(np.float64))
+        assert not np.any((parts > 0) & (parts < tiny))
 
 
 def test_compensated_chain_conserves_probability():

@@ -15,6 +15,7 @@ from nhchain.model import (
     build_hamiltonian,
     parity_signs,
 )
+from nhchain.quench import PulseSchedule, quenched_hamiltonian
 
 
 def test_omega_derived_exactly():
@@ -45,6 +46,13 @@ def test_invalid_half_width_rejected():
     for huge in (10**200, 10**400):  # float(M)**2 overflows; M itself does not fit a float
         with pytest.raises(ModelError, match="overflows"):
             ChainParams(J=1.0, V=2e-4, half_width=huge)
+
+
+@pytest.mark.parametrize("J, V", [(1e200, 1e200), (1e-200, 1e-200)])
+def test_product_outside_the_floating_range_rejected(J, V):
+    # each value is finite and positive, but J * V, and so omega, is inf or 0
+    with pytest.raises(ModelError, match=r"J \* V"):
+        ChainParams(J=J, V=V, half_width=1)
 
 
 def test_tail_violation_warns_but_does_not_fail():
@@ -141,6 +149,35 @@ def test_anti_pt_residual_linear_field(h_small_ratio):
     diag = h_small_ratio.diagonal + mu * h_small_ratio.sites()
     tilted = Hamiltonian(diag, h_small_ratio.off_diagonal, M)
     assert anti_pt_residual(tilted) == 2.0 * mu * M
+
+
+def _dense_anti_pt_residual(h):
+    """Reference: the max-entry magnitude of PT H (PT)^-1 + H, built densely."""
+    dense = h.to_dense()
+    signs = parity_signs(h.half_width)
+    transformed = signs[:, None] * np.conj(dense) * signs[None, :]
+    return float(np.abs(transformed + dense).max())
+
+
+def test_anti_pt_residual_equals_the_dense_similarity(h_small_ratio):
+    matrices = []
+    for J, V, M in ((1.0, 2e-4, 100), (0.7, 0.32, 30), (2.5, 1e-3, 60), (1.0, 5.0, 8)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            matrices.append(build_hamiltonian(ChainParams(J=J, V=V, half_width=M)))
+    defect = h_small_ratio.diagonal.copy()
+    defect[h_small_ratio.half_width] += 0.37
+    matrices += [
+        Hamiltonian(defect, h_small_ratio.off_diagonal, h_small_ratio.half_width),
+        quenched_hamiltonian(h_small_ratio, PulseSchedule(delta=0.02)),
+        Hamiltonian(h_small_ratio.diagonal, -1.0 + 0.25j, h_small_ratio.half_width),
+        Hamiltonian(np.array([0.5 + 2.0j]), -1.0 + 3.0j, 0),  # N = 1: no off-diagonal
+    ]
+    for h in matrices:
+        assert anti_pt_residual(h) == _dense_anti_pt_residual(h)
+    assert anti_pt_residual(matrices[4]) == 2 * 0.37  # 2 |Re d| at the defect
+    assert anti_pt_residual(matrices[6]) == 0.5  # 2 |Im o|
+    assert anti_pt_residual(matrices[7]) == 1.0  # 2 |Re d| alone
 
 
 def test_parity_signs_center_positive():

@@ -268,6 +268,25 @@ def test_leading_pair_and_labels(spectrum12, params_small_ratio):
     assert {(m, b) for m in range(6) for b in "+-"} <= labels
 
 
+def _nearest_label(params, max_m, energy):
+    """Reference: the nearest of all 2 (max_m + 1) closed-form energies, gated at omega/2."""
+    ladder = [(m, b, analytic_energy(m, b, params)) for m in range(max_m + 1) for b in "+-"]
+    m, branch, e = min(ladder, key=lambda item: abs(item[2] - energy))
+    return (m, branch) if abs(e - energy) <= params.omega / 2.0 else (-1, "u")
+
+
+def test_ladder_labels_match_the_nearest_label_search(
+    spectrum12, params_small_ratio, params_large_ratio
+):
+    full_stiff = numeric_spectrum(build_hamiltonian(params_large_ratio), 61)
+    for spec, p in ((spectrum12, params_small_ratio), (full_stiff, params_large_ratio)):
+        assert [(mode.m, mode.branch) for mode in spec.modes] == [
+            _nearest_label(p, min(60, p.half_width), mode.energy) for mode in spec.modes
+        ]
+    # the stiff chain's deep modes leave the ladder
+    assert {mode.branch for mode in full_stiff.modes} == {"+", "-", "u"}
+
+
 def test_analytic_numeric_energy_agreement(spectrum12, params_small_ratio):
     p = params_small_ratio
     for mode in spectrum12.modes:
@@ -282,7 +301,9 @@ def test_imaginary_parts_semi_negative_after_shift(spectrum12, params_small_rati
 
 def test_biorthogonality_matrix(spectrum12):
     mat = biorthogonality_matrix(spectrum12)
-    n = len(spectrum12)
+    reference = [[abs(dirac_overlap(a.left_vector, b.right_vector)) for b in spectrum12.modes]
+                 for a in spectrum12.modes]
+    assert np.allclose(mat, reference, rtol=0.0, atol=1e-13)  # summation order
     assert np.abs(np.diag(mat) - 1.0).max() < 1e-10
     off = mat - np.diag(np.diag(mat))
     assert off.max() < 1e-8
