@@ -217,15 +217,14 @@ def _finish_run(outdir: Path, cfg_json: str, files: dict[str, str]) -> list[Path
 def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     params = cfg.chain_params()
     spec = numeric_spectrum(build_hamiltonian(params), count=cfg.count)
-    ladder = [(mode.m, mode.branch, mode.energy) for mode in spec.modes]
-    plus = [(m, E) for m, branch, E in ladder if branch == "+"]
-    minus = [(m, E) for m, branch, E in ladder if branch == "-"]
     curves = []
-    if plus:
-        curves.append(("Re E (+ branch)", [m for m, _ in plus], [E.real for _, E in plus]))
-    if minus:
-        curves.append(("Re E (- branch)", [m for m, _ in minus], [E.real for _, E in minus]))
-    curves.append(("Im E", [m for m, _, _ in ladder], [E.imag for _, _, E in ladder]))
+    for branch in "+-":
+        modes = [mode for mode in spec.modes if mode.branch == branch]
+        if modes:
+            curves.append((f"Re E ({branch} branch)", [mode.m for mode in modes],
+                           [mode.energy.real for mode in modes]))
+    curves.append(("Im E", [mode.m for mode in spec.modes],
+                   [mode.energy.imag for mode in spec.modes]))
     svg = render_line_plot(curves, xlabel="mode index m", ylabel="energy (J)",
                            title="spectral ladder")
     files = {"spectrum.csv": spectrum_table(spec), "ladder.svg": svg}

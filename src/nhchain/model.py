@@ -110,9 +110,9 @@ class Hamiltonian:
 
     ``diagonal`` holds the on-site entries in site order l = -M..M;
     ``off_diagonal`` is the constant nearest-neighbour entry (-J for the
-    bare chain).  ``to_sparse`` builds the matrix as a scipy sparse array,
-    ``to_dense`` as a full one.  ``params`` is the chain the matrix was
-    built from; None for any other matrix (a pulsed chain).
+    bare chain).  ``matrix`` is the operator as a CSR array and ``norm``
+    its infinity norm.  ``params`` is the chain the matrix was built from;
+    None for any other matrix (a pulsed chain).
     """
 
     diagonal: np.ndarray
@@ -136,13 +136,19 @@ class Hamiltonian:
     def sites(self) -> np.ndarray:
         return np.arange(-self.half_width, self.half_width + 1)
 
-    def to_dense(self) -> np.ndarray:
-        return self.to_sparse("csr").toarray()
-
-    def to_sparse(self, format: str) -> scipy.sparse.sparray:
-        """The matrix as a scipy sparse array in ``format`` ('csr', 'csc', ...)."""
+    @property
+    def matrix(self) -> scipy.sparse.csr_array:
+        """The operator as a CSR array, built on each access."""
         off = np.full(self.dimension - 1, self.off_diagonal, dtype=complex)
-        return scipy.sparse.diags_array([off, self.diagonal, off], offsets=[-1, 0, 1], format=format)
+        return scipy.sparse.diags_array([off, self.diagonal, off], offsets=[-1, 0, 1], format="csr")
+
+    @property
+    def norm(self) -> float:
+        """||H||_inf, the largest absolute row sum; a row adds in CSR order, |o| + |d_l| + |o|."""
+        off = abs(self.off_diagonal) if self.dimension > 1 else 0.0
+        rows = off + np.abs(self.diagonal)
+        rows[1:-1] += off  # an end row has one neighbour, the one row of N = 1 none
+        return float(rows.max())
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ EDGE_SPARES = 3
 # time: measured on a 2-core host, N = 2001 took 5.4 s and +191 MB of peak
 # RSS, N = 4001 52 s and +748 MB.
 DENSE_MAX_DIMENSION = 4001
-# Eigenpair residual bound, relative to the matrix scale max(1, |H|); also
+# Eigenpair residual bound, relative to the matrix scale max(1, ||H||_inf); also
 # the |Re E| within which a mode counts as lying on the imaginary axis.
 TOL = 1e-8
 
@@ -72,6 +72,11 @@ class ConvergenceError(RuntimeError):
     """Eigensolve did not meet the residual tolerance."""
 
 
+def _check_degree(m: int) -> None:
+    if not isinstance(m, (int, np.integer)) or not 0 <= m <= HERMITE_MAX_DEGREE:
+        raise SpectralError(f"mode index must be an integer in 0..{HERMITE_MAX_DEGREE}, got {m!r}")
+
+
 def hermite_polynomial(m: int, z):
     """Physicists' Hermite polynomial H_m(z) by the three-term recurrence.
 
@@ -79,10 +84,7 @@ def hermite_polynomial(m: int, z):
     60 to stay clear of overflow in the recurrence over the supported
     parameter range.
     """
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise SpectralError(f"mode index must be a nonnegative integer, got {m!r}")
-    if m > HERMITE_MAX_DEGREE:
-        raise SpectralError(f"mode index {m} exceeds the supported maximum {HERMITE_MAX_DEGREE}")
+    _check_degree(m)
     z = np.asarray(z, dtype=complex)
     h_prev = np.ones_like(z)
     if m == 0:
@@ -98,31 +100,21 @@ def mode_scale(params: ChainParams) -> complex:
     return cmath.exp(-1j * math.pi / 8.0) * (params.V / params.J) ** 0.25
 
 
-def normalization_constant(m: int, params: ChainParams, rtol: float = 1e-10) -> float:
+def normalization_constant(m: int, params: ChainParams) -> float:
     """Normalization N_m from the continuum integral.
 
-    N_m^-2 = integral of H_m(alpha*x) * H_m(conj(alpha)*x) * exp(-Re(alpha^2)*x^2) dx,
-    evaluated by Gauss-Legendre on [-X, X] with X = 8/sqrt(Re(alpha^2)),
-    doubling the point count until the relative change drops below rtol.
-    The integrand is |H_m(alpha*x)|^2 * exp(...) for real x, so the result
-    is real and positive.
+    N_m^-2 = integral of H_m(alpha*x) * H_m(conj(alpha)*x) * exp(-Re(alpha^2)*x^2) dx
+    over the real line.  For real x the product is |H_m(alpha*x)|^2, a
+    degree-2m polynomial, so with x = u / sqrt(Re(alpha^2)) Gauss-Hermite
+    quadrature at m + 1 nodes gives the integral exactly, up to rounding.
     """
+    _check_degree(m)
     alpha = mode_scale(params)
-    decay = (alpha * alpha).real
-    cutoff = 8.0 / math.sqrt(decay)
-    previous = None
-    points = 64
-    while points <= 65536:
-        nodes, weights = np.polynomial.legendre.leggauss(points)
-        x = cutoff * nodes
-        h = hermite_polynomial(m, alpha * x)
-        integrand = (h * hermite_polynomial(m, np.conj(alpha) * x)).real * np.exp(-decay * x * x)
-        value = cutoff * float(weights @ integrand)
-        if previous is not None and abs(value - previous) <= rtol * abs(value):
-            return 1.0 / math.sqrt(value)
-        previous = value
-        points *= 2
-    raise ConvergenceError("normalization quadrature did not converge")
+    scale = math.sqrt((alpha * alpha).real)
+    nodes, weights = np.polynomial.hermite.hermgauss(m + 1)
+    h = hermite_polynomial(m, alpha * nodes / scale)
+    value = float(weights @ (h * np.conj(h)).real) / scale
+    return 1.0 / math.sqrt(value)
 
 
 def analytic_wavefunction(m: int, branch: str, params: ChainParams) -> SiteState:
@@ -252,7 +244,7 @@ def _edge_eigenpairs(h: Hamiltonian, count: int) -> tuple[np.ndarray, np.ndarray
     axis, which both searches find, is kept once) and the '-' search the rest.
     """
     params = h.params
-    matrix = h.to_sparse("csc")
+    matrix = h.matrix.tocsc()
     identity = scipy.sparse.eye_array(h.dimension, format="csc")
     # Fixed start vector: repeated solves are bit-identical, and a random one
     # is not reflection-symmetric, so it reaches parity-odd modes directly.
@@ -293,7 +285,7 @@ def numeric_spectrum(h: Hamiltonian, count: int) -> Spectrum:
     mode.  Right vectors are Dirac-normalized with a deterministic phase
     (largest-magnitude entry made real positive); left vectors are
     conjugates of the right ones, rescaled so <left|right> = 1.  Every
-    kept eigenpair must have a residual |H v - E v| within TOL * max(1, |H|),
+    kept eigenpair must have a residual |H v - E v| within TOL * max(1, ||H||_inf),
     else ConvergenceError.
     """
     if count < 1 or count > h.dimension:
@@ -305,7 +297,7 @@ def numeric_spectrum(h: Hamiltonian, count: int) -> Spectrum:
             f"count {count} needs the dense eigensolve, which is capped at dimension "
             f"{DENSE_MAX_DIMENSION}; this chain has N = {h.dimension}"
         )
-    return _spectrum(h, count, *scipy.linalg.eig(h.to_dense()))
+    return _spectrum(h, count, *scipy.linalg.eig(h.matrix.toarray()))
 
 
 def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.ndarray) -> Spectrum:
@@ -344,8 +336,7 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
     params = h.params
     max_m = min(HERMITE_MAX_DEGREE, h.half_width)
 
-    h_norm = float(np.abs(h.diagonal).max() + 2.0 * abs(h.off_diagonal))
-    matrix = h.to_sparse("csr")
+    matrix = h.matrix
     modes = []
     worst = 0.0
     for i in selected:
@@ -385,7 +376,7 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
             )
         )
 
-    if worst > TOL * max(1.0, h_norm):
+    if worst > TOL * max(1.0, h.norm):
         raise ConvergenceError(f"worst eigenpair residual {worst:.3e} exceeds tolerance")
     return Spectrum(modes=tuple(modes))
 

@@ -26,11 +26,11 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
     One tick, lo, when the span is not positive and finite, when span/count
     underflows, or when the bounds cannot resolve the span (an empty or
-    overlong index range k).
+    overlong index range k); none then if lo itself overflowed.
     """
     span = hi - lo
     if not np.finfo(float).tiny <= span / count < math.inf:
-        return [lo]
+        return [lo] if math.isfinite(lo) else []
     step = 10.0 ** math.floor(math.log10(span / count))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if span / (step * mult) <= count:
@@ -65,13 +65,14 @@ def render_line_plot(
 
     all_x = [float(x) for _, xs, _ in curves for x in xs]
     all_y = [float(y) for _, _, ys in curves for y in ys]
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
-    # A flat range is widened by 0.5, or by one ulp where that is more.
+    # Bounds in quarters of the data (exact on normal floats): no padded span overflows.
+    x_lo, x_hi = min(all_x) / 4, max(all_x) / 4
+    y_lo, y_hi = min(all_y) / 4, max(all_y) / 4
+    # A flat range is widened by 0.5 (0.125 in quarters), or by one ulp where that is more.
     if x_hi == x_lo:
-        x_lo, x_hi = x_lo - max(0.5, math.ulp(x_lo)), x_hi + max(0.5, math.ulp(x_hi))
+        x_lo, x_hi = x_lo - max(0.125, math.ulp(x_lo)), x_hi + max(0.125, math.ulp(x_hi))
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - max(0.5, math.ulp(y_lo)), y_hi + max(0.5, math.ulp(y_hi))
+        y_lo, y_hi = y_lo - max(0.125, math.ulp(y_lo)), y_hi + max(0.125, math.ulp(y_hi))
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -79,10 +80,10 @@ def render_line_plot(
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def px(x):  # a float or an array of them
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_L + (x / 4 - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y):
-        return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + (y_hi - y / 4) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -97,7 +98,7 @@ def render_line_plot(
             f'font-family="sans-serif" font-size="15">{title}</text>'
         )
 
-    for tick in _ticks(x_lo, x_hi):
+    for tick in _ticks(4 * x_lo, 4 * x_hi):
         x = px(tick)
         parts.append(
             f'<line x1="{x:.2f}" y1="{MARGIN_T + plot_h}" x2="{x:.2f}" '
@@ -107,7 +108,7 @@ def render_line_plot(
             f'<text x="{x:.2f}" y="{MARGIN_T + plot_h + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{_fmt(tick)}</text>'
         )
-    for tick in _ticks(y_lo, y_hi):
+    for tick in _ticks(4 * y_lo, 4 * y_hi):
         y = py(tick)
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{y:.2f}" x2="{MARGIN_L}" y2="{y:.2f}" '

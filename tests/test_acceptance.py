@@ -58,7 +58,7 @@ def test_criterion_1_symmetry_and_pairing():
     pair_dists = []
     for V, M in ((0.02, 50), (0.32, 30)):
         h = build_hamiltonian(_quiet_params(J=1.0, V=V, half_width=M))
-        pair_dists.append(mirror_distance(eigvals(h.to_dense())))
+        pair_dists.append(mirror_distance(eigvals(h.matrix.toarray())))
     slow = numeric_spectrum(build_hamiltonian(ChainParams(J=1.0, V=2e-4)), 12)
     pair_dists.append(mirror_distance(np.array([m.energy for m in slow.modes])))
 

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -12,10 +14,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nhchain import cli, dynamics, svgplot
-from nhchain.dynamics import DEFAULT_SEED, STATE_KINDS, make_initial_state, stepping_method
-from nhchain.model import ModelError, build_hamiltonian
+from nhchain.dynamics import (
+    DEFAULT_SEED,
+    STATE_KINDS,
+    dirac_probability,
+    eigen_propagate,
+    make_initial_state,
+    stepping_method,
+)
+from nhchain.model import ModelError, SiteState, build_hamiltonian
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
-from nhchain.spectral import ConvergenceError
+from nhchain.spectral import ConvergenceError, numeric_spectrum
 from nhchain.cli import (
     ConfigError,
     PRESET_CONFIGS,
@@ -44,6 +53,14 @@ def test_minimal_config_gets_defaults():
         assert parse_config('{"experiment": "convergence", "M": 5}').count == 11
         assert parse_config('{"experiment": "spectrum", "M": 1}').count == 3
         assert parse_config('{"experiment": "spectrum", "M": 6}').count == 12
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listing = readme.split("Config keys (all optional except `experiment`):", 1)[1].split(";", 1)[0]
+    listed = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", listing))  # not `g|e`
+    keys = [field.name for field in dataclasses.fields(cli.ExperimentConfig)]
+    assert listed == [key for key in keys if key != "experiment"]
 
 
 def test_explicit_values_survive_round_trip():
@@ -136,15 +153,13 @@ def test_render_line_plot_single_point_uses_marker():
     assert "<circle" in render_line_plot(_toy_curves(n=1), "t", "F")
 
 
-def _padded_range(values, pad):
-    """render_line_plot's axis range of ``values``: widened if flat, then padded by ``pad``."""
-    lo, hi = min(map(float, values)), max(map(float, values))
+def _quarter_range(values, pad):
+    """render_line_plot's axis bounds of ``values``, in quarters: widened if flat, then padded."""
+    lo, hi = min(map(float, values)) / 4, max(map(float, values)) / 4
     if hi == lo:
-        lo, hi = lo - max(0.5, math.ulp(lo)), hi + max(0.5, math.ulp(hi))
-    if pad:  # the y axis only: 0 * an overflowing span would be nan
-        margin = pad * (hi - lo)
-        lo, hi = lo - margin, hi + margin
-    return lo, hi
+        lo, hi = lo - max(0.125, math.ulp(lo)), hi + max(0.125, math.ulp(hi))
+    margin = pad * (hi - lo)
+    return lo - margin, hi + margin
 
 
 _PLOT_VALUES = st.one_of(
@@ -152,29 +167,34 @@ _PLOT_VALUES = st.one_of(
     st.integers(-(2**53), 2**53),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+_MAX = 1.7976931348623157e308
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(_PLOT_VALUES, _PLOT_VALUES), min_size=2, max_size=30))
 @example([(1e20, 0.0), (1e20, 1.0)])  # flat x where x +- 0.5 rounds back to x
 @example([(0.0, -1e20), (1.0, -1e20)])  # the same for y
 @example([(1e308, 0.0), (-1e308, 1.0)])  # an x span that overflows
+@example([(-_MAX, _MAX), (_MAX, -_MAX)])  # both spans overflow, and the padded y bounds
+@example([(-_MAX, -_MAX), (-_MAX, -_MAX)])  # flat at the end of the range
 def test_polyline_points_match_per_point_formatting(points):
     xs, ys = [x for x, _ in points], [y for _, y in points]
-    x_lo, x_hi = _padded_range(xs, 0.0)
-    y_lo, y_hi = _padded_range(ys, 0.04)
+    x_lo, x_hi = _quarter_range(xs, 0.0)
+    y_lo, y_hi = _quarter_range(ys, 0.04)
     plot_w = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
     plot_h = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
     expected = " ".join(
-        f"{svgplot.MARGIN_L + (float(x) - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
-        f"{svgplot.MARGIN_T + (y_hi - float(y)) / (y_hi - y_lo) * plot_h:.2f}"
+        f"{svgplot.MARGIN_L + (float(x) / 4 - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
+        f"{svgplot.MARGIN_T + (y_hi - float(y) / 4) / (y_hi - y_lo) * plot_h:.2f}"
         for x, y in points
     )
-    assert f'<polyline points="{expected}" ' in render_line_plot([("c", xs, ys)], "x", "y")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid value on the way
+        svg = render_line_plot([("c", xs, ys)], "x", "y")
+    assert f'<polyline points="{expected}" ' in svg
+    assert "nan" not in svg and "inf" not in svg
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_render_line_plot_returns_on_unresolvable_ranges():
     # A span near the rounding of its bounds gets its ticks on the float
     # grid (spacing 2 at 1e16); one whose span/count underflows and one that
@@ -189,7 +209,9 @@ def test_render_line_plot_returns_on_unresolvable_ranges():
         worker.start()
         worker.join(timeout=1.0)
         assert done, f"render_line_plot did not return on x in {xs}"
+        assert "nan" not in done[0]
         assert svgplot._ticks(*xs) == ticks
+    assert svgplot._ticks(-math.inf, 1.0) == []  # a padded bound that overflowed: no tick
 
 
 @settings(max_examples=100, deadline=None)
@@ -307,8 +329,28 @@ def test_probability_run_through_main(tmp_path):
         assert prob == norm2 * norm2
 
 
+def test_probability_run_at_a_step_past_the_rk4_limit_follows_the_mode_expansion(tmp_path):
+    # dt = 1.125 lies below 2.5 / max(2|H_l,l+1|, max|H_ll|) = 1.25 but above
+    # 2.5 / ||H||_inf = 0.633; stepped with RK4 it ended at P = 2.7e-74.
+    raw = {"experiment": "probability", "M": 100, "t_end": 90.0, "dt": 1.125}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    last = _read(tmp_path / "out" / "probability.csv").strip().split("\n")[-1]
+    time, _, prob = map(float, last.split(","))
+
+    cfg = parse_config(json.dumps(raw))
+    h = build_hamiltonian(cfg.chain_params())
+    ground, excited = numeric_spectrum(h, 2).stable_pair()
+    amps = (ground.right_vector.amplitudes + excited.right_vector.amplitudes) / math.sqrt(2.0)
+    state = SiteState(amps, cfg.M).normalized()
+    oracle = eigen_propagate(numeric_spectrum(h, h.dimension), h, state, time)
+    assert time == 90.0
+    assert prob == pytest.approx(dirac_probability(oracle), rel=1e-9)  # e^(4 Im E t) = 1.0045
+
+
 def test_stiff_chain_steps_beyond_the_rk4_limit_with_expm(tmp_path):
-    # dt = 0.02 exceeds this chain's RK4 stability limit 0.0087, so it steps
+    # dt = 0.02 exceeds this chain's RK4 stability limit 0.00866, so it steps
     # with the exact route, which has no such limit.
     raw = {"experiment": "probability", "V": 0.32, "M": 30, "dt": 0.02, "t_end": 200.0}
     cfg = parse_config(json.dumps(raw))
@@ -350,11 +392,11 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     broken.write_text("{not json")
     assert main(["run", str(broken), "--out", str(tmp_path / "y")]) == 1
 
-    # dt = 1.2 is within this chain's RK4 limit 1.25, but a span of 1.74 is
-    # one step of 1.74, past the limit, so it steps exactly, as does a dt
+    # dt = 0.6 is within this chain's RK4 limit 0.633, but a span of 0.87 is
+    # one step of 0.87, past the limit, so it steps exactly, as does a dt
     # past the limit.
     unstable = tmp_path / "unstable.json"
-    unstable.write_text('{"experiment": "probability", "t_end": 1.74, "dt": 1.2}')
+    unstable.write_text('{"experiment": "probability", "t_end": 0.87, "dt": 0.6}')
     assert main(["run", str(unstable), "--out", str(tmp_path / "z")]) == 0
     beyond = tmp_path / "beyond.json"
     beyond.write_text('{"experiment": "probability", "t_end": 1.0, "dt": 10.0}')

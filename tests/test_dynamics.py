@@ -157,7 +157,7 @@ def test_excited_ladder_decay_rate(h_small_ratio, spectrum12, params_small_ratio
 
 
 def _four_stage_step(h, y, dt):
-    matrix = h.to_sparse("csr")
+    matrix = h.matrix
     k1 = -1j * (matrix @ y)
     k2 = -1j * (matrix @ (y + 0.5 * dt * k1))
     k3 = -1j * (matrix @ (y + 0.5 * dt * k2))
@@ -210,10 +210,33 @@ def test_rk4_steps_only_within_the_stability_limit(V, M, dt_per_limit, record_st
     assert math.isfinite(out.norm2())
 
 
+# V M^2 = 2, where max|H_ll| = 2|H_l,l+1| and ||H||_inf is farthest above
+# max(2|H_l,l+1|, max|H_ll|); below and above it; and the stiff chain.
+AMPLIFICATION_CHAINS = [(2.0 * f / M**2, M) for f in (0.5, 1.0, 2.0) for M in (2, 10, 30, 100)]
+AMPLIFICATION_CHAINS += [(0.32, 30), (2e-4, 30)]
+
+
+@pytest.mark.parametrize("V, M", AMPLIFICATION_CHAINS)
+def test_rk4_at_the_stability_limit_grows_no_mode_faster_than_the_exact_flow(V, M):
+    # Per step, RK4 multiplies mode E by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at
+    # z = -i E dt, the exact flow by e^z.  At dt = 2.5 / ||H||_inf the largest
+    # |R(z)| stays within the largest |e^z|, or within 1 where no mode grows.
+    # At 2.5 / max(2|H_l,l+1|, max|H_ll|) RK4 grows a mode of the fig4 chain
+    # (V = 2e-4, M = 100) 2.156 times per step.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = ChainParams(J=1.0, V=V, half_width=M, tail_tol=1.0)
+    bare = build_hamiltonian(p)
+    for h in (bare, quenched_hamiltonian(bare, PulseSchedule(delta=0.02))):
+        z = -1j * scipy.linalg.eigvals(h.matrix.toarray()) * stability_limit(h)
+        rk4 = np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max()
+        assert rk4 <= max(1.0, np.exp(z.real.max())) * (1.0 + 1e-12)
+
+
 def test_a_step_past_the_rk4_limit_steps_exactly():
     # A span of 1.45 dt is one step of 1.45 dt.  With dt at 0.99 of the
-    # limit, that step is 1.44 times the limit; taken with RK4 it grew the
-    # edge state's norm^2 from 1 to 9.4.  It is taken exactly instead, and
+    # limit, that step is 1.44 times the limit; taken with RK4 it grows the
+    # edge state's norm^2 from 1 to 9.1.  It is taken exactly instead, and
     # lands on the mode expansion (measured 2e-16 off).
     p, h, state = _stiff_edge_state(30)
     cfg = IntegratorConfig(dt=0.99 * stability_limit(h))
@@ -228,8 +251,8 @@ def test_a_step_past_the_rk4_limit_steps_exactly():
 
 
 def test_expm_is_not_bound_by_the_rk4_stability_limit(small_chain):
-    # The exact propagator is stable at any dt: 20 steps of 5.0, twice the
-    # 1.25 RK4 limit of this chain, land on the mode expansion.
+    # The exact propagator is stable at any dt: 20 steps of 5.0, four times
+    # the 1.244 RK4 limit of this chain, land on the mode expansion.
     p, h, spec = small_chain
     state = make_initial_state("gaussian", p, width=3.0)
     assert stepping_method(h, 5.0, 3) == "expm"
@@ -291,7 +314,7 @@ def _exact_and_dense(h, state, t, dt, stride):
     assert dynamics.stepping_method(h, t / n_steps, stride) == "expm"
     series = ObservableSeries()
     out = propagate(h, state, t, IntegratorConfig(dt=dt, record_stride=stride), series=series)
-    dense = h.to_dense()
+    dense = h.matrix.toarray()
     u = {k: scipy.linalg.expm(dense * (-1j * k * t / n_steps))
          for k in {stride, n_steps % stride} - {0}}
     y, norm2 = state.amplitudes, [state.norm2()]
@@ -375,7 +398,7 @@ def test_chain_above_the_old_dense_cap_steps_exactly():
     series = ObservableSeries()
     out = propagate(h, state, cfg.t_end, config, series=series)
     assert len(series) == 500 // 2 + 1
-    reference = scipy.sparse.linalg.expm_multiply(h.to_sparse("csc") * (-1j * cfg.t_end),
+    reference = scipy.sparse.linalg.expm_multiply(h.matrix * (-1j * cfg.t_end),
                                                   state.amplitudes)
     error = np.linalg.norm(out.amplitudes - reference) / np.linalg.norm(reference)
     assert error <= 1e-12
@@ -597,13 +620,13 @@ def test_stepping_method_boundary():
     assert stepping_method(fig4, limit, 1) == "rk4"
     assert stepping_method(fig4, math.nextafter(limit, 2.0), 1) == "expm"
     stiff = '{"experiment": "probability", "V": 0.32, "M": 30, "dt": %r, "record_stride": 1}'
-    assert method(stiff % 0.0086) == "rk4"  # the limit is 0.00869
+    assert method(stiff % 0.0086) == "rk4"  # the limit is 0.0086625
     assert method(stiff % 0.0087) == "expm"
-    # stride 1000 at ||H||_inf dt = 2.5: RK4 is cheaper up to its limit (0.025)
+    # stride 1000 at ||H||_inf dt = 2.5: RK4 is cheaper up to its limit (0.024572)
     short = ('{"experiment": "probability", "M": 800, "V": 1.5625e-4, "t_end": 20.0, '
              '"dt": %r, "record_stride": 1000}')
-    assert method(short % 0.025) == "rk4"
-    assert method(short % 0.0251) == "expm"
+    assert method(short % 0.02457) == "rk4"
+    assert method(short % 0.02458) == "expm"
 
 
 def test_overflow_detected_with_failure_time(h_small_ratio):
@@ -612,6 +635,11 @@ def test_overflow_detected_with_failure_time(h_small_ratio):
         with pytest.raises(NumericError) as info:
             propagate(h_small_ratio, state, 10.0, IntegratorConfig(dt=0.02))
     assert info.value.failure_time is not None
+
+
+def test_propagate_rejects_an_empty_sequence_of_states(h_small_ratio):
+    with pytest.raises(ModelError, match="no state to propagate"):
+        propagate(h_small_ratio, [], 1.0, IntegratorConfig(dt=0.01))
 
 
 def test_dimension_mismatch(h_small_ratio):
@@ -771,6 +799,23 @@ def test_series_csv_matches_per_value_formatting(rows):
     lines = [",".join(["time", "norm2", "P"] + [f"F_{name}" for name in series.targets])]
     lines += [",".join(f"{value:.17g}" for value in row) for row in rows]
     assert series.to_csv() == "\n".join(lines) + "\n"
+
+
+def test_series_rejects_a_non_finite_sample_at_its_time():
+    series = ObservableSeries()
+    samples = np.array([[1.0, 0.0, 0.0], [math.inf, 0.0, 0.0]], dtype=complex)
+    with pytest.raises(NumericError, match=r"non-finite norm at t=2\.5") as info:
+        series.record([1.0, 2.5], samples, [0.0, 0.0])
+    assert info.value.failure_time == 2.5
+    assert len(series) == 0
+
+
+def test_series_rejects_a_zero_sample_with_targets(stable_modes):
+    ground, _ = stable_modes
+    series = ObservableSeries(targets={"g": ground.right_vector})
+    zero = np.zeros((1, ground.right_vector.dimension), dtype=complex)
+    with pytest.raises(ModelError, match="fidelity undefined for a zero state"):
+        series.record([0.0], zero, [0.0])
 
 
 def test_series_rejects_unnormalized_target(stable_modes):

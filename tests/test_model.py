@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from nhchain.model import (
@@ -89,7 +90,7 @@ def test_edge_entry_large_ratio():
 
 
 def test_matrix_structure(h_small_ratio):
-    dense = h_small_ratio.to_dense()
+    dense = h_small_ratio.matrix.toarray()
     assert np.array_equal(dense, dense.T)  # complex symmetric, not Hermitian
     assert np.all(np.diag(dense).real == 0.0)
     assert np.all(np.diag(dense, 1) == -1.0)
@@ -97,6 +98,32 @@ def test_matrix_structure(h_small_ratio):
     assert imag.max() == 0.01
     assert np.argmax(imag) == h_small_ratio.half_width
     assert np.count_nonzero(imag == 0.01) == 1
+
+
+def test_diagonal_length_must_match_half_width():
+    with pytest.raises(ModelError, match=r"diagonal length \(4,\) does not match half_width 2"):
+        Hamiltonian(np.ones(4, dtype=complex), -1.0, 2)
+
+
+@pytest.mark.parametrize("V, M", [(2e-4, 100), (0.32, 30), (1.5625e-4, 800), (1e-3, 60), (5.0, 8),
+                                  (2e-3, 1)])
+def test_norm_equals_scipy_on_bare_and_pulsed_chains(V, M):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        h = build_hamiltonian(ChainParams(J=1.0, V=V, half_width=M))
+    for matrix in (h, quenched_hamiltonian(h, PulseSchedule(delta=0.02))):
+        assert matrix.norm == scipy.sparse.linalg.norm(matrix.matrix, np.inf)
+
+
+def test_norm_is_the_largest_absolute_row_sum():
+    rng = np.random.default_rng(5)
+    for M in (0, 1, 2, 7):
+        diagonal = rng.normal(size=2 * M + 1) + 1j * rng.normal(size=2 * M + 1)
+        h = Hamiltonian(diagonal, complex(rng.normal(), rng.normal()), M)
+        reference = scipy.sparse.linalg.norm(h.matrix, np.inf)
+        assert abs(h.norm - reference) <= 2 * math.ulp(reference)  # |o| by another abs
+    assert Hamiltonian(np.array([0.6 + 0.8j]), -5.0, 0).norm == 1.0  # N = 1: no off-diagonal
+    assert Hamiltonian(np.array([3j, 0.0, -1.0]), 0.5, 1).norm == 3.5  # an end row
 
 
 def test_build_is_pure(params_small_ratio):
@@ -153,7 +180,7 @@ def test_anti_pt_residual_linear_field(h_small_ratio):
 
 def _dense_anti_pt_residual(h):
     """Reference: the max-entry magnitude of PT H (PT)^-1 + H, built densely."""
-    dense = h.to_dense()
+    dense = h.matrix.toarray()
     signs = parity_signs(h.half_width)
     transformed = signs[:, None] * np.conj(dense) * signs[None, :]
     return float(np.abs(transformed + dense).max())

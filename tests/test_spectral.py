@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
@@ -72,10 +73,31 @@ def test_normalization_constant_closed_form(params_small_ratio):
     assert normalization_constant(0, p) == pytest.approx(closed, rel=1e-10)
 
 
-def test_normalization_quadrature_stable(params_small_ratio):
-    coarse = normalization_constant(2, params_small_ratio, rtol=1e-10)
-    fine = normalization_constant(2, params_small_ratio, rtol=1e-13)
-    assert abs(coarse - fine) < 1e-10
+@pytest.mark.parametrize("m", [0, 19, 20, 40, 60])
+def test_normalization_constant_matches_adaptive_quadrature(params_small_ratio, m):
+    # The integrand |H_m(alpha x)|^2 exp(-Re(alpha^2) x^2) is even; past
+    # X = (sqrt(2m + 1) + 12) / sqrt(Re(alpha^2)) it is below e^-144 of its peak.
+    alpha = mode_scale(params_small_ratio)
+    decay = (alpha * alpha).real
+    cutoff = (math.sqrt(2 * m + 1) + 12.0) / math.sqrt(decay)
+    half, _ = scipy.integrate.quad(
+        lambda x: abs(hermite_polynomial(m, alpha * x)) ** 2 * math.exp(-decay * x * x),
+        0.0, cutoff, limit=500, epsabs=0.0, epsrel=1e-13,
+    )
+    reference = 1.0 / math.sqrt(2.0 * half)
+    value = normalization_constant(m, params_small_ratio)
+    assert value == pytest.approx(reference, rel=1e-13, abs=0.0)  # the values reach 2.8e-62
+
+
+def test_normalization_constant_rejects_unsupported_degrees(params_small_ratio):
+    for m in (-1, 2.0, 61):
+        with pytest.raises(SpectralError, match="mode index"):
+            normalization_constant(m, params_small_ratio)
+
+
+def test_analytic_wavefunction_rejects_an_unknown_branch(params_small_ratio):
+    with pytest.raises(SpectralError, match="branch must be '\\+' or '-', got 'x'"):
+        analytic_wavefunction(0, "x", params_small_ratio)
 
 
 def test_ground_wavefunction_matches_closed_form(params_small_ratio):
@@ -132,7 +154,7 @@ def test_numeric_spectrum_contract(h_small_ratio, spectrum12):
         # left vector satisfies the conjugate-transpose eigenproblem
         u = mode.left_vector.amplitudes
         defect = np.linalg.norm(
-            np.conj(h_small_ratio.to_dense()).T @ u - np.conj(mode.energy) * u
+            np.conj(h_small_ratio.matrix.toarray()).T @ u - np.conj(mode.energy) * u
         ) / np.linalg.norm(u)
         assert defect <= 1e-8 * scale
         assert abs(dirac_overlap(mode.left_vector, mode.right_vector) - 1.0) < 1e-10
@@ -162,7 +184,7 @@ def _chain(V, M):
 
 def test_residual_gate_rejects_inaccurate_pairs():
     h = _chain(2e-4, 10)
-    energies, right = scipy.linalg.eig(h.to_dense())
+    energies, right = scipy.linalg.eig(h.matrix.toarray())
     assert len(_spectrum(h, 2, energies, right)) == 2
     # residual |H v - E v| = 1e-6 for every pair, far above 1e-8 * max(1, |H|)
     with pytest.raises(ConvergenceError, match="exceeds tolerance"):
@@ -178,7 +200,7 @@ def test_edge_route_agrees_with_dense():
     for V, M in EDGE_CHAINS:
         h = _chain(V, M)
         h_norm = np.abs(h.diagonal).max() + 2.0
-        dense_pairs = scipy.linalg.eig(h.to_dense())
+        dense_pairs = scipy.linalg.eig(h.matrix.toarray())
         for count in (2, 12):
             dense = _spectrum(h, count, *dense_pairs)
             if (V, count) == (0.32, 12):
@@ -375,7 +397,7 @@ def test_ansatz_degrades_at_large_ratio(params_large_ratio):
     p = params_large_ratio
     h = build_hamiltonian(p)
     psi = analytic_wavefunction(1, "+", p)
-    residual = np.linalg.norm(h.to_sparse("csr") @ psi.amplitudes
+    residual = np.linalg.norm(h.matrix @ psi.amplitudes
                               - analytic_energy(1, "+", p) * psi.amplitudes)
     residual /= np.linalg.norm(psi.amplitudes)
     assert residual > 1e-2  # ansatz no longer an eigenvector
