@@ -11,16 +11,15 @@ from .model import (
     ChainParams,
     Hamiltonian,
     ModelError,
+    NumericError,
     SiteState,
     anti_pt_residual,
     apply_parity,
     build_hamiltonian,
 )
 from .spectral import (
-    ConvergenceError,
     EigenMode,
     Spectrum,
-    SpectralError,
     analytic_energy,
     analytic_wavefunction,
     biorthogonality_matrix,
@@ -33,7 +32,6 @@ from .spectral import (
 from .dynamics import (
     DEFAULT_SEED,
     IntegratorConfig,
-    NumericError,
     ObservableSeries,
     default_dt,
     dirac_probability,

@@ -2,9 +2,8 @@
 
 Subcommands:
 
-* ``run <config.json>``     -- execute the experiment described by a config
-* ``preset <name>``         -- canned experiments (fig2 | fig3 | fig4 | fig5)
-* ``spectrum <config.json>``-- shortcut for a spectrum run
+* ``run <config.json>`` -- execute the experiment described by a config
+* ``preset <name>``     -- canned experiments (fig2 | fig3 | fig4 | fig5)
 
 Every run writes, into one output directory: the fully resolved config
 (JSON), one or more CSVs (17 significant digits, so reruns are
@@ -27,19 +26,18 @@ from .dynamics import (
     DEFAULT_SEED,
     STATE_KINDS,
     IntegratorConfig,
-    NumericError,
     ObservableSeries,
     default_dt,
     make_initial_state,
     propagate,
     run_convergence_experiment,
 )
-from .model import ChainParams, ModelError, SiteState, build_hamiltonian
+from .model import ChainParams, ModelError, NumericError, SiteState, build_hamiltonian
 from .quench import PulseSchedule, run_switch_experiment
-from .spectral import ConvergenceError, SpectralError, numeric_spectrum, spectrum_table
+from .spectral import numeric_spectrum, spectrum_table
 from .svgplot import render_line_plot
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_preset", "main"]
+__all__ = ["ExperimentConfig", "parse_config", "run_preset", "main"]
 
 EXPERIMENTS = ("spectrum", "convergence", "probability", "switch")
 PRESETS = ("fig2", "fig3", "fig4", "fig5")
@@ -48,10 +46,6 @@ PRESETS = ("fig2", "fig3", "fig4", "fig5")
 PROBABILITY_SWEEP = ((0.01, 2e-4, 100), (0.1, 0.02, 50), (0.4, 0.32, 30))
 
 TIME_LABEL = "time (1/J)"
-
-
-class ConfigError(ValueError):
-    """Malformed config document, unknown key, or out-of-range value."""
 
 
 @dataclass(frozen=True)
@@ -84,14 +78,14 @@ class ExperimentConfig:
 
 def _require(condition: bool, key: str, message: str) -> None:
     if not condition:
-        raise ConfigError(f"config key '{key}': {message}")
+        raise ModelError(f"config key '{key}': {message}")
 
 
 def _resolve(raw: dict) -> ExperimentConfig:
     known = {field.name for field in dataclasses.fields(ExperimentConfig)}
     for key in raw:
         if key not in known:
-            raise ConfigError(f"unknown config key '{key}'")
+            raise ModelError(f"unknown config key '{key}'")
 
     experiment = raw.get("experiment")
     _require(experiment in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}, got {experiment!r}")
@@ -133,7 +127,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
     try:  # no tail warning here: the run warns once, when it builds its chain
         params = ChainParams(J=J, V=V, half_width=M, tail_tol=math.inf)
     except ModelError as exc:  # each key is checked above: J * V or V * M**2 is out of range
-        raise ConfigError(f"config keys 'J', 'V' and 'M': {exc}") from exc
+        raise ModelError(f"config keys 'J', 'V' and 'M': {exc}") from exc
     dt = number("dt", default_dt(params), minimum=0.0)
 
     delta = number("delta", 0.02, minimum=0.0)
@@ -164,9 +158,9 @@ def _load_object(text: str) -> dict:
     try:
         raw = json.loads(text)
     except ValueError as exc:  # malformed, or an integer literal beyond Python's digit limit
-        raise ConfigError(f"malformed JSON config: {exc}") from exc
+        raise ModelError(f"malformed JSON config: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ModelError("config must be a JSON object")
     return raw
 
 
@@ -342,7 +336,7 @@ PRESET_CONFIGS = {
 def run_preset(name: str, outdir: Path, seed: int | None = None) -> list[Path]:
     """Execute one canned figure experiment into ``outdir``."""
     if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; expected one of {PRESETS}")
+        raise ModelError(f"unknown preset {name!r}; expected one of {PRESETS}")
     raw = dict(PRESET_CONFIGS[name])
     if seed is not None:
         raw["seed"] = seed
@@ -359,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nhchain",
                                      description="dissipative-chain two-level simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in ("run", "preset", "spectrum"):
+    for command in ("run", "preset"):
         p = sub.add_parser(command)
         if command == "preset":
             p.add_argument("name", choices=PRESETS)
@@ -371,17 +365,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is kept for numeric failures
+        return 1 if exc.code else 0
     try:
         if args.command == "preset":
             outdir = args.out or Path("runs") / args.name
             paths = run_preset(args.name, outdir, seed=args.seed)
         else:
             raw = _load_object(args.config.read_text())
-            if args.command == "spectrum":
-                raw.setdefault("experiment", "spectrum")
-                if raw["experiment"] != "spectrum":
-                    raise ConfigError("the spectrum subcommand needs experiment == 'spectrum'")
             if args.seed is not None:
                 raw["seed"] = args.seed
             cfg = _resolve(raw)
@@ -390,11 +383,10 @@ def main(argv=None) -> int:
         for path in paths:
             print(path)
         return 0
-    except (ConfigError, ModelError, SpectralError, OSError, UnicodeDecodeError,
-            MemoryError) as exc:
+    except (ModelError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, ConvergenceError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

@@ -48,11 +48,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .model import ChainParams, Hamiltonian, ModelError, SiteState, build_hamiltonian, row_norm2
+from .model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
+                    build_hamiltonian, row_norm2)
 from .spectral import Spectrum, dirac_overlap, numeric_spectrum
 
 __all__ = [
-    "NumericError",
     "IntegratorConfig",
     "ObservableSeries",
     "DEFAULT_SEED",
@@ -82,14 +82,6 @@ RK4_CHECK_EVERY = 8
 # bytes of amplitudes, so a long stride-1 run never holds its trajectory.
 RECORD_CHUNK_BYTES = 2**20
 STATE_KINDS = ("point", "gaussian", "tophat", "random")
-
-
-class NumericError(RuntimeError):
-    """Integration failure (NaN/overflow, bad step size or time span)."""
-
-    def __init__(self, message: str, failure_time: float | None = None):
-        super().__init__(message)
-        self.failure_time = failure_time
 
 
 def stability_limit(h: Hamiltonian) -> float:
@@ -162,9 +154,9 @@ class IntegratorConfig:
 
     def __post_init__(self) -> None:
         if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise NumericError(f"dt must be positive and finite, got {self.dt!r}")
+            raise ModelError(f"dt must be positive and finite, got {self.dt!r}")
         if not isinstance(self.record_stride, (int, np.integer)) or self.record_stride < 1:
-            raise NumericError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
+            raise ModelError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
 
 
 class ObservableSeries:
@@ -251,8 +243,7 @@ def _overlaps(conj_targets: np.ndarray, samples: np.ndarray) -> np.ndarray:
 
 def _raise_at_first(bad: np.ndarray, times: np.ndarray, what: str) -> None:
     if bad.any():
-        t = float(times[np.argmax(bad)])
-        raise NumericError(f"{what} at t={t}", failure_time=t)
+        raise NumericError(f"{what} at t={float(times[np.argmax(bad)])}")
 
 
 def make_initial_state(
@@ -339,7 +330,7 @@ def _check_columns(y: np.ndarray, log_scale: np.ndarray, t: float) -> None:
         # it costs half of scipy.linalg.norm's wrapper on these short columns.
         norm = float(scipy.linalg.blas.dznrm2(y[:, j]))
         if not math.isfinite(norm):
-            raise NumericError(f"non-finite amplitudes at t = {t:g}", failure_time=t)
+            raise NumericError(f"non-finite amplitudes at t = {t:g}")
         if 0.0 < norm < UNDERFLOW_GUARD:
             y[:, j] /= norm
             log_scale[j] += math.log(norm)
@@ -373,7 +364,7 @@ def propagate(
     """
     t0, t1 = (0.0, float(t_span)) if np.isscalar(t_span) else (float(t_span[0]), float(t_span[1]))
     if t1 < t0:
-        raise NumericError(f"t_span end {t1} precedes start {t0}")
+        raise ModelError(f"t_span end {t1} precedes start {t0}")
     single = isinstance(state, SiteState)
     states = [state] if single else list(state)
     if not states:
@@ -441,7 +432,7 @@ def propagate(
 def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: float) -> SiteState:
     """Single-time exact mode-expansion evolution (the integrator oracle)."""
     if len(spectrum) != h.dimension:
-        raise NumericError(
+        raise ModelError(
             f"eigen expansion needs all {h.dimension} modes, spectrum has {len(spectrum)}"
         )
     coeffs = expansion_coefficients(state, spectrum)

@@ -19,6 +19,7 @@ import scipy.sparse
 
 __all__ = [
     "ModelError",
+    "NumericError",
     "ChainParams",
     "Hamiltonian",
     "SiteState",
@@ -33,7 +34,11 @@ NORM_TOL = 1e-12
 
 
 class ModelError(ValueError):
-    """Invalid model parameters or inconsistent operands."""
+    """Bad input: invalid parameters, config values or operands (CLI exit 1)."""
+
+
+class NumericError(RuntimeError):
+    """Numerical failure on valid input: overflow, an unconverged eigensolve (CLI exit 2)."""
 
 
 def parity_signs(half_width: int) -> np.ndarray:

@@ -16,9 +16,12 @@ Two routes are provided and cross-checked in the tests:
   gets none.
 
 Because the matrix is complex symmetric, the left eigenvector of a right
-vector v is the elementwise conjugate of v up to the scaling that enforces
-<left|right> = 1; right vectors are kept Dirac-normalized so they can be
-used directly as fidelity targets.
+vector v is the elementwise conjugate of v, scaled by 1/v^T v so that
+<left|right> = 1.  A mode with |v^T v| < 1e-10 is numerically
+self-orthogonal and keeps left = conj(v), so <left|right> = v^T v there:
+109 of the 201 modes of the full M = 100 spectrum, all unlabeled, and none
+of a full spectrum at M <= 60.  Right vectors are kept Dirac-normalized so
+they can be used directly as fidelity targets.
 """
 
 from __future__ import annotations
@@ -32,11 +35,9 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .model import ChainParams, Hamiltonian, SiteState, parity_signs
+from .model import ChainParams, Hamiltonian, ModelError, NumericError, SiteState, parity_signs
 
 __all__ = [
-    "SpectralError",
-    "ConvergenceError",
     "EigenMode",
     "Spectrum",
     "hermite_polynomial",
@@ -64,17 +65,9 @@ DENSE_MAX_DIMENSION = 4001
 TOL = 1e-8
 
 
-class SpectralError(ValueError):
-    """Invalid spectral request (bad mode index, missing vectors, ...)."""
-
-
-class ConvergenceError(RuntimeError):
-    """Eigensolve did not meet the residual tolerance."""
-
-
 def _check_degree(m: int) -> None:
     if not isinstance(m, (int, np.integer)) or not 0 <= m <= HERMITE_MAX_DEGREE:
-        raise SpectralError(f"mode index must be an integer in 0..{HERMITE_MAX_DEGREE}, got {m!r}")
+        raise ModelError(f"mode index must be an integer in 0..{HERMITE_MAX_DEGREE}, got {m!r}")
 
 
 def hermite_polynomial(m: int, z):
@@ -126,7 +119,7 @@ def analytic_wavefunction(m: int, branch: str, params: ChainParams) -> SiteState
     vectors before fidelity use).
     """
     if branch not in ("+", "-"):
-        raise SpectralError(f"branch must be '+' or '-', got {branch!r}")
+        raise ModelError(f"branch must be '+' or '-', got {branch!r}")
     alpha = mode_scale(params)
     norm = normalization_constant(m, params)
     l = params.sites().astype(float)
@@ -144,7 +137,7 @@ def analytic_energy(m: int, branch: str, params: ChainParams) -> complex:
         return (2 * m + 1) * params.omega - 2.0 * params.J - 2j * m * params.omega
     if branch == "-":
         return 2.0 * params.J - (2 * m + 1) * params.omega - 2j * m * params.omega
-    raise SpectralError(f"branch must be '+' or '-', got {branch!r}")
+    raise ModelError(f"branch must be '+' or '-', got {branch!r}")
 
 
 def lattice_shift(m: int, params: ChainParams) -> complex:
@@ -187,23 +180,16 @@ class Spectrum:
     def energies(self) -> np.ndarray:
         return np.array([mode.energy for mode in self.modes])
 
-    def stable_pair(self, imag_tol: float | None = None) -> tuple[EigenMode, EigenMode]:
+    def stable_pair(self) -> tuple[EigenMode, EigenMode]:
         """The two slowest-decaying modes (ground, excited).
 
         Ground is the one with negative real energy (-(2J - omega)),
         excited the positive one.  On the lattice their energies are real
-        only up to a small V-dependent correction (Im E = V/16 + O(V^2)),
-        so realness is checked only when ``imag_tol`` is given.
+        only up to a small V-dependent correction (Im E = V/16 + O(V^2)).
         """
         leading = self.modes[:2]
         if len(leading) < 2:
-            raise SpectralError("spectrum holds fewer than two modes")
-        if imag_tol is not None:
-            for mode in leading:
-                if abs(mode.energy.imag) > imag_tol:
-                    raise SpectralError(
-                        f"leading mode energy {mode.energy} is not real within {imag_tol}"
-                    )
+            raise ModelError("spectrum holds fewer than two modes")
         ground, excited = sorted(leading, key=lambda mode: mode.energy.real)
         return ground, excited
 
@@ -260,7 +246,7 @@ def _edge_eigenpairs(h: Hamiltonian, count: int) -> tuple[np.ndarray, np.ndarray
                 x = scipy.sparse.linalg.splu(matrix - value * identity).solve(v[:, j])
                 v[:, j] = x / np.linalg.norm(x)
         except RuntimeError as exc:  # ArpackError (incl. no convergence), exactly singular LU
-            raise ConvergenceError(f"shift-invert search at {sigma:.6g} failed: {exc}") from exc
+            raise NumericError(f"shift-invert search at {sigma:.6g} failed: {exc}") from exc
         e = np.sum(v * (matrix @ v), axis=0) / np.sum(v * v, axis=0)
         own = e.real <= TOL if branch == "+" else e.real > TOL
         energies.append(e[own])
@@ -277,23 +263,23 @@ def numeric_spectrum(h: Hamiltonian, count: int) -> Spectrum:
     DENSE_MAX_DIMENSION, two shift-invert Arnoldi searches at the band
     edges, each asking for ceil(count/2) + EDGE_SPARES modes, whose spare
     modes must all decay faster than every kept one (else
-    ConvergenceError); otherwise dense diagonalization of all N modes,
-    refused with SpectralError above DENSE_MAX_DIMENSION before anything is
+    NumericError); otherwise dense diagonalization of all N modes,
+    refused with ModelError above DENSE_MAX_DIMENSION before anything is
     allocated.  Either way the ``count`` modes with the largest Im(E) are
     selected; if the cut would split a pair related by E -> -conj(E), the
     partner is pulled in as well, so the result can hold up to one extra
     mode.  Right vectors are Dirac-normalized with a deterministic phase
     (largest-magnitude entry made real positive); left vectors are
-    conjugates of the right ones, rescaled so <left|right> = 1.  Every
-    kept eigenpair must have a residual |H v - E v| within TOL * max(1, ||H||_inf),
-    else ConvergenceError.
+    conjugates of the right ones, rescaled so <left|right> = 1 except at a
+    self-orthogonal mode (module docstring).  Every kept eigenpair must have
+    a residual |H v - E v| within TOL * max(1, ||H||_inf), else NumericError.
     """
     if count < 1 or count > h.dimension:
-        raise SpectralError(f"count must be in [1, {h.dimension}], got {count}")
+        raise ModelError(f"count must be in [1, {h.dimension}], got {count}")
     if _uses_edge_search(h, count):
         return _spectrum(h, count, *_edge_eigenpairs(h, count))
     if h.dimension > DENSE_MAX_DIMENSION:
-        raise SpectralError(
+        raise ModelError(
             f"count {count} needs the dense eigensolve, which is capped at dimension "
             f"{DENSE_MAX_DIMENSION}; this chain has N = {h.dimension}"
         )
@@ -328,7 +314,7 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
         spare_imag = [eigenvalues[i].imag for i in order if i not in selected_set]
         kept_imag = min(eigenvalues[i].imag for i in selected)
         if not spare_imag or kept_imag <= max(spare_imag):
-            raise ConvergenceError(
+            raise NumericError(
                 f"spare modes do not certify the cut below the {len(selected)} slowest-decaying"
                 f" modes (lowest kept Im E {kept_imag:.6g})"
             )
@@ -349,11 +335,8 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
         residual = float(np.linalg.norm(matrix @ v - energy * v))
         worst = max(worst, residual)
 
-        self_product = complex(v @ v)
-        if abs(self_product) < 1e-10:  # self-orthogonal: v^T v cannot be normalized to 1
-            left = np.conj(v)
-        else:
-            left = np.conj(v) / np.conj(self_product)
+        self_product = complex(v @ v)  # below 1e-10, v is self-orthogonal: left stays conj(v)
+        left = np.conj(v) if abs(self_product) < 1e-10 else np.conj(v) / np.conj(self_product)
 
         # Im E_m = -2m omega on both branches: only m = round(-Im E / 2 omega)
         # can lie within the omega/2 gate; the nearer branch wins, '+' on a tie.
@@ -377,19 +360,24 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
         )
 
     if worst > TOL * max(1.0, h.norm):
-        raise ConvergenceError(f"worst eigenpair residual {worst:.3e} exceeds tolerance")
+        raise NumericError(f"worst eigenpair residual {worst:.3e} exceeds tolerance")
     return Spectrum(modes=tuple(modes))
 
 
 def dirac_overlap(a: SiteState, b: SiteState) -> complex:
     """Ordinary conjugate-linear inner product sum(conj(a) * b)."""
     if a.dimension != b.dimension:
-        raise SpectralError(f"length mismatch: {a.dimension} vs {b.dimension}")
+        raise ModelError(f"length mismatch: {a.dimension} vs {b.dimension}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def biorthogonality_matrix(spec: Spectrum) -> np.ndarray:
-    """Entry (a, b) = |<left_a|right_b>|; identity for a converged spectrum."""
+    """Entry (a, b) = |<left_a|right_b>|.
+
+    1 on the diagonal except at self-orthogonal modes (module docstring); off
+    it, as small as the vectors are accurate: max|B - I| is 1e-12 for fig2's
+    12 modes and 3.9e-12 for the full M = 30 spectrum, but 13.8 at M = 100.
+    """
     left = np.array([mode.left_vector.amplitudes for mode in spec.modes])
     right = np.array([mode.right_vector.amplitudes for mode in spec.modes])
     return np.abs(left.conj() @ right.T)

@@ -22,11 +22,10 @@ from nhchain.dynamics import (
     make_initial_state,
     stepping_method,
 )
-from nhchain.model import ModelError, SiteState, build_hamiltonian
+from nhchain.model import ModelError, NumericError, SiteState, build_hamiltonian
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
-from nhchain.spectral import ConvergenceError, numeric_spectrum
+from nhchain.spectral import numeric_spectrum
 from nhchain.cli import (
-    ConfigError,
     PRESET_CONFIGS,
     main,
     parse_config,
@@ -96,7 +95,7 @@ def test_explicit_values_survive_round_trip():
     ],
 )
 def test_bad_configs_name_the_offending_key(text, fragment):
-    with pytest.raises(ConfigError, match=fragment):
+    with pytest.raises(ModelError, match=fragment):
         parse_config(text)
 
 
@@ -125,7 +124,7 @@ def test_parse_config_raises_only_config_error(raw, experiment):
         warnings.simplefilter("ignore")
         try:
             parse_config(json.dumps(raw))
-        except ConfigError:
+        except ModelError:
             pass
 
 
@@ -426,23 +425,25 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     huge_width.write_text('{"experiment": "convergence", "M": 5, "t_end": 1.0, '
                           '"initial_width": 1e155}')
     capsys.readouterr()
-    for argv in (["run", str(tmp_path / "missing.json")],  # no such file
-                 ["run", str(tmp_path)],  # a directory
-                 ["run", str(latin1)],  # not UTF-8
-                 ["preset", "fig2", "--out", str(taken)],  # --out is a file
-                 ["run", str(huge_j)],
-                 ["run", str(huge_m)],
-                 ["run", str(too_long)],  # beyond Python's integer digit limit
-                 ["run", str(tiny_pulse), "--out", str(tmp_path / "p")],
-                 ["run", str(tiny_width), "--out", str(tmp_path / "c")],
-                 ["run", str(half_stride), "--out", str(tmp_path / "h")],
-                 ["run", str(huge_width), "--out", str(tmp_path / "g")],
-                 ["run", str(full_wide), "--out", str(tmp_path / "w")]):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the tail warning of huge_width's M = 5 chain
+        for argv in (["run", str(tmp_path / "missing.json")],  # no such file
+                     ["run", str(tmp_path)],  # a directory
+                     ["run", str(latin1)],  # not UTF-8
+                     ["preset", "fig2", "--out", str(taken)],  # --out is a file
+                     ["run", str(huge_j)],
+                     ["run", str(huge_m)],
+                     ["run", str(too_long)],  # beyond Python's integer digit limit
+                     ["run", str(tiny_pulse), "--out", str(tmp_path / "p")],
+                     ["run", str(tiny_width), "--out", str(tmp_path / "c")],
+                     ["run", str(half_stride), "--out", str(tmp_path / "h")],
+                     ["run", str(huge_width), "--out", str(tmp_path / "g")],
+                     ["run", str(full_wide), "--out", str(tmp_path / "w")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
     assert "N = 10001" in err and not (tmp_path / "w").exists()
-    with pytest.raises(ConfigError, match="fig9"):
+    with pytest.raises(ModelError, match="fig9"):
         run_preset("fig9", tmp_path / "fig9")
     assert not (tmp_path / "fig9").exists()
 
@@ -458,7 +459,7 @@ def test_main_reports_an_overflowing_omega_by_its_keys(tmp_path, capsys):
     # J and V are each finite, but omega = sqrt(J V / 2) is not
     config = tmp_path / "cfg.json"
     config.write_text('{"experiment": "spectrum", "J": 1e200, "V": 1e200, "M": 1}')
-    with pytest.raises(ConfigError, match="'J', 'V'"):
+    with pytest.raises(ModelError, match="'J', 'V'"):
         parse_config(config.read_text())
     assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -480,7 +481,7 @@ def test_main_exit_code_2_on_numeric_failures(tmp_path, capsys, monkeypatch):
     assert err.startswith("numeric failure: non-finite amplitudes") and err.count("\n") == 1
 
     def not_converged(*args, **kwargs):
-        raise ConvergenceError("worst eigenpair residual 1.000e-03 exceeds tolerance")
+        raise NumericError("worst eigenpair residual 1.000e-03 exceeds tolerance")
 
     monkeypatch.setattr(cli, "numeric_spectrum", not_converged)
     assert main(["preset", "fig2", "--out", str(tmp_path / "fig2")]) == 2
@@ -541,7 +542,17 @@ def test_seed_override_changes_random_profile(tmp_path):
     assert _read(tmp_path / "a" / "profile_point.csv") == _read(tmp_path / "b" / "profile_point.csv")
 
 
-def test_spectrum_subcommand_rejects_other_experiments(tmp_path):
-    config = tmp_path / "cfg.json"
-    config.write_text('{"experiment": "switch"}')
-    assert main(["spectrum", str(config), "--out", str(tmp_path / "o")]) == 1
+@pytest.mark.parametrize("argv, code", [
+    (["bogus"], 1),
+    (["run"], 1),  # no config path
+    (["preset", "fig9"], 1),
+    (["run", "x.json", "--seed", "abc"], 1),
+    (["spectrum", "x.json"], 1),  # no such subcommand: run takes a spectrum config
+    (["--help"], 0),
+    (["run", "--help"], 0),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
+    # argparse exits 2 on a usage error, and 2 is kept for numeric failures
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert "usage: nhchain" in (err if code else out)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from nhchain import dynamics
 from nhchain.cli import parse_config
-from nhchain.model import ChainParams, Hamiltonian, ModelError, SiteState, build_hamiltonian
+from nhchain.model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
+                           build_hamiltonian)
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
 from nhchain.spectral import numeric_spectrum
 from nhchain.dynamics import (
@@ -18,7 +19,6 @@ from nhchain.dynamics import (
     RK4_CHECK_EVERY,
     UNDERFLOW_GUARD,
     IntegratorConfig,
-    NumericError,
     ObservableSeries,
     default_dt,
     dirac_probability,
@@ -112,7 +112,7 @@ def test_zero_time_returns_input(small_chain, params_small_ratio):
     state = make_initial_state("gaussian", ChainParams(J=1.0, V=2e-4, half_width=10, tail_tol=1.0), width=3.0)
     out = propagate(h, state, 0.0, IntegratorConfig(dt=0.01))
     assert out is state
-    with pytest.raises(NumericError, match="precedes"):
+    with pytest.raises(ModelError, match="precedes"):
         propagate(h, state, (1.0, 0.5), IntegratorConfig(dt=0.01))
 
 
@@ -122,7 +122,7 @@ def test_rk4_matches_eigen_expansion(small_chain):
     out = propagate(h, state, 100.0, IntegratorConfig(dt=0.004))
     oracle = eigen_propagate(spec, h, state, 100.0)
     assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-8
-    with pytest.raises(NumericError, match="needs all 21 modes"):
+    with pytest.raises(ModelError, match="needs all 21 modes"):
         eigen_propagate(numeric_spectrum(h, 2), h, state, 100.0)
 
 
@@ -632,9 +632,8 @@ def test_stepping_method_boundary():
 def test_overflow_detected_with_failure_time(h_small_ratio):
     state = SiteState(np.full(201, 1e308 + 0j), 100)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError) as info:
+        with pytest.raises(NumericError, match=r"at t = \d"):
             propagate(h_small_ratio, state, 10.0, IntegratorConfig(dt=0.02))
-    assert info.value.failure_time is not None
 
 
 def test_propagate_rejects_an_empty_sequence_of_states(h_small_ratio):
@@ -670,11 +669,11 @@ def test_integrator_config_validation():
     # the route is propagate's choice, not a setting
     assert [field.name for field in dataclasses.fields(IntegratorConfig)] == ["dt", "record_stride"]
     assert IntegratorConfig(dt=0.02).record_stride == 1
-    with pytest.raises(NumericError):
+    with pytest.raises(ModelError):
         IntegratorConfig(dt=0.0)
-    with pytest.raises(NumericError):
+    with pytest.raises(ModelError):
         IntegratorConfig(dt=0.1, record_stride=0)
-    with pytest.raises(NumericError, match="integer"):
+    with pytest.raises(ModelError, match="integer"):
         IntegratorConfig(dt=0.02, record_stride=2.5)
 
 
@@ -804,9 +803,8 @@ def test_series_csv_matches_per_value_formatting(rows):
 def test_series_rejects_a_non_finite_sample_at_its_time():
     series = ObservableSeries()
     samples = np.array([[1.0, 0.0, 0.0], [math.inf, 0.0, 0.0]], dtype=complex)
-    with pytest.raises(NumericError, match=r"non-finite norm at t=2\.5") as info:
+    with pytest.raises(NumericError, match=r"non-finite norm at t=2\.5$"):
         series.record([1.0, 2.5], samples, [0.0, 0.0])
-    assert info.value.failure_time == 2.5
     assert len(series) == 0
 
 

@@ -1,11 +1,14 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
+import nhchain
 from nhchain.model import (
     ChainParams,
     Hamiltonian,
@@ -229,3 +232,19 @@ def test_site_state_amplitudes_immutable(h_small_ratio):
         state.amplitudes[0] = 2.0
     with pytest.raises(ValueError):
         h_small_ratio.diagonal[0] = 0.0
+
+
+def test_src_defines_and_raises_only_the_two_error_types():
+    # ModelError is bad input (CLI exit 1), NumericError a numeric failure (exit 2)
+    defined, raised = {}, set()
+    for path in sorted(Path(nhchain.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", "").endswith(("Error", "Exception")) for base in node.bases
+            ):
+                defined[node.name] = path.name
+            elif isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc) if exc else "")  # "" for a bare re-raise
+    assert defined == {"ModelError": "model.py", "NumericError": "model.py"}
+    assert raised == {"ModelError", "NumericError"}

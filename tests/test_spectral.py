@@ -9,11 +9,10 @@ import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from nhchain.model import ChainParams, Hamiltonian, SiteState, apply_parity, build_hamiltonian
+from nhchain.model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
+                           apply_parity, build_hamiltonian)
 from nhchain.spectral import (
     DENSE_MAX_DIMENSION,
-    ConvergenceError,
-    SpectralError,
     Spectrum,
     _edge_eigenpairs,
     _spectrum,
@@ -54,9 +53,9 @@ def test_hermite_against_series_oracle():
 
 
 def test_hermite_guard():
-    with pytest.raises(SpectralError):
+    with pytest.raises(ModelError):
         hermite_polynomial(61, 0.5)
-    with pytest.raises(SpectralError):
+    with pytest.raises(ModelError):
         hermite_polynomial(-1, 0.5)
 
 
@@ -91,12 +90,12 @@ def test_normalization_constant_matches_adaptive_quadrature(params_small_ratio, 
 
 def test_normalization_constant_rejects_unsupported_degrees(params_small_ratio):
     for m in (-1, 2.0, 61):
-        with pytest.raises(SpectralError, match="mode index"):
+        with pytest.raises(ModelError, match="mode index"):
             normalization_constant(m, params_small_ratio)
 
 
 def test_analytic_wavefunction_rejects_an_unknown_branch(params_small_ratio):
-    with pytest.raises(SpectralError, match="branch must be '\\+' or '-', got 'x'"):
+    with pytest.raises(ModelError, match="branch must be '\\+' or '-', got 'x'"):
         analytic_wavefunction(0, "x", params_small_ratio)
 
 
@@ -125,7 +124,7 @@ def test_analytic_energies(params_small_ratio):
     assert analytic_energy(0, "+", p) == pytest.approx(-1.99 + 0j, abs=1e-14)
     assert analytic_energy(0, "-", p) == pytest.approx(+1.99 + 0j, abs=1e-14)
     assert analytic_energy(1, "+", p) == pytest.approx(-1.97 - 0.02j, abs=1e-14)
-    with pytest.raises(SpectralError):
+    with pytest.raises(ModelError):
         analytic_energy(0, "x", p)
 
 
@@ -170,9 +169,9 @@ def test_numeric_spectrum_contract(h_small_ratio, spectrum12):
 
 
 def test_numeric_spectrum_validation(h_small_ratio):
-    with pytest.raises(SpectralError):
+    with pytest.raises(ModelError):
         numeric_spectrum(h_small_ratio, 0)
-    with pytest.raises(SpectralError):
+    with pytest.raises(ModelError):
         numeric_spectrum(h_small_ratio, 1000)
 
 
@@ -187,7 +186,7 @@ def test_residual_gate_rejects_inaccurate_pairs():
     energies, right = scipy.linalg.eig(h.matrix.toarray())
     assert len(_spectrum(h, 2, energies, right)) == 2
     # residual |H v - E v| = 1e-6 for every pair, far above 1e-8 * max(1, |H|)
-    with pytest.raises(ConvergenceError, match="exceeds tolerance"):
+    with pytest.raises(NumericError, match="exceeds tolerance"):
         _spectrum(h, 2, energies + 1e-6, right)
 
 
@@ -206,7 +205,7 @@ def test_edge_route_agrees_with_dense():
             if (V, count) == (0.32, 12):
                 # Past m = 1 the stiff chain's slowest modes sit on the imaginary
                 # axis, off both ladders: the spares refuse to certify the cut.
-                with pytest.raises(ConvergenceError, match="certify"):
+                with pytest.raises(NumericError, match="certify"):
                     _spectrum(h, count, *_edge_eigenpairs(h, count))
                 continue
             sparse = _spectrum(h, count, *_edge_eigenpairs(h, count))
@@ -231,7 +230,7 @@ def test_edge_route_is_deterministic_and_needs_spares():
     # without its spare modes the cut below the stable pair is not certified
     energies, vectors = _edge_eigenpairs(h, 2)
     keep = np.argsort(-energies.imag)[:2]
-    with pytest.raises(ConvergenceError, match="certify"):
+    with pytest.raises(NumericError, match="certify"):
         _spectrum(h, 2, energies[keep], vectors[:, keep])
 
 
@@ -243,7 +242,7 @@ def test_edge_route_maps_arpack_failures(monkeypatch):
             raise failure
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", fail)
-        with pytest.raises(ConvergenceError, match="shift-invert search"):
+        with pytest.raises(NumericError, match="shift-invert search"):
             numeric_spectrum(h, 2)
 
 
@@ -264,14 +263,14 @@ def test_route_rule():
 def test_dense_route_is_capped_before_allocation():
     wide = _chain(2e-4, 5000)
     assert wide.dimension > DENSE_MAX_DIMENSION
-    with pytest.raises(SpectralError, match=r"count 10001 .* N = 10001"):
+    with pytest.raises(ModelError, match=r"count 10001 .* N = 10001"):
         numeric_spectrum(wide, wide.dimension)
     pulsed = Hamiltonian(wide.diagonal, wide.off_diagonal, wide.half_width)  # no params
-    with pytest.raises(SpectralError, match=r"count 2 .* N = 10001"):
+    with pytest.raises(ModelError, match=r"count 2 .* N = 10001"):
         numeric_spectrum(pulsed, 2)
     stiff = _chain(0.32, 2001)  # 7 omega >= 2J keeps even the pair dense
     assert stiff.dimension == DENSE_MAX_DIMENSION + 2
-    with pytest.raises(SpectralError, match=r"count 2 .* N = 4003"):
+    with pytest.raises(ModelError, match=r"count 2 .* N = 4003"):
         numeric_spectrum(stiff, 2)
     spec = numeric_spectrum(wide, 12)  # the edge route serves small counts
     assert {(mode.m, mode.branch) for mode in spec.modes} == {
@@ -364,14 +363,26 @@ def test_biorthogonality_single_mode(spectrum12):
     mat = biorthogonality_matrix(single)
     assert mat.shape == (1, 1)
     assert mat[0, 0] == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(SpectralError, match="fewer than two"):
+    with pytest.raises(ModelError, match="fewer than two"):
         single.stable_pair()
 
+
+
+def test_self_orthogonal_modes_keep_the_conjugate_as_left_vector(h_small_ratio):
+    # Deep in the full M = 100 spectrum some right vectors have |v^T v| < 1e-10,
+    # so no scaling of conj(v) gives <left|right> = 1; those keep left = conj(v).
+    spec = numeric_spectrum(h_small_ratio, h_small_ratio.dimension)
+    taken = [mode for mode in spec.modes
+             if abs(complex(mode.right_vector.amplitudes @ mode.right_vector.amplitudes)) < 1e-10]
+    assert taken
+    for mode in taken:
+        assert (mode.m, mode.branch) == (-1, "u")
+        assert np.array_equal(mode.left_vector.amplitudes, np.conj(mode.right_vector.amplitudes))
 
 def test_dirac_overlap_basics(stable_modes):
     ground, excited = stable_modes
     assert dirac_overlap(ground.right_vector, ground.right_vector).real == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(SpectralError):
+    with pytest.raises(ModelError):
         dirac_overlap(ground.right_vector, SiteState(np.ones(3, dtype=complex), 1))
 
 
@@ -412,10 +423,10 @@ def test_ansatz_degrades_at_large_ratio(params_large_ratio):
 
 def test_stable_pair_imag_tol(spectrum12, stable_modes):
     # On the lattice the pair sits off the real axis by |Im E| = 1.251e-5.
-    with pytest.raises(SpectralError, match="not real"):
-        spectrum12.stable_pair(imag_tol=1e-6)
-    ground, excited = spectrum12.stable_pair(imag_tol=1e-4)
+    ground, excited = spectrum12.stable_pair()
     assert ground is stable_modes[0] and excited is stable_modes[1]
+    for mode in (ground, excited):
+        assert 1e-6 < abs(mode.energy.imag) <= 1e-4
 
 
 def test_spectrum_table_format(spectrum12):
