@@ -54,7 +54,6 @@ class ExperimentConfig:
     J: float
     V: float
     M: int
-    tail_tol: float
     count: int
     t_end: float
     dt: float
@@ -67,7 +66,7 @@ class ExperimentConfig:
     initial_level: str
 
     def chain_params(self) -> ChainParams:
-        return ChainParams(J=self.J, V=self.V, half_width=self.M, tail_tol=self.tail_tol)
+        return ChainParams(J=self.J, V=self.V, half_width=self.M)
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(dt=self.dt, record_stride=self.record_stride)
@@ -116,7 +115,6 @@ def _resolve(raw: dict) -> ExperimentConfig:
     J = number("J", 1.0, minimum=0.0)
     V = number("V", 2e-4, minimum=0.0)
     M = integer("M", 100, minimum=1)
-    tail_tol = number("tail_tol", 1e-13, minimum=0.0)
     count = integer("count", min(12, 2 * M + 1), minimum=1)
     _require(count <= 2 * M + 1, "count", f"must be <= chain dimension {2 * M + 1}")
     seed = integer("seed", DEFAULT_SEED, minimum=0)
@@ -124,9 +122,9 @@ def _resolve(raw: dict) -> ExperimentConfig:
     default_t_end = {"spectrum": 0.0, "convergence": 600.0, "probability": 200.0, "switch": 0.0}
     t_end = number("t_end", default_t_end[experiment], minimum=0.0, exclusive=False)
 
-    try:  # no tail warning here: the run warns once, when it builds its chain
-        params = ChainParams(J=J, V=V, half_width=M, tail_tol=math.inf)
-    except ModelError as exc:  # each key is checked above: J * V or V * M**2 is out of range
+    try:
+        params = ChainParams(J=J, V=V, half_width=M)
+    except ModelError as exc:  # each key is checked above: omega or V * M**2 is out of range
         raise ModelError(f"config keys 'J', 'V' and 'M': {exc}") from exc
     dt = number("dt", default_dt(params), minimum=0.0)
 
@@ -147,7 +145,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
              f"must be 'g' or 'e', got {initial_level!r}")
 
     return ExperimentConfig(
-        experiment=experiment, J=J, V=V, M=M, tail_tol=tail_tol, count=count,
+        experiment=experiment, J=J, V=V, M=M, count=count,
         t_end=t_end, dt=dt, record_stride=record_stride, seed=seed,
         initial_center=initial_center, initial_width=initial_width,
         delta=delta, t_relax=t_relax, initial_level=initial_level,
@@ -251,7 +249,7 @@ def _probability_series(cfg: ExperimentConfig) -> ObservableSeries:
     amps = (ground.right_vector.amplitudes + excited.right_vector.amplitudes) / math.sqrt(2.0)
     state = SiteState(amps, params.half_width).normalized()
     series = ObservableSeries()
-    propagate(h, state, cfg.t_end, cfg.integrator(), series=series)
+    propagate(h, [state], (0.0, cfg.t_end), cfg.integrator(), series=[series])
     return series
 
 
@@ -270,7 +268,7 @@ def _run_probability_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     sub_configs = []
     for ratio, V, M in PROBABILITY_SWEEP:
         raw = {"experiment": "probability", "J": cfg.J, "V": V, "M": M,
-               "t_end": cfg.t_end, "seed": cfg.seed, "tail_tol": cfg.tail_tol}
+               "t_end": cfg.t_end, "seed": cfg.seed}
         sub_configs.append((ratio, _resolve(raw)))
     series_list = [_probability_series(sub) for _, sub in sub_configs]
     files: dict[str, str] = {}

@@ -2,16 +2,18 @@
 
 States are propagated without renormalization: the returned amplitudes are
 the raw decaying ones, except that an overall factor is split off into
-``SiteState.log_scale`` if the norm would otherwise underflow.  Several
-states can be stepped together as the columns of one N x k block, each
-column keeping its own ``log_scale``; recorded samples reach an
+``SiteState.log_scale`` if the norm would otherwise underflow.
+``propagate`` steps a sequence of states over a span (t0, t1) as the
+columns of one N x k block, each column keeping its own ``log_scale``,
+and returns them as a list; recorded samples reach an
 ``ObservableSeries`` in bounded chunks, whose norms and fidelities are
 computed per chunk.
 
 Both stepping routes apply ``taylor_operator(h, tau, p)``, the degree-p
 Taylor polynomial of expm(-i H tau) as a CSR matrix with 2p + 1 diagonals.
 Each ``propagate`` call picks its route with ``stepping_method`` on the
-Hamiltonian it steps, at the step actually taken, dt = (t1 - t0) / n_steps.
+Hamiltonian it steps, at the step actually taken, dt = (t1 - t0) / n_steps,
+and the sample actually taken, at most n_steps steps.
 RK4 is p = 4 at tau = dt, taken only within ``stability_limit``.  The
 exact route ('expm') applies it s times per recorded sample of k steps, at
 tau = k dt/s, with (p, s) from ``taylor_terms``: p <= MAX_DEGREE and
@@ -23,7 +25,8 @@ s sqrt(N) 2^-53 exp(omega k dt) ||y(t_j)||_2, to first order.  Rounding comes
 on top: Horner's sums reach e^x ||y||, so a part of y that decays like e^-x
 (the stiff edge) is rounded to about 2^-53 e^(2x) of itself.  There is no
 dimension cap: an operator holds (2p + 1) N entries.  The mode expansion
-``eigen_propagate`` is the oracle for both routes.
+``eigen_propagate``, its coefficients solved over the full spectrum's
+right vectors, is the oracle for both routes.
 
 Every check of the block (each exact sample, every RK4_CHECK_EVERY-th RK4
 step) zeroes the real and imaginary parts of each column y below
@@ -303,12 +306,14 @@ def taylor_operator(h: Hamiltonian, tau: float, degree: int) -> scipy.sparse.csr
 def _step_operators(h: Hamiltonian, dt: float, n_steps: int, stride: int):
     """(jump, check_every, {k: (operator, substeps)}): k steps are ``substeps`` products.
 
-    The route is ``stepping_method`` on ``h`` at the step actually taken, ``dt``.
+    The route is ``stepping_method`` on ``h`` at the step actually taken, ``dt``,
+    and at the sample actually taken, at most ``n_steps`` steps.
     """
-    if stepping_method(h, dt, stride) == "rk4":
+    sample = min(stride, n_steps)
+    if stepping_method(h, dt, sample) == "rk4":
         return 1, RK4_CHECK_EVERY, {1: (taylor_operator(h, dt, 4), 1)}
     operators = {}
-    for k in {min(stride, n_steps), n_steps % stride} - {0}:  # full chunks, remainder
+    for k in {sample, n_steps % stride} - {0}:  # full chunks, remainder
         degree, substeps = taylor_terms(h, k * dt)
         operators[k] = (taylor_operator(h, k * dt / substeps, degree), substeps)
     return stride, 1, operators
@@ -342,49 +347,40 @@ def _check_columns(y: np.ndarray, log_scale: np.ndarray, t: float) -> None:
 
 def propagate(
     h: Hamiltonian,
-    state: SiteState | Sequence[SiteState],
-    t_span,
+    states: Sequence[SiteState],
+    t_span: tuple[float, float],
     config: IntegratorConfig,
-    series: ObservableSeries | Sequence[ObservableSeries] | None = None,
-) -> SiteState | list[SiteState]:
-    """Evolve ``state`` under dpsi/dt = -i H psi on a uniform mesh.
+    series: Sequence[ObservableSeries] | None = None,
+) -> list[SiteState]:
+    """Evolve k ``states`` from t0 to t1, ``t_span`` = (t0, t1), under dpsi/dt = -i H psi.
 
-    ``state`` is one state or a sequence of k states, stepped together as
-    the columns of one N x k block: each product with a Taylor operator
-    advances all k.  ``series`` is then None or one
-    ObservableSeries per state.  ``t_span`` is (t0, t1) or a bare end time
-    (then t0 = 0).  Every state is returned raw (decaying) with its own
-    underflow-prevention factor in ``log_scale``; a sequence returns a
-    list.  The route is ``stepping_method`` on ``h`` at the step actually
-    taken, (t1 - t0) / n_steps, so RK4 never runs past ``stability_limit``;
-    on the exact route each recorded sample is exact to the bound in the
-    module docstring.  Both routes record at the same times: every
-    ``record_stride`` steps and at the last step, handed to the series in
-    chunks of at most RECORD_CHUNK_BYTES.
+    The states are stepped together as the columns of one N x k block on
+    a uniform mesh: each product with a Taylor operator advances all k.
+    ``series`` is None or one ObservableSeries per state.  Returns the k
+    states raw (decaying), each with its own underflow-prevention factor
+    in ``log_scale``.  The route is ``stepping_method`` on ``h`` at the
+    step actually taken, (t1 - t0) / n_steps, so RK4 never runs past
+    ``stability_limit``; on the exact route each recorded sample is exact
+    to the bound in the module docstring.  Both routes record at the same
+    times: every ``record_stride`` steps and at the last step, handed to
+    the series in chunks of at most RECORD_CHUNK_BYTES.
     """
-    t0, t1 = (0.0, float(t_span)) if np.isscalar(t_span) else (float(t_span[0]), float(t_span[1]))
+    t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
         raise ModelError(f"t_span end {t1} precedes start {t0}")
-    single = isinstance(state, SiteState)
-    states = [state] if single else list(state)
+    states = list(states)
     if not states:
         raise ModelError("no state to propagate")
-    if series is None:
-        series_list = None
-    elif single != isinstance(series, ObservableSeries):
-        raise ModelError("pass one series for one state, a sequence of series for a sequence")
-    else:
-        series_list = [series] if single else list(series)
-        if len(series_list) != len(states):
-            raise ModelError(f"{len(series_list)} series for {len(states)} states")
+    if series is not None and len(series) != len(states):
+        raise ModelError(f"{len(series)} series for {len(states)} states")
     for s in states:
         if h.dimension != s.dimension:
             raise ModelError(f"dimension mismatch: H is {h.dimension}, state is {s.dimension}")
 
     if t1 == t0:
-        for target, s in zip(series_list or (), states):
+        for target, s in zip(series or (), states):
             target.record([t0], s.amplitudes[None], [s.log_scale])
-        return states[0] if single else states
+        return states
 
     n_steps = max(1, round((t1 - t0) / config.dt))
     dt = (t1 - t0) / n_steps
@@ -392,7 +388,7 @@ def propagate(
 
     y = np.column_stack([s.amplitudes for s in states])
     log_scale = np.array([s.log_scale for s in states])
-    n_records = n_steps // config.record_stride + 2 if series_list else 0
+    n_records = n_steps // config.record_stride + 2 if series else 0
     rows = min(n_records, max(1, RECORD_CHUNK_BYTES // (16 * y.size)))
     chunk = np.empty((len(states), rows, h.dimension), dtype=complex)
     chunk_times = np.empty(rows)
@@ -401,14 +397,14 @@ def propagate(
 
     def record(step: int) -> None:
         nonlocal filled
-        if series_list is None:
+        if series is None:
             return
         chunk_times[filled] = t0 + step * dt
         chunk[:, filled] = y.T
         chunk_logs[:, filled] = log_scale
         filled += 1
         if filled == rows or step == n_steps:
-            for j, target in enumerate(series_list):
+            for j, target in enumerate(series):
                 target.record(chunk_times[:filled], chunk[j, :filled], chunk_logs[j, :filled])
             filled = 0
 
@@ -424,19 +420,22 @@ def propagate(
             _check_columns(y, log_scale, t0 + step * dt)
         if step % config.record_stride == 0 or step == n_steps:
             record(step)
-    out = [SiteState(y[:, j], h.half_width, log_scale=float(log_scale[j]))
-           for j in range(len(states))]
-    return out[0] if single else out
+    return [SiteState(y[:, j], h.half_width, log_scale=float(log_scale[j]))
+            for j in range(len(states))]
 
 
 def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: float) -> SiteState:
-    """Single-time exact mode-expansion evolution (the integrator oracle)."""
+    """Single-time exact mode-expansion evolution (the integrator oracle).
+
+    The coefficients solve R c = state over the right vectors R: projections
+    (``expansion_coefficients``) lose a long chain's ill-conditioned deep modes.
+    """
     if len(spectrum) != h.dimension:
         raise ModelError(
             f"eigen expansion needs all {h.dimension} modes, spectrum has {len(spectrum)}"
         )
-    coeffs = expansion_coefficients(state, spectrum)
     vectors = np.column_stack([m.right_vector.amplitudes for m in spectrum.modes])
+    coeffs = np.linalg.solve(vectors, state.amplitudes)
     y = vectors @ (coeffs * np.exp(-1j * spectrum.energies() * t))
     return SiteState(y, h.half_width, log_scale=state.log_scale)
 
@@ -483,5 +482,5 @@ def run_convergence_experiment(
     targets = {"g": ground.right_vector, "e": excited.right_vector}
 
     series = {name: ObservableSeries(targets=targets) for name in initials}
-    propagate(h, list(initials.values()), t_end, config, series=list(series.values()))
+    propagate(h, list(initials.values()), (0.0, t_end), config, series=list(series.values()))
     return series

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-12
+# Envelope tail at the chain's ends above which ``build_hamiltonian`` warns.
+TAIL_TOL = 1e-13
 
 
 class ModelError(ValueError):
@@ -57,48 +59,10 @@ def row_norm2(rows: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...j->...", parts, parts)
 
 
-@dataclass(frozen=True)
-class ChainParams:
-    """Physical parameters of the chain.
+class _OnLattice:
+    """Something on the sites l = -M..M of a chain of half width M = ``half_width``."""
 
-    J : hopping strength (energy unit; J = 1 fixes the units)
-    V : strength of the imaginary harmonic potential
-    half_width : M, sites on each side of l = 0 (2M+1 sites in total)
-    tail_tol : envelope tail budget; exceeding it warns but does not fail
-    omega : derived constant sqrt(J*V/2), set automatically
-    """
-
-    J: float
-    V: float
-    half_width: int = 100
-    tail_tol: float = 1e-13
-    omega: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        for name in ("J", "V"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ModelError(f"{name} must be finite, got {value!r}")
-            if value <= 0:
-                raise ModelError(f"{name} must be > 0, got {value!r}")
-        if not 0.0 < self.J * self.V < math.inf:  # omega must be positive and finite
-            raise ModelError(f"J * V leaves the floating range for J = {self.J!r}, V = {self.V!r}")
-        if not isinstance(self.half_width, (int, np.integer)) or self.half_width < 1:
-            raise ModelError(f"half_width must be an integer >= 1, got {self.half_width!r}")
-        try:
-            edge = self.V * float(self.half_width) ** 2
-        except OverflowError:
-            edge = math.inf
-        if not math.isfinite(edge):
-            raise ModelError("V * half_width**2 overflows the floating range")
-        object.__setattr__(self, "omega", math.sqrt(self.J * self.V / 2.0))
-        tail = math.exp(-self.omega * self.half_width**2 / (2.0 * self.J))
-        if tail > self.tail_tol:
-            warnings.warn(
-                f"envelope tail exp(-omega*M^2/(2J)) = {tail:.3e} exceeds "
-                f"tail_tol = {self.tail_tol:.3e}; boundary effects may matter",
-                stacklevel=3,  # the caller of the dataclass __init__
-            )
+    half_width: int
 
     @property
     def dimension(self) -> int:
@@ -108,9 +72,56 @@ class ChainParams:
         """Physical site indices l = -M..M."""
         return np.arange(-self.half_width, self.half_width + 1)
 
+    def _freeze_site_vector(self, name: str, what: str) -> None:
+        """Store field ``name`` as a read-only complex vector with one entry per site."""
+        vector = np.ascontiguousarray(getattr(self, name), dtype=complex)
+        if vector.shape != (self.dimension,):
+            raise ModelError(
+                f"{what} length {vector.shape} does not match half_width {self.half_width}"
+            )
+        vector.flags.writeable = False
+        object.__setattr__(self, name, vector)
+
 
 @dataclass(frozen=True)
-class Hamiltonian:
+class ChainParams(_OnLattice):
+    """Physical parameters of the chain.
+
+    J : hopping strength (energy unit; J = 1 fixes the units)
+    V : strength of the imaginary harmonic potential
+    half_width : M, sites on each side of l = 0 (2M+1 sites in total)
+    omega : derived constant sqrt(J*V/2), set automatically
+    """
+
+    J: float
+    V: float
+    half_width: int = 100
+    omega: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name in ("J", "V"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ModelError(f"{name} must be finite, got {value!r}")
+            if value <= 0:
+                raise ModelError(f"{name} must be > 0, got {value!r}")
+        omega = math.sqrt(self.J * self.V / 2.0)
+        if not 0.0 < omega < math.inf:
+            raise ModelError(f"omega = sqrt(J * V / 2) leaves the floating range "
+                             f"for J = {self.J!r}, V = {self.V!r}")
+        if not isinstance(self.half_width, (int, np.integer)) or self.half_width < 1:
+            raise ModelError(f"half_width must be an integer >= 1, got {self.half_width!r}")
+        try:
+            edge = self.V * float(self.half_width) ** 2
+        except OverflowError:
+            edge = math.inf
+        if not math.isfinite(edge):
+            raise ModelError("V * half_width**2 overflows the floating range")
+        object.__setattr__(self, "omega", omega)
+
+
+@dataclass(frozen=True)
+class Hamiltonian(_OnLattice):
     """Complex-symmetric tridiagonal operator on the truncated site basis.
 
     ``diagonal`` holds the on-site entries in site order l = -M..M;
@@ -126,20 +137,7 @@ class Hamiltonian:
     params: ChainParams | None = None
 
     def __post_init__(self) -> None:
-        diag = np.ascontiguousarray(self.diagonal, dtype=complex)
-        if diag.shape != (2 * self.half_width + 1,):
-            raise ModelError(
-                f"diagonal length {diag.shape} does not match half_width {self.half_width}"
-            )
-        diag.flags.writeable = False
-        object.__setattr__(self, "diagonal", diag)
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.half_width + 1
-
-    def sites(self) -> np.ndarray:
-        return np.arange(-self.half_width, self.half_width + 1)
+        self._freeze_site_vector("diagonal", "diagonal")
 
     @property
     def matrix(self) -> scipy.sparse.csr_array:
@@ -157,7 +155,7 @@ class Hamiltonian:
 
 
 @dataclass(frozen=True)
-class SiteState:
+class SiteState(_OnLattice):
     """Complex amplitude vector over sites l = -M..M.
 
     ``log_scale`` tracks an overall multiplicative factor exp(log_scale)
@@ -171,20 +169,7 @@ class SiteState:
     log_scale: float = 0.0
 
     def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2 * self.half_width + 1,):
-            raise ModelError(
-                f"amplitude length {amps.shape} does not match half_width {self.half_width}"
-            )
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.half_width + 1
-
-    def sites(self) -> np.ndarray:
-        return np.arange(-self.half_width, self.half_width + 1)
+        self._freeze_site_vector("amplitudes", "amplitude")
 
     def raw_norm2(self) -> float:
         """Sum of |amplitude|^2 ignoring log_scale."""
@@ -208,7 +193,16 @@ class SiteState:
 
 
 def build_hamiltonian(params: ChainParams) -> Hamiltonian:
-    """Tridiagonal matrix with diagonal i*omega - i*V*l**2, off-diagonals -J."""
+    """Tridiagonal matrix with diagonal i*omega - i*V*l**2, off-diagonals -J.
+
+    Warns, without failing, when the bound states' envelope tail at the
+    chain's ends, exp(-omega*M^2/(2J)), exceeds TAIL_TOL: the truncation
+    to 2M+1 sites may then matter.
+    """
+    tail = math.exp(-params.omega * params.half_width**2 / (2.0 * params.J))
+    if tail > TAIL_TOL:
+        warnings.warn(f"envelope tail exp(-omega*M^2/(2J)) = {tail:.3e} exceeds "
+                      f"{TAIL_TOL:.3e}; boundary effects may matter", stacklevel=2)
     l = params.sites().astype(float)
     diagonal = 1j * (params.omega - params.V * l * l)
     return Hamiltonian(diagonal=diagonal, off_diagonal=-params.J,

@@ -105,11 +105,11 @@ def run_switch_experiment(
 
     t_end = schedule.delta + t_relax
     if use_impulse:
-        propagate(h, apply_parity(state), (0.0, t_end), config, series=series)
+        propagate(h, [apply_parity(state)], (0.0, t_end), config, series=[series])
         return series
 
     pulse_h = quenched_hamiltonian(h, schedule)
-    state = propagate(pulse_h, state, (0.0, schedule.delta), replace(config, dt=schedule.dt),
-                      series=series)
-    propagate(h, state, (schedule.delta, t_end), config, series=series)
+    [state] = propagate(pulse_h, [state], (0.0, schedule.delta), replace(config, dt=schedule.dt),
+                        series=[series])
+    propagate(h, [state], (schedule.delta, t_end), config, series=[series])
     return series

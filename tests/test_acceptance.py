@@ -145,9 +145,9 @@ def test_criterion_5_probability_conservation():
         amps = (ground.right_vector.amplitudes + excited.right_vector.amplitudes)
         state = SiteState(amps, params.half_width).normalized()
         series = ObservableSeries()
-        propagate(build_hamiltonian(params), state, 200.0,
+        propagate(build_hamiltonian(params), [state], (0.0, 200.0),
                   IntegratorConfig(dt=default_dt(params), record_stride=10),
-                  series=series)
+                  series=[series])
         deviations.append(max(abs(p - 1.0) for p in series.prob))
     small_ok = deviations[0] < 0.01
     monotone_ok = deviations[0] < deviations[1] < deviations[2]
@@ -187,7 +187,7 @@ def test_criterion_7_integrator_oracle():
     oracle = eigen_propagate(spec, h, state, 100.0)
 
     def error(dt):
-        out = propagate(h, state, 100.0, IntegratorConfig(dt=dt))
+        [out] = propagate(h, [state], (0.0, 100.0), IntegratorConfig(dt=dt))
         return np.abs(out.amplitudes - oracle.amplitudes).max()
 
     fine = error(0.004)
@@ -206,7 +206,7 @@ def test_criterion_8_decay_rate():
     spec = numeric_spectrum(h, 12)
     mode = next(m for m in spec.modes if (m.m, m.branch) == (1, "+"))
     t = 1.0 / (2.0 * params.omega)
-    out = propagate(h, mode.right_vector, t, IntegratorConfig(dt=0.02))
+    [out] = propagate(h, [mode.right_vector], (0.0, t), IntegratorConfig(dt=0.02))
     ratio = out.norm2() / math.exp(-2.0)
     ok = abs(ratio - 1.0) <= 0.01
     assert _report(

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nhchain import cli, dynamics, svgplot
+from nhchain import cli, dynamics, quench, svgplot
 from nhchain.dynamics import (
     DEFAULT_SEED,
     STATE_KINDS,
@@ -99,7 +99,7 @@ def test_bad_configs_name_the_offending_key(text, fragment):
         parse_config(text)
 
 
-KEYS = ("experiment", "J", "V", "M", "tail_tol", "count", "t_end", "dt", "record_stride",
+KEYS = ("experiment", "J", "V", "M", "count", "t_end", "dt", "record_stride",
         "seed", "initial_center", "initial_width", "delta", "t_relax", "initial_level")
 json_values = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=8)
@@ -310,12 +310,12 @@ def test_probability_sweep_layout(tmp_path):
 
 
 def test_probability_run_through_main(tmp_path):
-    raw = {"experiment": "probability", "M": 20, "t_end": 5.0, "record_stride": 1,
-           "tail_tol": 1.0}
+    raw = {"experiment": "probability", "M": 20, "t_end": 5.0, "record_stride": 1}
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(raw))
-    assert main(["run", str(config), "--out", str(tmp_path / "a")]) == 0
-    assert main(["run", str(config), "--out", str(tmp_path / "b")]) == 0
+    with pytest.warns(UserWarning, match="envelope tail"):  # tail 0.135 at M = 20
+        assert main(["run", str(config), "--out", str(tmp_path / "a")]) == 0
+        assert main(["run", str(config), "--out", str(tmp_path / "b")]) == 0
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert names == ["config.json", "manifest.json", "probability.csv", "probability.svg"]
     for name in names:
@@ -467,6 +467,29 @@ def test_main_reports_an_overflowing_omega_by_its_keys(tmp_path, capsys):
     assert "J * V" in err and "'dt'" not in err
 
 
+def test_record_stride_beyond_the_float_range_records_the_ends(tmp_path):
+    # The route is chosen on the sample actually taken, all 50 steps, not on
+    # 10**400 steps, whose length in time does not fit a float.
+    config = tmp_path / "cfg.json"
+    config.write_text('{"experiment": "probability", "M": 5, "t_end": 1.0, '
+                      '"record_stride": 1%s}' % ("0" * 400))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the tail warning of the M = 5 chain
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 0
+    _, *rows = _read(tmp_path / "o" / "probability.csv").strip().split("\n")
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 1.0]
+
+
+def test_main_reports_an_omega_that_underflows_to_zero_by_its_keys(tmp_path, capsys):
+    # J * V = 5e-324 is positive, but J * V / 2 rounds to 0, and so does omega
+    config = tmp_path / "cfg.json"
+    config.write_text('{"experiment": "probability", "t_end": 1.0, "V": 5e-324}')
+    assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config keys 'J', 'V'") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_exit_code_2_on_numeric_failures(tmp_path, capsys, monkeypatch):
     # The slowest mode of this 7-site chain has Im E = +1.74, so the state
     # grows like exp(1.74 t) and overflows long before t = 2000.
@@ -511,7 +534,7 @@ def test_cli_run_warns_once_at_the_callers_line(tmp_path):
     assert done.returncode == 0, done.stderr
     tail = [line for line in done.stderr.splitlines() if "envelope tail" in line]
     assert len(tail) == 1
-    assert tail[0].startswith(cli.__file__ + ":")
+    assert tail[0].startswith(quench.__file__ + ":")  # run_switch_experiment builds the chain
 
 
 def test_convergence_builds_each_initial_state_once(tmp_path, monkeypatch):

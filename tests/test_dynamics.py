@@ -42,7 +42,7 @@ def small_chain():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = ChainParams(J=1.0, V=2e-4, half_width=10)
-    h = build_hamiltonian(p)
+        h = build_hamiltonian(p)
     return p, h, numeric_spectrum(h, h.dimension)
 
 
@@ -109,21 +109,35 @@ def test_all_kinds_normalized(params_small_ratio):
 
 def test_zero_time_returns_input(small_chain, params_small_ratio):
     _, h, _ = small_chain
-    state = make_initial_state("gaussian", ChainParams(J=1.0, V=2e-4, half_width=10, tail_tol=1.0), width=3.0)
-    out = propagate(h, state, 0.0, IntegratorConfig(dt=0.01))
+    state = make_initial_state("gaussian", ChainParams(J=1.0, V=2e-4, half_width=10), width=3.0)
+    [out] = propagate(h, [state], (0.0, 0.0), IntegratorConfig(dt=0.01))
     assert out is state
     with pytest.raises(ModelError, match="precedes"):
-        propagate(h, state, (1.0, 0.5), IntegratorConfig(dt=0.01))
+        propagate(h, [state], (1.0, 0.5), IntegratorConfig(dt=0.01))
 
 
 def test_rk4_matches_eigen_expansion(small_chain):
     p, h, spec = small_chain
     state = make_initial_state("gaussian", p, width=3.0)
-    out = propagate(h, state, 100.0, IntegratorConfig(dt=0.004))
+    [out] = propagate(h, [state], (0.0, 100.0), IntegratorConfig(dt=0.004))
     oracle = eigen_propagate(spec, h, state, 100.0)
     assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-8
     with pytest.raises(ModelError, match="needs all 21 modes"):
         eigen_propagate(numeric_spectrum(h, 2), h, state, 100.0)
+
+
+def test_eigen_oracle_reproduces_the_state_at_time_zero_on_the_fig4_chain(h_small_ratio,
+                                                                         params_small_ratio):
+    # The 201-site chain's deep modes are ill-conditioned and nearly
+    # self-orthogonal, so projections onto the left vectors lose them (the
+    # point state came back 1.7e3 of its peak off); a solve over the right
+    # vectors does not.
+    spec = numeric_spectrum(h_small_ratio, h_small_ratio.dimension)
+    for kind in ("point", "gaussian"):
+        state = make_initial_state(kind, params_small_ratio, width=9.0)
+        oracle = eigen_propagate(spec, h_small_ratio, state, 0.0)
+        error = np.abs(oracle.amplitudes - state.amplitudes).max()
+        assert error <= 1e-9 * np.abs(state.amplitudes).max(), kind
 
 
 def test_fourth_order_convergence(small_chain):
@@ -132,7 +146,7 @@ def test_fourth_order_convergence(small_chain):
     oracle = eigen_propagate(spec, h, state, 100.0)
 
     def error(dt):
-        out = propagate(h, state, 100.0, IntegratorConfig(dt=dt))
+        [out] = propagate(h, [state], (0.0, 100.0), IntegratorConfig(dt=dt))
         return np.abs(out.amplitudes - oracle.amplitudes).max()
 
     ratio = error(0.05) / error(0.025)
@@ -142,7 +156,7 @@ def test_fourth_order_convergence(small_chain):
 def test_eigenstate_propagation_is_exponential(h_small_ratio, stable_modes):
     ground, _ = stable_modes
     t = 20.0
-    out = propagate(h_small_ratio, ground.right_vector, t, IntegratorConfig(dt=0.004))
+    [out] = propagate(h_small_ratio, [ground.right_vector], (0.0, t), IntegratorConfig(dt=0.004))
     expected = np.exp(-1j * ground.energy * t) * ground.right_vector.amplitudes
     assert np.abs(out.amplitudes - expected).max() < 1e-8
     # norm drift is exactly the (tiny) imaginary-energy exponential
@@ -152,7 +166,7 @@ def test_eigenstate_propagation_is_exponential(h_small_ratio, stable_modes):
 def test_excited_ladder_decay_rate(h_small_ratio, spectrum12, params_small_ratio):
     mode = next(m for m in spectrum12.modes if (m.m, m.branch) == (1, "+"))
     t = 1.0 / (2.0 * params_small_ratio.omega)
-    out = propagate(h_small_ratio, mode.right_vector, t, IntegratorConfig(dt=0.02))
+    [out] = propagate(h_small_ratio, [mode.right_vector], (0.0, t), IntegratorConfig(dt=0.02))
     assert out.norm2() == pytest.approx(math.exp(-2.0), rel=0.01)
 
 
@@ -188,8 +202,8 @@ def test_rk4_steps_only_within_the_stability_limit(V, M, dt_per_limit, record_st
     # from dt whenever the span is not a whole number of steps.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        p = ChainParams(J=1.0, V=V, half_width=M, tail_tol=1.0)
-    h = build_hamiltonian(p)
+        p = ChainParams(J=1.0, V=V, half_width=M)
+        h = build_hamiltonian(p)
     limit = stability_limit(h)
     cfg = IntegratorConfig(dt=dt_per_limit * limit, record_stride=record_stride)
     span = span_per_dt * cfg.dt
@@ -203,7 +217,7 @@ def test_rk4_steps_only_within_the_stability_limit(V, M, dt_per_limit, record_st
     step_operators = dynamics._step_operators
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "_step_operators", spy)
-        out = propagate(h, make_initial_state("point", p, center=M), span, cfg)
+        [out] = propagate(h, [make_initial_state("point", p, center=M)], (0.0, span), cfg)
     [(taken, n_steps, rk4)] = routes
     assert n_steps == max(1, round(span / cfg.dt)) and taken == span / n_steps
     assert taken <= limit or not rk4
@@ -225,8 +239,8 @@ def test_rk4_at_the_stability_limit_grows_no_mode_faster_than_the_exact_flow(V, 
     # (V = 2e-4, M = 100) 2.156 times per step.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        p = ChainParams(J=1.0, V=V, half_width=M, tail_tol=1.0)
-    bare = build_hamiltonian(p)
+        p = ChainParams(J=1.0, V=V, half_width=M)
+        bare = build_hamiltonian(p)
     for h in (bare, quenched_hamiltonian(bare, PulseSchedule(delta=0.02))):
         z = -1j * scipy.linalg.eigvals(h.matrix.toarray()) * stability_limit(h)
         rk4 = np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max()
@@ -241,13 +255,14 @@ def test_a_step_past_the_rk4_limit_steps_exactly():
     p, h, state = _stiff_edge_state(30)
     cfg = IntegratorConfig(dt=0.99 * stability_limit(h))
     assert stepping_method(h, 1.45 * cfg.dt, 1) == "expm"
-    out = propagate(h, state, 1.45 * cfg.dt, cfg)
+    [out] = propagate(h, [state], (0.0, 1.45 * cfg.dt), cfg)
     assert out.norm2() < 1.0
     oracle = eigen_propagate(numeric_spectrum(h, h.dimension), h, state, 1.45 * cfg.dt)
     assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
     # one step of 1.01 dt is within the limit and steps with RK4
     assert stepping_method(h, 1.01 * cfg.dt, 1) == "rk4"
-    assert propagate(h, state, 1.01 * cfg.dt, cfg).norm2() < 1.0
+    [out] = propagate(h, [state], (0.0, 1.01 * cfg.dt), cfg)
+    assert out.norm2() < 1.0
 
 
 def test_expm_is_not_bound_by_the_rk4_stability_limit(small_chain):
@@ -256,7 +271,7 @@ def test_expm_is_not_bound_by_the_rk4_stability_limit(small_chain):
     p, h, spec = small_chain
     state = make_initial_state("gaussian", p, width=3.0)
     assert stepping_method(h, 5.0, 3) == "expm"
-    out = propagate(h, state, 100.0, IntegratorConfig(dt=5.0, record_stride=3))
+    [out] = propagate(h, [state], (0.0, 100.0), IntegratorConfig(dt=5.0, record_stride=3))
     oracle = eigen_propagate(spec, h, state, 100.0)
     assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
 
@@ -265,7 +280,7 @@ def test_expm_matches_eigen_expansion(small_chain):
     p, h, spec = small_chain
     state = make_initial_state("gaussian", p, width=3.0)
     assert stepping_method(h, 0.004, 1000) == "expm"
-    out = propagate(h, state, 100.0, IntegratorConfig(dt=0.004, record_stride=1000))
+    [out] = propagate(h, [state], (0.0, 100.0), IntegratorConfig(dt=0.004, record_stride=1000))
     oracle = eigen_propagate(spec, h, state, 100.0)
     assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
 
@@ -278,7 +293,8 @@ def test_expm_records_on_the_rk4_mesh(small_chain, monkeypatch):
         # 1000 steps at stride 7: the last chunk is a 6-step remainder
         monkeypatch.setattr(dynamics, "stepping_method", lambda *args: method)
         series = ObservableSeries()
-        propagate(h, state, 10.0, IntegratorConfig(dt=0.01, record_stride=7), series=series)
+        propagate(h, [state], (0.0, 10.0), IntegratorConfig(dt=0.01, record_stride=7),
+                  series=[series])
         runs[method] = series
     assert runs["expm"].times == runs["rk4"].times
     assert len(runs["expm"]) == len(runs["rk4"]) == 1000 // 7 + 2
@@ -288,7 +304,7 @@ def test_expm_records_on_the_rk4_mesh(small_chain, monkeypatch):
 def _stiff_edge_state(half_width):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        p = ChainParams(J=1.0, V=0.32, half_width=half_width, tail_tol=1.0)
+        p = ChainParams(J=1.0, V=0.32, half_width=half_width)
     return p, build_hamiltonian(p), make_initial_state("point", p, center=half_width)
 
 
@@ -298,8 +314,9 @@ def test_expm_keeps_the_small_entries_of_the_propagator():
     p, h, state = _stiff_edge_state(30)
     dt = 20.0 / round(20.0 / default_dt(p))  # the step taken
     assert stepping_method(h, dt, 1) == "rk4" and stepping_method(h, dt, 50) == "expm"
-    rk4 = propagate(h, state, 20.0, IntegratorConfig(dt=default_dt(p)))
-    exact = propagate(h, state, 20.0, IntegratorConfig(dt=default_dt(p), record_stride=50))
+    [rk4] = propagate(h, [state], (0.0, 20.0), IntegratorConfig(dt=default_dt(p)))
+    [exact] = propagate(h, [state], (0.0, 20.0),
+                        IntegratorConfig(dt=default_dt(p), record_stride=50))
     assert rk4.norm2() < 1e-100
     assert exact.norm2() == pytest.approx(rk4.norm2(), rel=1e-6, abs=0.0)
 
@@ -313,7 +330,8 @@ def _exact_and_dense(h, state, t, dt, stride):
     n_steps = round(t / dt)
     assert dynamics.stepping_method(h, t / n_steps, stride) == "expm"
     series = ObservableSeries()
-    out = propagate(h, state, t, IntegratorConfig(dt=dt, record_stride=stride), series=series)
+    [out] = propagate(h, [state], (0.0, t), IntegratorConfig(dt=dt, record_stride=stride),
+                      series=[series])
     dense = h.matrix.toarray()
     u = {k: scipy.linalg.expm(dense * (-1j * k * t / n_steps))
          for k in {stride, n_steps % stride} - {0}}
@@ -345,7 +363,7 @@ def test_exact_route_matches_dense_expm_on_the_preset_chains(V, M, stride, start
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = ChainParams(J=1.0, V=V, half_width=M)
-    h = build_hamiltonian(p)
+        h = build_hamiltonian(p)
     state = _stable_pair_state(h) if start == "pair" else make_initial_state(start, p)
     exact, dense, final_error = _exact_and_dense(h, state, 20.0, default_dt(p), stride)
     assert np.abs(exact - dense).max() <= 1e-12 * dense.min()
@@ -396,7 +414,7 @@ def test_chain_above_the_old_dense_cap_steps_exactly():
     assert stepping_method(h, cfg.t_end / 500, 2) == "expm"
     state = make_initial_state("gaussian", p, width=5.0)
     series = ObservableSeries()
-    out = propagate(h, state, cfg.t_end, config, series=series)
+    [out] = propagate(h, [state], (0.0, cfg.t_end), config, series=[series])
     assert len(series) == 500 // 2 + 1
     reference = scipy.sparse.linalg.expm_multiply(h.matrix * (-1j * cfg.t_end),
                                                   state.amplitudes)
@@ -412,7 +430,7 @@ def test_underflow_split_into_log_scale():
     for cfg, method in ((IntegratorConfig(dt=default_dt(p)), "rk4"),
                         (IntegratorConfig(dt=default_dt(p), record_stride=50), "expm")):
         assert stepping_method(h, 5.0 / round(5.0 / cfg.dt), cfg.record_stride) == method
-        out = propagate(h, state, 5.0, cfg)
+        [out] = propagate(h, [state], (0.0, 5.0), cfg)
         assert out.log_scale < math.log(UNDERFLOW_GUARD)
         log_norms.append(out.log_scale + 0.5 * math.log(out.raw_norm2()))
     assert log_norms[1] == pytest.approx(log_norms[0], abs=1e-6)
@@ -431,10 +449,10 @@ def test_block_propagation_matches_solo_runs(method, monkeypatch):
     cfg = IntegratorConfig(dt=default_dt(p), record_stride=60)
     assert round(1.0 / cfg.dt) % cfg.record_stride != 0  # a remainder chunk
     block_series = [ObservableSeries() for _ in states]
-    block = propagate(h, states, 1.0, cfg, series=block_series)
+    block = propagate(h, states, (0.0, 1.0), cfg, series=block_series)
     for state, out, series in zip(states, block, block_series):
         solo_series = ObservableSeries()
-        solo = propagate(h, state, 1.0, cfg, series=solo_series)
+        [solo] = propagate(h, [state], (0.0, 1.0), cfg, series=[solo_series])
         scale = np.abs(solo.amplitudes).max()
         assert np.abs(out.amplitudes - solo.amplitudes).max() <= 1e-13 * scale
         assert out.log_scale == pytest.approx(solo.log_scale, rel=1e-13, abs=0.0)
@@ -488,7 +506,7 @@ def test_flush_error_stays_within_its_bound(method, monkeypatch):
     states = [edge, ground.right_vector, make_initial_state("gaussian", p, width=5.0)]
     cfg = IntegratorConfig(dt=default_dt(p), record_stride=60)
     t = 1.0
-    block = propagate(h, states, t, cfg)
+    block = propagate(h, states, (0.0, t), cfg)
     reference, ref_log_scale, would_flush = _unflushed_propagate(h, states, t, cfg)
     assert would_flush > 0
     n_steps = round(t / cfg.dt)
@@ -506,7 +524,7 @@ def test_flush_keeps_subnormals_out_of_states_and_records(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = ChainParams(J=1.0, V=2e-4, half_width=400)
-    h = build_hamiltonian(p)
+        h = build_hamiltonian(p)
     ground, excited = numeric_spectrum(h, 2).stable_pair()
     state = SiteState(ground.right_vector.amplitudes + excited.right_vector.amplitudes,
                       p.half_width).normalized()
@@ -520,7 +538,7 @@ def test_flush_keeps_subnormals_out_of_states_and_records(monkeypatch):
     monkeypatch.setattr(ObservableSeries, "record", keep_chunk)
     series = ObservableSeries()
     cfg = IntegratorConfig(dt=default_dt(p))
-    out = propagate(h, state, 30.0, cfg, series=series)
+    [out] = propagate(h, [state], (0.0, 30.0), cfg, series=[series])
     tiny = np.finfo(float).tiny
     for amplitudes in [out.amplitudes, *chunks]:
         parts = np.abs(amplitudes.view(np.float64))
@@ -553,7 +571,7 @@ def test_split_keeps_subnormals_out_of_a_decayed_column(monkeypatch):
     monkeypatch.setattr(ObservableSeries, "record", keep_chunk)
     cfg = IntegratorConfig(dt=default_dt(p))
     assert stepping_method(h, cfg.dt, cfg.record_stride) == "rk4"
-    out = propagate(h, state, 5.0, cfg, series=ObservableSeries())
+    [out] = propagate(h, [state], (0.0, 5.0), cfg, series=[ObservableSeries()])
     assert out.log_scale < -300.0
     tiny = np.finfo(float).tiny
     for amplitudes in [out.amplitudes, *chunks]:
@@ -569,7 +587,7 @@ def test_compensated_chain_conserves_probability():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             p = ChainParams(J=1.0, V=V, half_width=M)
-        bare = build_hamiltonian(p)
+            bare = build_hamiltonian(p)
         l = p.sites().astype(float)
         compensated = Hamiltonian(diagonal=1j * (p.omega - V / 16.0 - V * l * l),
                                   off_diagonal=-p.J, half_width=M)
@@ -580,8 +598,8 @@ def test_compensated_chain_conserves_probability():
         for h in (bare, compensated):
             assert stepping_method(h, 200.0 / round(200.0 / default_dt(p)), 10) == "expm"
             series = ObservableSeries()
-            propagate(h, state, 200.0, IntegratorConfig(dt=default_dt(p), record_stride=10),
-                      series=series)
+            propagate(h, [state], (0.0, 200.0), IntegratorConfig(dt=default_dt(p), record_stride=10),
+                      series=[series])
             deviations.append(max(abs(prob - 1.0) for prob in series.prob))
         assert deviations[1] <= bound < deviations[0]
 
@@ -633,17 +651,17 @@ def test_overflow_detected_with_failure_time(h_small_ratio):
     state = SiteState(np.full(201, 1e308 + 0j), 100)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"at t = \d"):
-            propagate(h_small_ratio, state, 10.0, IntegratorConfig(dt=0.02))
+            propagate(h_small_ratio, [state], (0.0, 10.0), IntegratorConfig(dt=0.02))
 
 
 def test_propagate_rejects_an_empty_sequence_of_states(h_small_ratio):
     with pytest.raises(ModelError, match="no state to propagate"):
-        propagate(h_small_ratio, [], 1.0, IntegratorConfig(dt=0.01))
+        propagate(h_small_ratio, [], (0.0, 1.0), IntegratorConfig(dt=0.01))
 
 
 def test_dimension_mismatch(h_small_ratio):
     with pytest.raises(ModelError):
-        propagate(h_small_ratio, SiteState(np.ones(3, dtype=complex), 1), 1.0,
+        propagate(h_small_ratio, [SiteState(np.ones(3, dtype=complex), 1)], (0.0, 1.0),
                   IntegratorConfig(dt=0.01))
 
 
@@ -651,18 +669,13 @@ def test_series_argument_matches_the_state_argument(h_small_ratio, stable_modes)
     ground, excited = stable_modes
     states = (ground.right_vector, excited.right_vector)
     cfg = IntegratorConfig(dt=0.01)
-    with pytest.raises(ModelError, match="one series for one state"):
-        propagate(h_small_ratio, ground.right_vector, 1.0, cfg, series=[ObservableSeries()])
-    with pytest.raises(ModelError, match="one series for one state"):
-        propagate(h_small_ratio, states, 1.0, cfg, series=ObservableSeries())
     with pytest.raises(ModelError, match="1 series for 2 states"):
-        propagate(h_small_ratio, states, 1.0, cfg, series=[ObservableSeries()])
-    # an empty span returns what any other span returns: a list for a sequence
+        propagate(h_small_ratio, states, (0.0, 1.0), cfg, series=[ObservableSeries()])
+    # an empty span returns what any other span returns: a list of the states
     series = [ObservableSeries(), ObservableSeries()]
     out = propagate(h_small_ratio, states, (2.0, 2.0), cfg, series=series)
     assert isinstance(out, list) and all(a is b for a, b in zip(out, states, strict=True))
     assert [s.times for s in series] == [[2.0], [2.0]]
-    assert propagate(h_small_ratio, ground.right_vector, (2.0, 2.0), cfg) is ground.right_vector
 
 
 def test_integrator_config_validation():
@@ -838,7 +851,7 @@ def test_stable_superposition_norm_follows_lattice_rate(h_small_ratio, stable_mo
     ground, excited = stable_modes
     amps = (ground.right_vector.amplitudes + excited.right_vector.amplitudes) / math.sqrt(2.0)
     state = SiteState(amps, 100).normalized()
-    out = propagate(h_small_ratio, state, 100.0, IntegratorConfig(dt=0.004))
+    [out] = propagate(h_small_ratio, [state], (0.0, 100.0), IntegratorConfig(dt=0.004))
     lattice_factor = math.exp(2.0 * ground.energy.imag * 100.0)
     assert abs(out.norm2() / lattice_factor - 1.0) < 1e-6
 

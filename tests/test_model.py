@@ -52,25 +52,30 @@ def test_invalid_half_width_rejected():
             ChainParams(J=1.0, V=2e-4, half_width=huge)
 
 
-@pytest.mark.parametrize("J, V", [(1e200, 1e200), (1e-200, 1e-200)])
+@pytest.mark.parametrize("J, V", [(1e200, 1e200), (1e-200, 1e-200), (1.0, 5e-324)])
 def test_product_outside_the_floating_range_rejected(J, V):
-    # each value is finite and positive, but J * V, and so omega, is inf or 0
+    # each value is finite and positive, but omega = sqrt(J * V / 2) is inf or
+    # 0: J * V = 5e-324 is positive, and J * V / 2 rounds to 0
     with pytest.raises(ModelError, match=r"J \* V"):
         ChainParams(J=J, V=V, half_width=1)
 
 
 def test_tail_violation_warns_but_does_not_fail():
-    with pytest.warns(UserWarning, match="tail") as caught:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the parameters alone never warn
         p = ChainParams(J=1.0, V=2e-4, half_width=20)
-    assert p.omega == 0.01
-    assert caught[0].filename == __file__  # the caller's line, not the dataclass __init__
+    with pytest.warns(UserWarning, match="tail") as caught:
+        h = build_hamiltonian(p)
+    assert h.params.omega == 0.01
+    assert len(caught) == 1
+    assert caught[0].filename == __file__  # the caller's line
 
 
 def test_build_hamiltonian_m1_entries():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = ChainParams(J=1.0, V=2e-4, half_width=1)
-    h = build_hamiltonian(p)
+        h = build_hamiltonian(p)
     assert h.off_diagonal == -1.0
     expected = np.array([1j * (0.01 - 2e-4), 1j * 0.01, 1j * (0.01 - 2e-4)])
     assert np.array_equal(h.diagonal, expected)
@@ -81,7 +86,7 @@ def test_center_site_entry_is_exactly_i_omega():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             p = ChainParams(J=1.0, V=2e-4, half_width=M)
-        h = build_hamiltonian(p)
+            h = build_hamiltonian(p)
         assert h.diagonal[M] == 1j * 0.01
 
 
@@ -161,8 +166,8 @@ def test_apply_parity_involution_bit_exact():
 def test_anti_pt_residual_exactly_zero_for_bare_chain(J, V, M):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        p = ChainParams(J=J, V=V, half_width=M)
-    assert anti_pt_residual(build_hamiltonian(p)) == 0.0
+        h = build_hamiltonian(ChainParams(J=J, V=V, half_width=M))
+    assert anti_pt_residual(h) == 0.0
 
 
 def test_anti_pt_residual_real_diagonal_defect(h_small_ratio):

@@ -106,7 +106,7 @@ def test_bare_pulse_propagator_approximates_parity():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = ChainParams(J=1.0, V=2e-4, half_width=10)
-    h = build_hamiltonian(p)
+        h = build_hamiltonian(p)
     sched = PulseSchedule(delta=0.02)
     bare = Hamiltonian(
         diagonal=(sched.mu * h.sites()).astype(complex),
@@ -114,7 +114,7 @@ def test_bare_pulse_propagator_approximates_parity():
         half_width=10,
     )
     state = numeric_spectrum(h, 2).stable_pair()[0].right_vector
-    out = propagate(bare, state, sched.delta, IntegratorConfig(dt=sched.delta / 8000.0))
+    [out] = propagate(bare, [state], (0.0, sched.delta), IntegratorConfig(dt=sched.delta / 8000.0))
     target = apply_parity(state)
     assert np.abs(out.amplitudes - target.amplitudes).max() < 1e-8
     assert abs(out.norm2() - 1.0) < 1e-10
