@@ -170,11 +170,6 @@ def parse_config(text: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # file emission
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(text)
-
-
 def _profile_csv(state: SiteState) -> str:
     lines = ["l,re_amp,im_amp,abs2"]
     for l, amp in zip(state.sites(), state.amplitudes):
@@ -188,7 +183,7 @@ def _finish_run(outdir: Path, cfg_json: str, files: dict[str, str]) -> list[Path
     written = {"config.json": cfg_json}
     written.update(files)
     for name, text in written.items():
-        _write_text(outdir / name, text)
+        (outdir / name).write_text(text, newline="")
     manifest = {
         "outputs": [
             {
@@ -199,7 +194,7 @@ def _finish_run(outdir: Path, cfg_json: str, files: dict[str, str]) -> list[Path
             for name, text in sorted(written.items())
         ]
     }
-    _write_text(outdir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", newline="")
     return [outdir / name for name in written] + [outdir / "manifest.json"]
 
 

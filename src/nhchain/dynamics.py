@@ -125,11 +125,15 @@ _THETA = {degree: _theta(degree) for degree in range(1, MAX_DEGREE + 1)}
 def taylor_terms(h: Hamiltonian, tau: float) -> tuple[int, int]:
     """Degree p and substeps s over ``tau``: fewest nonzeros s (2p + 1), lower p on a tie.
 
-    Each substep's x = ||H||_inf tau / s meets the module docstring's bound.
+    Each substep's x = ||H||_inf tau / s meets the module docstring's bound;
+    only degrees with s below 2**53 count.
     """
     x = h.norm * tau
-    return min(((degree, max(1, math.ceil(x / theta))) for degree, theta in _THETA.items()),
-               key=lambda terms: terms[1] * (2 * terms[0] + 1))
+    candidates = [(degree, max(1, math.ceil(x / theta)))
+                  for degree, theta in _THETA.items() if x / theta < 2**53]
+    if not candidates:
+        raise ModelError(f"a span of {tau:g} needs more than 2**53 Taylor substeps")
+    return min(candidates, key=lambda terms: terms[1] * (2 * terms[0] + 1))
 
 
 def stepping_method(h: Hamiltonian, dt: float, record_stride: int) -> str:

@@ -188,9 +188,6 @@ class SiteState(_OnLattice):
             raise ModelError(f"cannot normalize a state of raw norm^2 {n2!r}")
         return SiteState(self.amplitudes / math.sqrt(n2), self.half_width)
 
-    def with_amplitudes(self, amplitudes: np.ndarray) -> "SiteState":
-        return replace(self, amplitudes=amplitudes)
-
 
 def build_hamiltonian(params: ChainParams) -> Hamiltonian:
     """Tridiagonal matrix with diagonal i*omega - i*V*l**2, off-diagonals -J.
@@ -215,7 +212,7 @@ def apply_parity(state: SiteState) -> SiteState:
     Involutive and exactly norm-preserving (sign flips only).
     """
     signs = parity_signs(state.half_width)
-    return state.with_amplitudes(signs * state.amplitudes)
+    return replace(state, amplitudes=signs * state.amplitudes)
 
 
 def anti_pt_residual(h: Hamiltonian) -> float:

@@ -1,6 +1,7 @@
 """Eigenmodes of the dissipative chain.
 
-Two routes are provided and cross-checked in the tests:
+The anti-PT symmetry of the bare chain maps each '+' mode (E, v) to a '-'
+mode (-conj(E), (-1)**l conj(v)).  Two routes, cross-checked in the tests:
 
 * closed-form Hermite-Gaussian modes valid for V << J, with complex scale
   alpha = exp(-i*pi/8) * (V/J)**(1/4) and energies
@@ -8,12 +9,12 @@ Two routes are provided and cross-checked in the tests:
   and their first-order lattice correction i*V*(2m^2+2m+1)/16 (``lattice_shift``);
 * numerical eigenpairs of the truncated tridiagonal matrix, returned as
   biorthonormalized left/right pairs: shift-invert Arnoldi (ARPACK) at the
-  two band edges for the stable pair of a bare chain, dense
-  diagonalization of all N modes otherwise (``numeric_spectrum`` states
-  the rule).  Numeric modes get ladder labels (m, branch) from the
-  closed-form energies of the chain the matrix carries
-  (``Hamiltonian.params``); a matrix without one, such as a pulsed chain,
-  gets none.
+  '+' band edge, mirrored to the '-' edge, for the stable pair of a bare
+  chain, dense diagonalization of all N modes otherwise
+  (``numeric_spectrum`` states the rule).  Numeric modes get ladder labels
+  (m, branch) from the closed-form energies of the chain the matrix
+  carries (``Hamiltonian.params``); a matrix without one, such as a
+  pulsed chain, gets none.
 
 Because the matrix is complex symmetric, the left eigenvector of a right
 vector v is the elementwise conjugate of v, scaled by 1/v^T v so that
@@ -35,7 +36,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .model import ChainParams, Hamiltonian, ModelError, NumericError, SiteState, parity_signs
+from .model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
+                    anti_pt_residual, parity_signs)
 
 __all__ = [
     "EigenMode",
@@ -53,8 +55,8 @@ __all__ = [
 ]
 
 HERMITE_MAX_DEGREE = 60
-# Modes each band-edge search returns beyond its half of ``count``; they
-# certify the cut (every kept Im E must lie above every spare's).
+# Modes the band-edge search returns beyond half of ``count``; they and their
+# mirrors certify the cut (every kept Im E must lie above every spare's).
 EDGE_SPARES = 3
 # Dense diagonalization of all N modes needs about 47*N**2 bytes and O(N**3)
 # time: measured on a 2-core host, N = 2001 took 5.4 s and +191 MB of peak
@@ -132,12 +134,11 @@ def analytic_wavefunction(m: int, branch: str, params: ChainParams) -> SiteState
 
 
 def analytic_energy(m: int, branch: str, params: ChainParams) -> complex:
-    """Closed-form energy of mode (m, branch)."""
-    if branch == "+":
-        return (2 * m + 1) * params.omega - 2.0 * params.J - 2j * m * params.omega
-    if branch == "-":
-        return 2.0 * params.J - (2 * m + 1) * params.omega - 2j * m * params.omega
-    raise ModelError(f"branch must be '+' or '-', got {branch!r}")
+    """Closed-form energy of mode (m, branch); the '-' energy is -conj of the '+' one."""
+    if branch not in ("+", "-"):
+        raise ModelError(f"branch must be '+' or '-', got {branch!r}")
+    energy = (2 * m + 1) * params.omega - 2.0 * params.J - 2j * m * params.omega
+    return energy if branch == "+" else -energy.conjugate()
 
 
 def lattice_shift(m: int, params: ChainParams) -> complex:
@@ -201,57 +202,55 @@ def _sort_key(energy: complex) -> tuple:
 def _uses_edge_search(h: Hamiltonian, count: int) -> bool:
     """Whether ``numeric_spectrum`` takes the band-edge shift-invert route.
 
-    Besides a bare chain, it needs ARPACK's basis of max(2k+1, 20) vectors
-    to fit in N/4 (k modes per edge search) and the closed-form ladder of
-    each search's k modes to stay on its own side of the band centre,
-    (2k - 1) omega < 2J; past that a stiff chain's slowest modes leave the
-    ladder and the spares stop certifying the cut.  Counts above 2 stay
-    dense while they fit: the two members of an E <-> -conj(E) pair tie in
-    Im E, so their order in a spectrum table is set by rounding, and the
-    dense route keeps the order of the tables written so far.
+    It needs a bare chain with the exact anti-PT symmetry its mirror relies
+    on, ARPACK's basis of max(2k+1, 20) vectors to fit in N/4 (k modes in
+    the search) and the closed-form '+' ladder of those k modes to stay on
+    its side of the band centre, (2k - 1) omega < 2J; past that a stiff
+    chain's slowest modes leave the ladder and the spares stop certifying
+    the cut.  Counts above 2 stay dense while they fit: the dense route
+    orders the two members of an E <-> -conj(E) pair, which tie in Im E,
+    by rounding, and the spectrum tables written so far keep that order.
     """
     params = h.params
-    if params is None or (count > 2 and h.dimension <= DENSE_MAX_DIMENSION):
+    dense_fits = count > 2 and h.dimension <= DENSE_MAX_DIMENSION
+    if params is None or anti_pt_residual(h) != 0.0 or dense_fits:
         return False
     k = -(-count // 2) + EDGE_SPARES
     return 4 * max(2 * k + 1, 20) <= h.dimension and (2 * k - 1) * params.omega < 2.0 * params.J
 
 
 def _edge_eigenpairs(h: Hamiltonian, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Modes nearest the two band edges, by shift-invert Arnoldi (ARPACK).
+    """Modes nearest the two band edges: one shift-invert Arnoldi (ARPACK) search and its mirror.
 
-    Each edge search returns ceil(count/2) + EDGE_SPARES modes.  ARPACK
-    converges in the shift-inverted operator, so its vectors of the modes
-    away from the shift carry residuals up to ~1e-9 however tight ARPACK's
-    own ``tol``; each is refined by one inverse-iteration step at its Ritz value
-    (a sparse LU solve) and its energy replaced by the complex-symmetric
-    Rayleigh quotient v^T H v / v^T v; both then match dense ``eig``.  The
-    '+' search keeps the modes with Re E <= TOL (so a mode on the imaginary
-    axis, which both searches find, is kept once) and the '-' search the rest.
+    The search at the '+' edge returns ceil(count/2) + EDGE_SPARES modes.
+    ARPACK converges in the shift-inverted operator, so its vectors of the
+    modes away from the shift carry residuals up to ~1e-9 however tight
+    ARPACK's own ``tol``; each is refined by one inverse-iteration step at
+    its Ritz value (a sparse LU solve) and its energy replaced by the
+    complex-symmetric Rayleigh quotient v^T H v / v^T v; both then match
+    dense ``eig``.  The modes with Re E <= TOL are kept, and each with
+    Re E < -TOL also gives its '-' edge mirror (module docstring), so a
+    mode on the imaginary axis is kept once and each pair ties exactly.
     """
-    params = h.params
     matrix = h.matrix.tocsc()
     identity = scipy.sparse.eye_array(h.dimension, format="csc")
     # Fixed start vector: repeated solves are bit-identical, and a random one
     # is not reflection-symmetric, so it reaches parity-odd modes directly.
     v0 = np.random.default_rng(0).standard_normal(h.dimension).astype(complex)
-    energies, vectors = [], []
-    for branch in ("+", "-"):
-        sigma = analytic_energy(0, branch, params) + lattice_shift(0, params)
-        try:
-            ritz, v = scipy.sparse.linalg.eigs(
-                matrix, k=-(-count // 2) + EDGE_SPARES, sigma=sigma, v0=v0
-            )
-            for j, value in enumerate(ritz):
-                x = scipy.sparse.linalg.splu(matrix - value * identity).solve(v[:, j])
-                v[:, j] = x / np.linalg.norm(x)
-        except RuntimeError as exc:  # ArpackError (incl. no convergence), exactly singular LU
-            raise NumericError(f"shift-invert search at {sigma:.6g} failed: {exc}") from exc
-        e = np.sum(v * (matrix @ v), axis=0) / np.sum(v * v, axis=0)
-        own = e.real <= TOL if branch == "+" else e.real > TOL
-        energies.append(e[own])
-        vectors.append(v[:, own])
-    return np.concatenate(energies), np.hstack(vectors)
+    sigma = analytic_energy(0, "+", h.params) + lattice_shift(0, h.params)
+    try:
+        ritz, v = scipy.sparse.linalg.eigs(matrix, k=-(-count // 2) + EDGE_SPARES,
+                                           sigma=sigma, v0=v0)
+        for j, value in enumerate(ritz):
+            x = scipy.sparse.linalg.splu(matrix - value * identity).solve(v[:, j])
+            v[:, j] = x / np.linalg.norm(x)
+    except RuntimeError as exc:  # ArpackError (incl. no convergence), exactly singular LU
+        raise NumericError(f"shift-invert search at {sigma:.6g} failed: {exc}") from exc
+    e = np.sum(v * (matrix @ v), axis=0) / np.sum(v * v, axis=0)
+    own, mirrored = e.real <= TOL, e.real < -TOL
+    signs = parity_signs(h.half_width)[:, None]
+    return (np.concatenate([e[own], -np.conj(e[mirrored])]),
+            np.hstack([v[:, own], signs * np.conj(v[:, mirrored])]))
 
 
 def numeric_spectrum(h: Hamiltonian, count: int) -> Spectrum:
@@ -260,9 +259,9 @@ def numeric_spectrum(h: Hamiltonian, count: int) -> Spectrum:
     Two routes give the raw eigenpairs, picked by ``_uses_edge_search``:
     for the stable pair (``count`` <= 2) of a bare chain with N >= 80 and
     7 omega < 2J, or a small ``count`` of a chain above
-    DENSE_MAX_DIMENSION, two shift-invert Arnoldi searches at the band
-    edges, each asking for ceil(count/2) + EDGE_SPARES modes, whose spare
-    modes must all decay faster than every kept one (else
+    DENSE_MAX_DIMENSION, one shift-invert Arnoldi search at the '+' band
+    edge for ceil(count/2) + EDGE_SPARES modes, mirrored to the '-' edge,
+    whose spare modes must all decay faster than every kept one (else
     NumericError); otherwise dense diagonalization of all N modes,
     refused with ModelError above DENSE_MAX_DIMENSION before anything is
     allocated.  Either way the ``count`` modes with the largest Im(E) are

@@ -31,10 +31,10 @@ from nhchain.quench import PulseSchedule, run_switch_experiment
 from nhchain.cli import run_preset
 
 
-def _quiet_params(**kw):
+def _quiet_chain(**kw):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ChainParams(**kw)
+        warnings.simplefilter("ignore")  # short chains exceed the envelope-tail budget
+        return build_hamiltonian(ChainParams(**kw))
 
 
 def _report(number: int, label: str, ok: bool, detail: str) -> bool:
@@ -44,12 +44,12 @@ def _report(number: int, label: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_symmetry_and_pairing():
     sweep = [
-        _quiet_params(J=J, V=V, half_width=M)
+        _quiet_chain(J=J, V=V, half_width=M)
         for J in (0.5, 1.0, 2.0, 7.3)
         for V, M in ((2e-4, 100), (0.02, 50), (0.32, 30), (1e-3, 75), (0.1, 20))
     ]
     assert len(sweep) == 20
-    residuals = [anti_pt_residual(build_hamiltonian(p)) for p in sweep]
+    residuals = [anti_pt_residual(h) for h in sweep]
 
     def mirror_distance(energies):
         target = -np.conj(energies)
@@ -57,7 +57,7 @@ def test_criterion_1_symmetry_and_pairing():
 
     pair_dists = []
     for V, M in ((0.02, 50), (0.32, 30)):
-        h = build_hamiltonian(_quiet_params(J=1.0, V=V, half_width=M))
+        h = _quiet_chain(J=1.0, V=V, half_width=M)
         pair_dists.append(mirror_distance(eigvals(h.matrix.toarray())))
     slow = numeric_spectrum(build_hamiltonian(ChainParams(J=1.0, V=2e-4)), 12)
     pair_dists.append(mirror_distance(np.array([m.energy for m in slow.modes])))
@@ -140,13 +140,13 @@ def test_criterion_4_convergence_dynamics():
 def test_criterion_5_probability_conservation():
     deviations = []
     for V, M in ((2e-4, 100), (0.02, 50), (0.32, 30)):
-        params = _quiet_params(J=1.0, V=V, half_width=M)
-        ground, excited = numeric_spectrum(build_hamiltonian(params), 2).stable_pair()
+        h = _quiet_chain(J=1.0, V=V, half_width=M)
+        ground, excited = numeric_spectrum(h, 2).stable_pair()
         amps = (ground.right_vector.amplitudes + excited.right_vector.amplitudes)
-        state = SiteState(amps, params.half_width).normalized()
+        state = SiteState(amps, h.half_width).normalized()
         series = ObservableSeries()
-        propagate(build_hamiltonian(params), [state], (0.0, 200.0),
-                  IntegratorConfig(dt=default_dt(params), record_stride=10),
+        propagate(h, [state], (0.0, 200.0),
+                  IntegratorConfig(dt=default_dt(h.params), record_stride=10),
                   series=[series])
         deviations.append(max(abs(p - 1.0) for p in series.prob))
     small_ok = deviations[0] < 0.01
@@ -180,10 +180,9 @@ def test_criterion_6_pulse_switch():
 
 
 def test_criterion_7_integrator_oracle():
-    params = _quiet_params(J=1.0, V=2e-4, half_width=10)
-    h = build_hamiltonian(params)
+    h = _quiet_chain(J=1.0, V=2e-4, half_width=10)
     spec = numeric_spectrum(h, h.dimension)
-    state = make_initial_state("gaussian", params, width=3.0)
+    state = make_initial_state("gaussian", h.params, width=3.0)
     oracle = eigen_propagate(spec, h, state, 100.0)
 
     def error(dt):

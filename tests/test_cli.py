@@ -467,6 +467,20 @@ def test_main_reports_an_overflowing_omega_by_its_keys(tmp_path, capsys):
     assert "J * V" in err and "'dt'" not in err
 
 
+def test_a_span_past_2_53_taylor_substeps_is_an_input_error(tmp_path, capsys):
+    # The pulse lasts 1e300: every Taylor degree would need more than 2**53
+    # substeps.  Its hardness ratio, 1.6e-300, warns first.
+    config = tmp_path / "cfg.json"
+    config.write_text('{"experiment": "switch", "delta": 1e300}')
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="hardness"):
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: a span of 1e+300 needs more than 2**53 Taylor substeps\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_record_stride_beyond_the_float_range_records_the_ends(tmp_path):
     # The route is chosen on the sample actually taken, all 50 steps, not on
     # 10**400 steps, whose length in time does not fit a float.

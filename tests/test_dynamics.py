@@ -550,7 +550,7 @@ def test_flush_keeps_subnormals_out_of_states_and_records(monkeypatch):
     norm2 = [state.norm2()]
     for _ in range(n_steps):
         y = step @ y
-        norm2.append(state.with_amplitudes(y).norm2())
+        norm2.append(dataclasses.replace(state, amplitudes=y).norm2())
     assert series.norm2 == norm2
     assert series.prob == [n2 * n2 for n2 in norm2]
 
@@ -734,10 +734,10 @@ def test_fidelity_basics(stable_modes):
     g = ground.right_vector
     assert fidelity(g, g) == pytest.approx(1.0, abs=1e-12)
     assert fidelity(g, excited.right_vector) < 1e-12
-    scaled = g.with_amplitudes((0.3 - 1.2j) * g.amplitudes)
+    scaled = dataclasses.replace(g, amplitudes=(0.3 - 1.2j) * g.amplitudes)
     assert fidelity(g, scaled) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ModelError):
-        fidelity(g, g.with_amplitudes(np.zeros_like(g.amplitudes)))
+        fidelity(g, dataclasses.replace(g, amplitudes=np.zeros_like(g.amplitudes)))
 
 
 def test_fidelity_bounds_random_pairs():
@@ -751,7 +751,7 @@ def test_fidelity_bounds_random_pairs():
 def test_dirac_probability():
     state = SiteState(np.full(5, 1.0 / math.sqrt(5.0), dtype=complex), 2)
     assert dirac_probability(state) == pytest.approx(1.0, abs=1e-12)
-    halved = state.with_amplitudes(state.amplitudes / math.sqrt(2.0))
+    halved = dataclasses.replace(state, amplitudes=state.amplitudes / math.sqrt(2.0))
     assert dirac_probability(halved) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -831,7 +831,8 @@ def test_series_rejects_a_zero_sample_with_targets(stable_modes):
 
 def test_series_rejects_unnormalized_target(stable_modes):
     ground, _ = stable_modes
-    bad = ground.right_vector.with_amplitudes(2.0 * ground.right_vector.amplitudes)
+    bad = dataclasses.replace(ground.right_vector,
+                              amplitudes=2.0 * ground.right_vector.amplitudes)
     with pytest.raises(ModelError):
         ObservableSeries(targets={"g": bad})
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -94,8 +95,8 @@ def test_linear_field_breaks_antisymmetry(h_small_ratio):
 def test_parity_maps_ground_to_conjugate_excited(stable_modes):
     ground, excited = stable_modes
     flipped = apply_parity(ground.right_vector)
-    conj_excited = excited.right_vector.with_amplitudes(
-        np.conj(excited.right_vector.amplitudes)
+    conj_excited = dataclasses.replace(
+        excited.right_vector, amplitudes=np.conj(excited.right_vector.amplitudes)
     )
     overlap = abs(dirac_overlap(conj_excited, flipped))
     assert overlap > 1.0 - 1e-6

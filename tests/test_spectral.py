@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from nhchain.model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
-                           apply_parity, build_hamiltonian)
+                           anti_pt_residual, apply_parity, build_hamiltonian, parity_signs)
 from nhchain.spectral import (
     DENSE_MAX_DIMENSION,
     Spectrum,
@@ -258,6 +258,45 @@ def test_route_rule():
     assert not _uses_edge_search(pulsed, 2)
     wide = _chain(2e-4, 5000)  # above the dense cap every small count takes the edge route
     assert _uses_edge_search(wide, 12) and not _uses_edge_search(wide, 400)
+
+
+def test_edge_route_searches_once_and_mirrors_the_pair_exactly(monkeypatch):
+    sigmas = []
+    eigs = scipy.sparse.linalg.eigs
+
+    def counted(*args, **kwargs):
+        sigmas.append(kwargs["sigma"])
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counted)
+    for V, M in ((2e-4, 100), (2e-4, 400), (0.02, 50)):
+        h = _chain(V, M)
+        assert _uses_edge_search(h, 2)
+        sigmas.clear()
+        spec = numeric_spectrum(h, 2)
+        assert len(sigmas) == 1 and sigmas[0].real < 0  # the '+' edge only
+        ground, excited = spec.stable_pair()
+        assert spec.modes[0].branch == "+" and spec.modes[0] is ground
+        assert excited.energy == -ground.energy.conjugate()
+        v = ground.right_vector.amplitudes
+        signs = parity_signs(M)
+        pivot = int(np.argmax(np.abs(v)))
+        assert np.array_equal(excited.right_vector.amplitudes, signs[pivot] * signs * np.conj(v))
+        assert excited.residual == ground.residual
+
+
+def test_a_matrix_that_breaks_the_mirror_takes_the_dense_route():
+    weak = _chain(2e-4, 100)
+    # a real part on the diagonal shifts both edges the same way: no anti-PT mirror
+    skewed = Hamiltonian(weak.diagonal + 1e-3, weak.off_diagonal, weak.half_width, weak.params)
+    assert anti_pt_residual(skewed) > 0.0
+    assert not _uses_edge_search(skewed, 2)
+    spec = numeric_spectrum(skewed, 2)
+    dense = _spectrum(skewed, 2, *scipy.linalg.eig(skewed.matrix.toarray()))
+    assert len(spec) == len(dense) == 2
+    for mode, twin in zip(spec.modes, dense.modes):
+        assert mode.energy == twin.energy and mode.residual == twin.residual
+        assert np.array_equal(mode.right_vector.amplitudes, twin.right_vector.amplitudes)
 
 
 def test_dense_route_is_capped_before_allocation():
