@@ -29,8 +29,8 @@ from .dynamics import (
     ObservableSeries,
     default_dt,
     make_initial_state,
-    propagate,
     run_convergence_experiment,
+    two_mode_series,
 )
 from .model import ChainParams, ModelError, NumericError, SiteState, build_hamiltonian
 from .quench import PulseSchedule, run_switch_experiment
@@ -237,15 +237,10 @@ def _run_convergence(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 
 
 def _probability_series(cfg: ExperimentConfig) -> ObservableSeries:
-    params = cfg.chain_params()
-    h = build_hamiltonian(params)
-    spec = numeric_spectrum(h, count=2)
+    """P(t) from (g + e) / ||g + e||, the stable pair's superposition, in closed form."""
+    spec = numeric_spectrum(build_hamiltonian(cfg.chain_params()), count=2)
     ground, excited = spec.stable_pair()
-    amps = (ground.right_vector.amplitudes + excited.right_vector.amplitudes) / math.sqrt(2.0)
-    state = SiteState(amps, params.half_width).normalized()
-    series = ObservableSeries()
-    propagate(h, [state], (0.0, cfg.t_end), cfg.integrator(), series=[series])
-    return series
+    return two_mode_series(ground, excited, (0.0, cfg.t_end), cfg.integrator())
 
 
 def _run_probability(cfg: ExperimentConfig, outdir: Path) -> list[Path]:

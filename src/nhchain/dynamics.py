@@ -7,7 +7,9 @@ the raw decaying ones, except that an overall factor is split off into
 columns of one N x k block, each column keeping its own ``log_scale``,
 and returns them as a list; recorded samples reach an
 ``ObservableSeries`` in bounded chunks, whose norms and fidelities are
-computed per chunk.
+computed per chunk.  ``two_mode_series`` writes the norm of a sum of two
+eigenmodes in closed form, on the times ``propagate`` records over the
+same span (``_time_grid``), without stepping.
 
 Both stepping routes apply ``taylor_operator(h, tau, p)``, the degree-p
 Taylor polynomial of expm(-i H tau) as a CSR matrix with 2p + 1 diagonals.
@@ -43,6 +45,7 @@ Recorded norms are unchanged: a flushed part squares to below 1e-300 ||y||^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -53,7 +56,7 @@ import scipy.sparse
 
 from .model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
                     build_hamiltonian, row_norm2)
-from .spectral import Spectrum, dirac_overlap, numeric_spectrum
+from .spectral import EigenMode, Spectrum, dirac_overlap, numeric_spectrum
 
 __all__ = [
     "IntegratorConfig",
@@ -64,6 +67,7 @@ __all__ = [
     "stepping_method",
     "make_initial_state",
     "propagate",
+    "two_mode_series",
     "taylor_operator",
     "taylor_terms",
     "eigen_propagate",
@@ -192,17 +196,26 @@ class ObservableSeries:
         return len(self.times)
 
     def record(self, times, samples: np.ndarray, log_scale) -> None:
-        """Append one chunk of samples.
+        """Append one chunk of samples (``_append`` checks the times and norms).
 
         Row i of the s x N array ``samples`` is the raw state at
-        ``times[i]``, with ``log_scale[i]`` its split-off factor.  Times must
-        increase strictly, except that a first time equal to the last one
-        recorded is skipped: two segments share their seam sample.
+        ``times[i]``, with ``log_scale[i]`` its split-off factor.
+        """
+        raw_n2 = row_norm2(samples)
+        n2 = np.exp(2.0 * np.asarray(log_scale, dtype=float)) * raw_n2  # SiteState.norm2()
+        self._append(times, n2, samples, raw_n2)
+
+    def _append(self, times, n2: np.ndarray, samples=None, raw_n2=None) -> None:
+        """Append rows of norm^2 ``n2`` at ``times``; the one way rows enter a series.
+
+        Times must increase strictly, except that a first time equal to the
+        last one recorded is skipped: two segments share their seam sample.
+        A non-finite norm raises NumericError at its time.  With targets,
+        the fidelities come from the raw ``samples``, of norm^2 ``raw_n2``.
         """
         times = np.asarray(times, dtype=float)
-        log_scale = np.asarray(log_scale, dtype=float)
-        if self.times and len(times) and times[0] == self.times[-1]:
-            times, samples, log_scale = times[1:], samples[1:], log_scale[1:]
+        start = int(bool(self.times) and len(times) > 0 and times[0] == self.times[-1])
+        times, n2 = times[start:], n2[start:]
         if not len(times):
             return
         before = np.concatenate([self.times[-1:] or [-math.inf], times[:-1]])
@@ -211,11 +224,10 @@ class ObservableSeries:
             raise ModelError(
                 f"times must be strictly increasing, got {times[i]} after {before[i]}"
             )
-        raw_n2 = row_norm2(samples)
-        n2 = np.exp(2.0 * log_scale) * raw_n2  # SiteState.norm2()
         _raise_at_first(~np.isfinite(n2), times, "non-finite norm")
         fidelities = {}
         if self.targets:
+            samples, raw_n2 = samples[start:], raw_n2[start:]
             denom = self._target_norm2[:, None] * raw_n2
             if np.any(denom == 0.0):
                 raise ModelError("fidelity undefined for a zero state")
@@ -349,6 +361,23 @@ def _check_columns(y: np.ndarray, log_scale: np.ndarray, t: float) -> None:
     parts[np.abs(parts) < limits[:, None]] = 0.0
 
 
+def _time_grid(t_span: tuple[float, float], config: IntegratorConfig):
+    """(dt, n_steps, steps, time): the uniform mesh over ``t_span`` = (t0, t1) and its records.
+
+    n_steps = max(1, round((t1 - t0) / config.dt)) steps of dt = (t1 - t0) / n_steps,
+    none over a zero span.  ``steps`` yields the recorded steps lazily: the
+    multiples of ``record_stride`` below n_steps, then n_steps.  ``time``
+    maps a step, or an array of them, to t0 + step dt.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if t1 < t0:
+        raise ModelError(f"t_span end {t1} precedes start {t0}")
+    n_steps = max(1, round((t1 - t0) / config.dt)) if t1 > t0 else 0
+    dt = (t1 - t0) / max(1, n_steps)
+    steps = itertools.chain(range(0, n_steps, config.record_stride), [n_steps])
+    return dt, n_steps, steps, lambda step: t0 + step * dt
+
+
 def propagate(
     h: Hamiltonian,
     states: Sequence[SiteState],
@@ -365,13 +394,11 @@ def propagate(
     in ``log_scale``.  The route is ``stepping_method`` on ``h`` at the
     step actually taken, (t1 - t0) / n_steps, so RK4 never runs past
     ``stability_limit``; on the exact route each recorded sample is exact
-    to the bound in the module docstring.  Both routes record at the same
-    times: every ``record_stride`` steps and at the last step, handed to
-    the series in chunks of at most RECORD_CHUNK_BYTES.
+    to the bound in the module docstring.  Both routes record at the
+    times of ``_time_grid``: every ``record_stride`` steps and at the last
+    step, handed to the series in chunks of at most RECORD_CHUNK_BYTES.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 < t0:
-        raise ModelError(f"t_span end {t1} precedes start {t0}")
+    dt, n_steps, recorded, time = _time_grid(t_span, config)
     states = list(states)
     if not states:
         raise ModelError("no state to propagate")
@@ -381,13 +408,11 @@ def propagate(
         if h.dimension != s.dimension:
             raise ModelError(f"dimension mismatch: H is {h.dimension}, state is {s.dimension}")
 
-    if t1 == t0:
+    if not n_steps:
         for target, s in zip(series or (), states):
-            target.record([t0], s.amplitudes[None], [s.log_scale])
+            target.record([time(0)], s.amplitudes[None], [s.log_scale])
         return states
 
-    n_steps = max(1, round((t1 - t0) / config.dt))
-    dt = (t1 - t0) / n_steps
     jump, check_every, operators = _step_operators(h, dt, n_steps, config.record_stride)
 
     y = np.column_stack([s.amplitudes for s in states])
@@ -399,11 +424,19 @@ def propagate(
     chunk_logs = np.empty((len(states), rows))
     filled = 0
 
-    def record(step: int) -> None:
-        nonlocal filled
+    step = 0
+    for sample_step in recorded:
+        while step < sample_step:
+            k = min(jump, sample_step - step)
+            operator, substeps = operators[k]
+            for _ in range(substeps):
+                y = operator @ y
+            step += k
+            if step % check_every == 0 or step == n_steps:
+                _check_columns(y, log_scale, time(step))
         if series is None:
-            return
-        chunk_times[filled] = t0 + step * dt
+            continue
+        chunk_times[filled] = time(step)
         chunk[:, filled] = y.T
         chunk_logs[:, filled] = log_scale
         filled += 1
@@ -411,21 +444,36 @@ def propagate(
             for j, target in enumerate(series):
                 target.record(chunk_times[:filled], chunk[j, :filled], chunk_logs[j, :filled])
             filled = 0
-
-    record(0)
-    step = 0
-    while step < n_steps:
-        k = min(jump, n_steps - step)
-        operator, substeps = operators[k]
-        for _ in range(substeps):
-            y = operator @ y
-        step += k
-        if step % check_every == 0 or step == n_steps:
-            _check_columns(y, log_scale, t0 + step * dt)
-        if step % config.record_stride == 0 or step == n_steps:
-            record(step)
     return [SiteState(y[:, j], h.half_width, log_scale=float(log_scale[j]))
             for j in range(len(states))]
+
+
+def two_mode_series(ground: EigenMode, excited: EigenMode, t_span: tuple[float, float],
+                    config: IntegratorConfig) -> ObservableSeries:
+    """Norm and probability of (g + e) / ||g + e|| in closed form, at ``propagate``'s times.
+
+    g and e are the modes' right vectors, and each evolves exactly as
+    exp(-i E t).  So at a time t after t0, exact up to the eigenpairs' error,
+
+        norm2(t) = (||g||^2 exp(2 Im E_g t) + ||e||^2 exp(2 Im E_e t)
+                    + 2 Re(<g|e> exp(i (conj(E_g) - E_e) t))) / ||g + e||^2
+
+    and P = norm2^2.  The denominator is the numerator at t = 0, so norm2
+    starts at exactly 1.  ``config`` sets only the times (``_time_grid``).
+    """
+    dt, _, steps, time = _time_grid(t_span, config)
+    steps = np.fromiter(steps, dtype=float)  # as float(step), exact below 2**53
+    times, elapsed = time(steps), steps * dt
+    g, e = ground.right_vector, excited.right_vector
+    beat = 1j * (ground.energy.conjugate() - excited.energy)
+    with np.errstate(over="ignore", invalid="ignore"):  # _append reports a non-finite norm
+        weight = (g.raw_norm2() * np.exp(2.0 * ground.energy.imag * elapsed)
+                  + e.raw_norm2() * np.exp(2.0 * excited.energy.imag * elapsed)
+                  + 2.0 * (dirac_overlap(g, e) * np.exp(beat * elapsed)).real)
+        n2 = weight / weight[0]
+    series = ObservableSeries()
+    series._append(times, n2)
+    return series
 
 
 def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: float) -> SiteState:
@@ -445,7 +493,18 @@ def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: flo
 
 
 def expansion_coefficients(state: SiteState, spec: Spectrum) -> np.ndarray:
-    """Coefficients c_n = <left_n|state> in the biorthogonal basis, in mode order."""
+    """Coefficients c_n = <left_n|state> in the biorthogonal basis, in mode order.
+
+    c_n is the mode's coefficient only as far as left_n is orthogonal to
+    every other right vector: row n of the full spectrum's
+    ``biorthogonality_matrix`` minus I.  For the 12 slowest modes those rows
+    are within 1.1e-12 at V = 2e-4, M = 100 and 1.5e-13 at V = 0.02, M = 50,
+    but 1.9e-5 at V = 0.32, M = 30.  The full matrix is within 3.9e-12 at
+    V = 2e-4, M = 30, and 14 off at M = 100.  The stable pair's rows are
+    within 1e-13 on all four chains.  So it holds for the stable pair, the
+    slow modes of a weak chain and a short chain's full spectrum;
+    ``eigen_propagate`` solves for its coefficients instead.
+    """
     return np.array([dirac_overlap(mode.left_vector, state) for mode in spec.modes], dtype=complex)
 
 

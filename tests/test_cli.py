@@ -17,9 +17,11 @@ from nhchain import cli, dynamics, quench, svgplot
 from nhchain.dynamics import (
     DEFAULT_SEED,
     STATE_KINDS,
+    ObservableSeries,
     dirac_probability,
     eigen_propagate,
     make_initial_state,
+    propagate,
     stepping_method,
 )
 from nhchain.model import ModelError, NumericError, SiteState, build_hamiltonian
@@ -328,9 +330,19 @@ def test_probability_run_through_main(tmp_path):
         assert prob == norm2 * norm2
 
 
+def _pair_state(raw):
+    """The chain of a probability config and its start state (g + e) / ||g + e||."""
+    cfg = parse_config(json.dumps(raw))
+    h = build_hamiltonian(cfg.chain_params())
+    ground, excited = numeric_spectrum(h, 2).stable_pair()
+    amps = (ground.right_vector.amplitudes + excited.right_vector.amplitudes) / math.sqrt(2.0)
+    return cfg, h, SiteState(amps, cfg.M).normalized()
+
+
 def test_probability_run_at_a_step_past_the_rk4_limit_follows_the_mode_expansion(tmp_path):
     # dt = 1.125 lies below 2.5 / max(2|H_l,l+1|, max|H_ll|) = 1.25 but above
-    # 2.5 / ||H||_inf = 0.633; stepped with RK4 it ended at P = 2.7e-74.
+    # 2.5 / ||H||_inf = 0.633; stepped with RK4 it ended at P = 2.7e-74.  The
+    # run's P is the closed form; propagate steps the same state at that dt.
     raw = {"experiment": "probability", "M": 100, "t_end": 90.0, "dt": 1.125}
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(raw))
@@ -338,27 +350,47 @@ def test_probability_run_at_a_step_past_the_rk4_limit_follows_the_mode_expansion
     last = _read(tmp_path / "out" / "probability.csv").strip().split("\n")[-1]
     time, _, prob = map(float, last.split(","))
 
-    cfg = parse_config(json.dumps(raw))
-    h = build_hamiltonian(cfg.chain_params())
-    ground, excited = numeric_spectrum(h, 2).stable_pair()
-    amps = (ground.right_vector.amplitudes + excited.right_vector.amplitudes) / math.sqrt(2.0)
-    state = SiteState(amps, cfg.M).normalized()
+    cfg, h, state = _pair_state(raw)
+    [stepped] = propagate(h, [state], (0.0, cfg.t_end), cfg.integrator())
     oracle = eigen_propagate(numeric_spectrum(h, h.dimension), h, state, time)
     assert time == 90.0
     assert prob == pytest.approx(dirac_probability(oracle), rel=1e-9)  # e^(4 Im E t) = 1.0045
+    assert dirac_probability(stepped) == pytest.approx(dirac_probability(oracle), rel=1e-9)
 
 
 def test_stiff_chain_steps_beyond_the_rk4_limit_with_expm(tmp_path):
-    # dt = 0.02 exceeds this chain's RK4 stability limit 0.00866, so it steps
-    # with the exact route, which has no such limit.
+    # dt = 0.02 exceeds this chain's RK4 stability limit 0.00866, so
+    # propagate steps it with the exact route, which has no such limit.  The
+    # probability run records the same 2001 times without stepping.
     raw = {"experiment": "probability", "V": 0.32, "M": 30, "dt": 0.02, "t_end": 200.0}
-    cfg = parse_config(json.dumps(raw))
-    assert stepping_method(build_hamiltonian(cfg.chain_params()), cfg.dt, cfg.record_stride) == "expm"
+    cfg, h, state = _pair_state(raw)
+    assert stepping_method(h, cfg.dt, cfg.record_stride) == "expm"
+    series = ObservableSeries()
+    propagate(h, [state], (0.0, cfg.t_end), cfg.integrator(), series=[series])
     config = tmp_path / "stiff.json"
     config.write_text(json.dumps(raw))
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
     header, *rows = _read(tmp_path / "out" / "probability.csv").strip().split("\n")
-    assert header == "time,norm2,P" and len(rows) == 2001
+    assert header == "time,norm2,P" and len(rows) == len(series) == 2001
+    assert [float(row.split(",")[0]) for row in rows] == series.times
+
+
+def test_probability_series_steps_nothing(tmp_path, monkeypatch):
+    calls = []
+    stepped = dynamics.propagate
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return stepped(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "propagate", counted)
+    series = cli._probability_series(parse_config('{"experiment": "probability", "M": 30, '
+                                                  '"V": 0.32, "t_end": 50.0}'))
+    assert calls == [] and series.times[-1] == 50.0 and not hasattr(cli, "propagate")
+    # the wrapper sees a run that steps: a convergence run is one block
+    convergence = parse_config('{"experiment": "convergence", "M": 30, "V": 0.32, "t_end": 5.0}')
+    cli.run_config(convergence, tmp_path / "c")
+    assert calls == [(0.0, 5.0)]
 
 
 def test_wide_switch_steps_its_pulse_exactly(tmp_path):
@@ -392,14 +424,15 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["run", str(broken), "--out", str(tmp_path / "y")]) == 1
 
     # dt = 0.6 is within this chain's RK4 limit 0.633, but a span of 0.87 is
-    # one step of 0.87, past the limit, so it steps exactly, as does a dt
-    # past the limit.
+    # one step of 0.87, past the limit, so a convergence run steps it exactly,
+    # as it does a dt past the limit.  A probability run steps nothing.
     unstable = tmp_path / "unstable.json"
-    unstable.write_text('{"experiment": "probability", "t_end": 0.87, "dt": 0.6}')
-    assert main(["run", str(unstable), "--out", str(tmp_path / "z")]) == 0
     beyond = tmp_path / "beyond.json"
-    beyond.write_text('{"experiment": "probability", "t_end": 1.0, "dt": 10.0}')
-    assert main(["run", str(beyond), "--out", str(tmp_path / "v")]) == 0
+    for experiment in ("probability", "convergence"):
+        unstable.write_text('{"experiment": "%s", "t_end": 0.87, "dt": 0.6}' % experiment)
+        assert main(["run", str(unstable), "--out", str(tmp_path / "z" / experiment)]) == 0
+        beyond.write_text('{"experiment": "%s", "t_end": 1.0, "dt": 10.0}' % experiment)
+        assert main(["run", str(beyond), "--out", str(tmp_path / "v" / experiment)]) == 0
 
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"experiment": "spectr\xe9"}')
@@ -483,15 +516,18 @@ def test_a_span_past_2_53_taylor_substeps_is_an_input_error(tmp_path, capsys):
 
 def test_record_stride_beyond_the_float_range_records_the_ends(tmp_path):
     # The route is chosen on the sample actually taken, all 50 steps, not on
-    # 10**400 steps, whose length in time does not fit a float.
+    # 10**400 steps, whose length in time does not fit a float.  The
+    # convergence run steps; the probability run records the same two times.
     config = tmp_path / "cfg.json"
-    config.write_text('{"experiment": "probability", "M": 5, "t_end": 1.0, '
-                      '"record_stride": 1%s}' % ("0" * 400))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the tail warning of the M = 5 chain
-        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 0
-    _, *rows = _read(tmp_path / "o" / "probability.csv").strip().split("\n")
-    assert [float(row.split(",")[0]) for row in rows] == [0.0, 1.0]
+    for experiment, csv in (("convergence", "fidelity_point.csv"),
+                            ("probability", "probability.csv")):
+        config.write_text('{"experiment": "%s", "M": 5, "t_end": 1.0, '
+                          '"record_stride": 1%s}' % (experiment, "0" * 400))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the tail warning of the M = 5 chain
+            assert main(["run", str(config), "--out", str(tmp_path / experiment)]) == 0
+        _, *rows = _read(tmp_path / experiment / csv).strip().split("\n")
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 1.0]
 
 
 def test_main_reports_an_omega_that_underflows_to_zero_by_its_keys(tmp_path, capsys):
@@ -506,16 +542,19 @@ def test_main_reports_an_omega_that_underflows_to_zero_by_its_keys(tmp_path, cap
 
 def test_main_exit_code_2_on_numeric_failures(tmp_path, capsys, monkeypatch):
     # The slowest mode of this 7-site chain has Im E = +1.74, so the state
-    # grows like exp(1.74 t) and overflows long before t = 2000.
+    # grows like exp(1.74 t) and overflows long before t = 2000: stepped, in
+    # its amplitudes; in closed form, in its norm.
     config = tmp_path / "overflow.json"
-    config.write_text('{"experiment": "probability", "V": 8, "M": 3, "t_end": 2000, '
-                      '"record_stride": 100000}')
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the tail warning of the M = 3 chain
-        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure: non-finite amplitudes") and err.count("\n") == 1
+    for experiment, failure in (("convergence", "non-finite amplitudes at t = "),
+                                ("probability", "non-finite norm at t=")):
+        config.write_text('{"experiment": "%s", "V": 8, "M": 3, "t_end": 2000, '
+                          '"record_stride": 100000}' % experiment)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the tail warning of the M = 3 chain
+            assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: " + failure) and err.count("\n") == 1
 
     def not_converged(*args, **kwargs):
         raise NumericError("worst eigenpair residual 1.000e-03 exceeds tolerance")

@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from nhchain import dynamics
-from nhchain.cli import parse_config
+from nhchain.cli import PROBABILITY_SWEEP, parse_config
 from nhchain.model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
                            build_hamiltonian)
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
@@ -855,6 +855,65 @@ def test_stable_superposition_norm_follows_lattice_rate(h_small_ratio, stable_mo
     [out] = propagate(h_small_ratio, [state], (0.0, 100.0), IntegratorConfig(dt=0.004))
     lattice_factor = math.exp(2.0 * ground.energy.imag * 100.0)
     assert abs(out.norm2() / lattice_factor - 1.0) < 1e-6
+
+
+def _pair_state(ground, excited, half_width):
+    amps = (ground.right_vector.amplitudes + excited.right_vector.amplitudes) / math.sqrt(2.0)
+    return SiteState(amps, half_width).normalized()
+
+
+def test_time_grid_is_the_mesh_propagate_records(small_chain):
+    p, h, _ = small_chain
+    ground, excited = numeric_spectrum(h, 2).stable_pair()
+    state = _pair_state(ground, excited, p.half_width)
+    # 10 steps at stride 3 record step 10 too; a stride beyond int64 records the ends
+    _, n_steps, steps, _ = dynamics._time_grid((0.0, 1.0), IntegratorConfig(0.1, 3))
+    assert n_steps == 10 and list(steps) == [0, 3, 6, 9, 10]
+    for t_span, dt, stride in (((0.0, 0.0), 0.1, 1), ((0.0, 1.0), 0.1, 3),
+                               ((0.0, 2.5), 0.7, 10**400), ((0.0, 0.87), 0.6, 1),
+                               ((2.0, 7.3), 0.02, 7), ((0.0, 200.0), 0.013, 97)):
+        config = IntegratorConfig(dt=dt, record_stride=stride)
+        stepped = ObservableSeries()
+        propagate(h, [state], t_span, config, series=[stepped])
+        closed = dynamics.two_mode_series(ground, excited, t_span, config)
+        assert closed.times == stepped.times  # bit for bit
+        assert closed.times[0] == t_span[0] and closed.times[-1] == t_span[1]
+        assert closed.norm2[0] == 1.0
+        if t_span[0] == t_span[1]:
+            assert closed.times == [0.0] and closed.prob == [1.0]
+        if stride > 2**63:
+            assert closed.times == [0.0, 2.5]
+
+
+# Largest relative difference in P between the closed form and stepping,
+# measured on fig4's chains at preset settings (1.34e-13, 9.96e-15 and
+# 1.10e-11); the stiff chain's is the exact route's rounding on its edge.
+FIG4_STEPPED_P_RTOL = {0.01: 2e-13, 0.1: 2e-14, 0.4: 2e-11}
+
+
+@pytest.mark.parametrize("ratio, V, M", PROBABILITY_SWEEP)
+def test_two_mode_series_follows_propagate_on_the_fig4_chains(ratio, V, M):
+    config = parse_config('{"experiment": "probability", "V": %r, "M": %d}' % (V, M))
+    h = build_hamiltonian(config.chain_params())
+    ground, excited = numeric_spectrum(h, 2).stable_pair()
+    stepped = ObservableSeries()
+    propagate(h, [_pair_state(ground, excited, M)], (0.0, config.t_end), config.integrator(),
+              series=[stepped])
+    closed = dynamics.two_mode_series(ground, excited, (0.0, config.t_end), config.integrator())
+    assert closed.times == stepped.times
+    relative = np.abs(np.subtract(closed.prob, stepped.prob)) / stepped.prob
+    assert relative.max() <= FIG4_STEPPED_P_RTOL[ratio]
+
+
+def test_two_mode_series_matches_the_mode_expansion_on_the_stiff_chain(params_large_ratio):
+    h = build_hamiltonian(params_large_ratio)
+    spec = numeric_spectrum(h, h.dimension)
+    ground, excited = numeric_spectrum(h, 2).stable_pair()
+    state = _pair_state(ground, excited, h.half_width)
+    closed = dynamics.two_mode_series(ground, excited, (0.0, 200.0), IntegratorConfig(dt=0.5))
+    for t in (0.5, 10.0, 50.0, 100.0, 200.0):  # P grows to 1.08e7
+        oracle = dirac_probability(eigen_propagate(spec, h, state, t))
+        assert closed.prob[closed.times.index(t)] == pytest.approx(oracle, rel=2e-14)
 
 
 def test_convergence_experiment_small_scale(params_small_ratio):
