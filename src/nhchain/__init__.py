@@ -34,9 +34,7 @@ from .dynamics import (
     IntegratorConfig,
     ObservableSeries,
     default_dt,
-    dirac_probability,
     eigen_propagate,
-    expansion_coefficients,
     fidelity,
     make_initial_state,
     propagate,

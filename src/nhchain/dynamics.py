@@ -17,7 +17,7 @@ Each ``propagate`` call picks its route with ``stepping_method`` on the
 Hamiltonian it steps, at the step actually taken, dt = (t1 - t0) / n_steps,
 and the sample actually taken, at most n_steps steps.
 RK4 is p = 4 at tau = dt, taken only within ``stability_limit``.  The
-exact route ('expm') applies it s times per recorded sample of k steps, at
+exact route ('exact') applies it s times per recorded sample of k steps, at
 tau = k dt/s, with (p, s) from ``taylor_terms``: p <= MAX_DEGREE and
 x^(p+1)/(p+1)! e^x <= 2^-53 for x = ||H||_inf tau.  The remainder then moves
 each entry of a column y by at most 2^-53 ||y||_inf, so y by at most
@@ -71,9 +71,7 @@ __all__ = [
     "taylor_operator",
     "taylor_terms",
     "eigen_propagate",
-    "expansion_coefficients",
     "fidelity",
-    "dirac_probability",
     "run_convergence_experiment",
 ]
 
@@ -148,7 +146,7 @@ def stepping_method(h: Hamiltonian, dt: float, record_stride: int) -> str:
     """
     degree, substeps = taylor_terms(h, record_stride * dt)
     rk4 = dt <= stability_limit(h) and substeps * (2 * degree + 1) > 9 * record_stride
-    return "rk4" if rk4 else "expm"
+    return "rk4" if rk4 else "exact"
 
 
 @dataclass(frozen=True)
@@ -210,8 +208,9 @@ class ObservableSeries:
 
         Times must increase strictly, except that a first time equal to the
         last one recorded is skipped: two segments share their seam sample.
-        A non-finite norm raises NumericError at its time.  With targets,
-        the fidelities come from the raw ``samples``, of norm^2 ``raw_n2``.
+        A non-finite P = norm2^2, as from a non-finite norm2, raises
+        NumericError at its time.  With targets, the fidelities come from
+        the raw ``samples``, of norm^2 ``raw_n2``.
         """
         times = np.asarray(times, dtype=float)
         start = int(bool(self.times) and len(times) > 0 and times[0] == self.times[-1])
@@ -224,7 +223,9 @@ class ObservableSeries:
             raise ModelError(
                 f"times must be strictly increasing, got {times[i]} after {before[i]}"
             )
-        _raise_at_first(~np.isfinite(n2), times, "non-finite norm")
+        with np.errstate(over="ignore"):
+            prob = n2 * n2
+        _raise_at_first(~np.isfinite(prob), times, "non-finite norm")
         fidelities = {}
         if self.targets:
             samples, raw_n2 = samples[start:], raw_n2[start:]
@@ -237,7 +238,7 @@ class ObservableSeries:
             fidelities = dict(zip(self.targets, np.minimum(values, 1.0)))
         self.times.extend(times.tolist())
         self.norm2.extend(n2.tolist())
-        self.prob.extend((n2 * n2).tolist())
+        self.prob.extend(prob.tolist())
         for name, values in fidelities.items():
             self.fidelities[name].extend(values.tolist())
 
@@ -480,7 +481,7 @@ def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: flo
     """Single-time exact mode-expansion evolution (the integrator oracle).
 
     The coefficients solve R c = state over the right vectors R: projections
-    (``expansion_coefficients``) lose a long chain's ill-conditioned deep modes.
+    onto the left vectors lose a long chain's ill-conditioned deep modes.
     """
     if len(spectrum) != h.dimension:
         raise ModelError(
@@ -490,22 +491,6 @@ def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: flo
     coeffs = np.linalg.solve(vectors, state.amplitudes)
     y = vectors @ (coeffs * np.exp(-1j * spectrum.energies() * t))
     return SiteState(y, h.half_width, log_scale=state.log_scale)
-
-
-def expansion_coefficients(state: SiteState, spec: Spectrum) -> np.ndarray:
-    """Coefficients c_n = <left_n|state> in the biorthogonal basis, in mode order.
-
-    c_n is the mode's coefficient only as far as left_n is orthogonal to
-    every other right vector: row n of the full spectrum's
-    ``biorthogonality_matrix`` minus I.  For the 12 slowest modes those rows
-    are within 1.1e-12 at V = 2e-4, M = 100 and 1.5e-13 at V = 0.02, M = 50,
-    but 1.9e-5 at V = 0.32, M = 30.  The full matrix is within 3.9e-12 at
-    V = 2e-4, M = 30, and 14 off at M = 100.  The stable pair's rows are
-    within 1e-13 on all four chains.  So it holds for the stable pair, the
-    slow modes of a weak chain and a short chain's full spectrum;
-    ``eigen_propagate`` solves for its coefficients instead.
-    """
-    return np.array([dirac_overlap(mode.left_vector, state) for mode in spec.modes], dtype=complex)
 
 
 def fidelity(target: SiteState, evolved: SiteState) -> float:
@@ -519,12 +504,6 @@ def fidelity(target: SiteState, evolved: SiteState) -> float:
         raise ModelError("fidelity undefined for a zero state")
     overlap = _overlaps(target.amplitudes.conj()[None], evolved.amplitudes[None])[0, 0]
     return min(float(abs(overlap) ** 2 / denom), 1.0)
-
-
-def dirac_probability(state: SiteState) -> float:
-    """Square of the Dirac norm-squared, (sum |psi(l)|^2)^2."""
-    n2 = state.norm2()
-    return n2 * n2
 
 
 def run_convergence_experiment(

@@ -7,22 +7,17 @@ mode (-conj(E), (-1)**l conj(v)).  Two routes, cross-checked in the tests:
   alpha = exp(-i*pi/8) * (V/J)**(1/4) and energies
   E_m^+ = (2m+1)*omega - 2J - 2i*m*omega,  E_m^- = 2J - (2m+1)*omega - 2i*m*omega,
   and their first-order lattice correction i*V*(2m^2+2m+1)/16 (``lattice_shift``);
-* numerical eigenpairs of the truncated tridiagonal matrix, returned as
-  biorthonormalized left/right pairs: shift-invert Arnoldi (ARPACK) at the
-  '+' band edge, mirrored to the '-' edge, for the stable pair of a bare
-  chain, dense diagonalization of all N modes otherwise
-  (``numeric_spectrum`` states the rule).  Numeric modes get ladder labels
-  (m, branch) from the closed-form energies of the chain the matrix
-  carries (``Hamiltonian.params``); a matrix without one, such as a
+* numerical eigenpairs of the truncated tridiagonal matrix: shift-invert
+  Arnoldi (ARPACK) at the '+' band edge, mirrored to the '-' edge, for the
+  stable pair of a bare chain, dense diagonalization of all N modes
+  otherwise (``numeric_spectrum`` states the rule).  Numeric modes get
+  ladder labels (m, branch) from the closed-form energies of the chain the
+  matrix carries (``Hamiltonian.params``); a matrix without one, such as a
   pulsed chain, gets none.
 
-Because the matrix is complex symmetric, the left eigenvector of a right
-vector v is the elementwise conjugate of v, scaled by 1/v^T v so that
-<left|right> = 1.  A mode with |v^T v| < 1e-10 is numerically
-self-orthogonal and keeps left = conj(v), so <left|right> = v^T v there:
-109 of the 201 modes of the full M = 100 spectrum, all unlabeled, and none
-of a full spectrum at M <= 60.  Right vectors are kept Dirac-normalized so
-they can be used directly as fidelity targets.
+A mode stores its Dirac-normalized right vector v, so it can be used
+directly as a fidelity target.  Because the matrix is complex symmetric,
+its left vector is conj(v) / conj(v^T v), with v^T v the c-product.
 """
 
 from __future__ import annotations
@@ -154,7 +149,7 @@ def lattice_shift(m: int, params: ChainParams) -> complex:
 
 @dataclass(frozen=True)
 class EigenMode:
-    """One spectral solution with biorthonormalized left/right vectors.
+    """One spectral solution: energy and Dirac-normalized right vector.
 
     ``m``/``branch`` are ladder labels: the nearer closed-form energy at
     m = round(-Im E / 2 omega), m in 0..min(60, M); (-1, 'u') (unassigned)
@@ -165,7 +160,6 @@ class EigenMode:
     branch: str
     energy: complex
     right_vector: SiteState
-    left_vector: SiteState
     residual: float
 
 
@@ -186,7 +180,7 @@ class Spectrum:
 
         Ground is the one with negative real energy (-(2J - omega)),
         excited the positive one.  On the lattice their energies are real
-        only up to a small V-dependent correction (Im E = V/16 + O(V^2)).
+        only up to a small V-dependent correction (Im E = V/16 + O(V^(3/2))).
         """
         leading = self.modes[:2]
         if len(leading) < 2:
@@ -268,10 +262,8 @@ def numeric_spectrum(h: Hamiltonian, count: int) -> Spectrum:
     selected; if the cut would split a pair related by E -> -conj(E), the
     partner is pulled in as well, so the result can hold up to one extra
     mode.  Right vectors are Dirac-normalized with a deterministic phase
-    (largest-magnitude entry made real positive); left vectors are
-    conjugates of the right ones, rescaled so <left|right> = 1 except at a
-    self-orthogonal mode (module docstring).  Every kept eigenpair must have
-    a residual |H v - E v| within TOL * max(1, ||H||_inf), else NumericError.
+    (largest-magnitude entry made real positive).  Every kept eigenpair must
+    have a residual |H v - E v| within TOL * max(1, ||H||_inf), else NumericError.
     """
     if count < 1 or count > h.dimension:
         raise ModelError(f"count must be in [1, {h.dimension}], got {count}")
@@ -334,9 +326,6 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
         residual = float(np.linalg.norm(matrix @ v - energy * v))
         worst = max(worst, residual)
 
-        self_product = complex(v @ v)  # below 1e-10, v is self-orthogonal: left stays conj(v)
-        left = np.conj(v) if abs(self_product) < 1e-10 else np.conj(v) / np.conj(self_product)
-
         # Im E_m = -2m omega on both branches: only m = round(-Im E / 2 omega)
         # can lie within the omega/2 gate; the nearer branch wins, '+' on a tie.
         m_label, branch_label = -1, "u"
@@ -353,7 +342,6 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
                 branch=branch_label,
                 energy=energy,
                 right_vector=SiteState(v, h.half_width),
-                left_vector=SiteState(left, h.half_width),
                 residual=residual,
             )
         )
@@ -371,15 +359,21 @@ def dirac_overlap(a: SiteState, b: SiteState) -> complex:
 
 
 def biorthogonality_matrix(spec: Spectrum) -> np.ndarray:
-    """Entry (a, b) = |<left_a|right_b>|.
+    """Entry (a, b) = |<left_a|right_b>| = |G_ab / G_aa|, G_ab = v_a^T v_b the c-product.
 
-    1 on the diagonal except at self-orthogonal modes (module docstring); off
-    it, as small as the vectors are accurate: max|B - I| is 1e-12 for fig2's
-    12 modes and 3.9e-12 for the full M = 30 spectrum, but 13.8 at M = 100.
+    G is the Gram matrix of the right vectors v_a; the left vector of mode a
+    is conj(v_a) / conj(G_aa) (module docstring).  A row with |G_aa| < 1e-10
+    is numerically self-orthogonal and stays undivided, |G_ab|: 109 of the
+    201 modes of the full M = 100 spectrum, all unlabeled, and none of a
+    full spectrum at M <= 60.  So the diagonal is 1 except there; off it,
+    entries are as small as the vectors are accurate: max|B - I| is 1e-12
+    for fig2's 12 modes and 3.9e-12 for the full M = 30 spectrum, but 13.8
+    at M = 100.
     """
-    left = np.array([mode.left_vector.amplitudes for mode in spec.modes])
     right = np.array([mode.right_vector.amplitudes for mode in spec.modes])
-    return np.abs(left.conj() @ right.T)
+    gram = right @ right.T
+    pivots = np.diag(gram)
+    return np.abs(gram / np.where(np.abs(pivots) < 1e-10, 1.0, pivots)[:, None])
 
 
 def spectrum_table(spec: Spectrum) -> str:

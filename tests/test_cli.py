@@ -18,7 +18,6 @@ from nhchain.dynamics import (
     DEFAULT_SEED,
     STATE_KINDS,
     ObservableSeries,
-    dirac_probability,
     eigen_propagate,
     make_initial_state,
     propagate,
@@ -354,8 +353,8 @@ def test_probability_run_at_a_step_past_the_rk4_limit_follows_the_mode_expansion
     [stepped] = propagate(h, [state], (0.0, cfg.t_end), cfg.integrator())
     oracle = eigen_propagate(numeric_spectrum(h, h.dimension), h, state, time)
     assert time == 90.0
-    assert prob == pytest.approx(dirac_probability(oracle), rel=1e-9)  # e^(4 Im E t) = 1.0045
-    assert dirac_probability(stepped) == pytest.approx(dirac_probability(oracle), rel=1e-9)
+    assert prob == pytest.approx(oracle.norm2() ** 2, rel=1e-9)  # e^(4 Im E t) = 1.0045
+    assert stepped.norm2() ** 2 == pytest.approx(oracle.norm2() ** 2, rel=1e-9)
 
 
 def test_stiff_chain_steps_beyond_the_rk4_limit_with_expm(tmp_path):
@@ -364,7 +363,7 @@ def test_stiff_chain_steps_beyond_the_rk4_limit_with_expm(tmp_path):
     # probability run records the same 2001 times without stepping.
     raw = {"experiment": "probability", "V": 0.32, "M": 30, "dt": 0.02, "t_end": 200.0}
     cfg, h, state = _pair_state(raw)
-    assert stepping_method(h, cfg.dt, cfg.record_stride) == "expm"
+    assert stepping_method(h, cfg.dt, cfg.record_stride) == "exact"
     series = ObservableSeries()
     propagate(h, [state], (0.0, cfg.t_end), cfg.integrator(), series=[series])
     config = tmp_path / "stiff.json"
@@ -403,7 +402,7 @@ def test_wide_switch_steps_its_pulse_exactly(tmp_path):
     h = build_hamiltonian(cfg.chain_params())
     sched = PulseSchedule(delta=cfg.delta)
     assert stepping_method(h, cfg.dt, 1) == "rk4"
-    assert stepping_method(quenched_hamiltonian(h, sched), sched.dt, 1) == "expm"
+    assert stepping_method(quenched_hamiltonian(h, sched), sched.dt, 1) == "exact"
     config = tmp_path / "switch.json"
     config.write_text(json.dumps(raw))
     with pytest.warns(UserWarning, match="hardness"):  # 4.91 at M = 400
@@ -555,6 +554,15 @@ def test_main_exit_code_2_on_numeric_failures(tmp_path, capsys, monkeypatch):
             assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: " + failure) and err.count("\n") == 1
+    # Here norm2 stays finite (3.2e199 at t = 132) but P = norm2^2 overflows
+    # from t = 102: the run fails there, warns only of the tail and writes nothing.
+    config.write_text('{"experiment": "probability", "V": 8, "M": 3, "t_end": 132}')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(config), "--out", str(tmp_path / "p")]) == 2
+    assert [str(w.message)[:13] for w in caught] == ["envelope tail"]
+    assert capsys.readouterr().err == "numeric failure: non-finite norm at t=102.04054054054055\n"
+    assert not (tmp_path / "p").exists()
 
     def not_converged(*args, **kwargs):
         raise NumericError("worst eigenpair residual 1.000e-03 exceeds tolerance")

@@ -13,7 +13,7 @@ from nhchain.cli import PROBABILITY_SWEEP, parse_config
 from nhchain.model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
                            build_hamiltonian)
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
-from nhchain.spectral import numeric_spectrum
+from nhchain.spectral import dirac_overlap, numeric_spectrum
 from nhchain.dynamics import (
     FLUSH_RELATIVE,
     RK4_CHECK_EVERY,
@@ -21,9 +21,7 @@ from nhchain.dynamics import (
     IntegratorConfig,
     ObservableSeries,
     default_dt,
-    dirac_probability,
     eigen_propagate,
-    expansion_coefficients,
     fidelity,
     make_initial_state,
     propagate,
@@ -129,9 +127,9 @@ def test_rk4_matches_eigen_expansion(small_chain):
 def test_eigen_oracle_reproduces_the_state_at_time_zero_on_the_fig4_chain(h_small_ratio,
                                                                          params_small_ratio):
     # The 201-site chain's deep modes are ill-conditioned and nearly
-    # self-orthogonal, so projections onto the left vectors lose them (the
-    # point state came back 1.7e3 of its peak off); a solve over the right
-    # vectors does not.
+    # self-orthogonal (|v^T v| small), so projections onto their left vectors
+    # conj(v) / conj(v^T v) lose them (the point state came back 1.7e3 of its
+    # peak off); a solve over the right vectors does not.
     spec = numeric_spectrum(h_small_ratio, h_small_ratio.dimension)
     for kind in ("point", "gaussian"):
         state = make_initial_state(kind, params_small_ratio, width=9.0)
@@ -254,7 +252,7 @@ def test_a_step_past_the_rk4_limit_steps_exactly():
     # lands on the mode expansion (measured 2e-16 off).
     p, h, state = _stiff_edge_state(30)
     cfg = IntegratorConfig(dt=0.99 * stability_limit(h))
-    assert stepping_method(h, 1.45 * cfg.dt, 1) == "expm"
+    assert stepping_method(h, 1.45 * cfg.dt, 1) == "exact"
     [out] = propagate(h, [state], (0.0, 1.45 * cfg.dt), cfg)
     assert out.norm2() < 1.0
     oracle = eigen_propagate(numeric_spectrum(h, h.dimension), h, state, 1.45 * cfg.dt)
@@ -270,7 +268,7 @@ def test_expm_is_not_bound_by_the_rk4_stability_limit(small_chain):
     # the 1.244 RK4 limit of this chain, land on the mode expansion.
     p, h, spec = small_chain
     state = make_initial_state("gaussian", p, width=3.0)
-    assert stepping_method(h, 5.0, 3) == "expm"
+    assert stepping_method(h, 5.0, 3) == "exact"
     [out] = propagate(h, [state], (0.0, 100.0), IntegratorConfig(dt=5.0, record_stride=3))
     oracle = eigen_propagate(spec, h, state, 100.0)
     assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
@@ -279,7 +277,7 @@ def test_expm_is_not_bound_by_the_rk4_stability_limit(small_chain):
 def test_expm_matches_eigen_expansion(small_chain):
     p, h, spec = small_chain
     state = make_initial_state("gaussian", p, width=3.0)
-    assert stepping_method(h, 0.004, 1000) == "expm"
+    assert stepping_method(h, 0.004, 1000) == "exact"
     [out] = propagate(h, [state], (0.0, 100.0), IntegratorConfig(dt=0.004, record_stride=1000))
     oracle = eigen_propagate(spec, h, state, 100.0)
     assert np.abs(out.amplitudes - oracle.amplitudes).max() <= 1e-10
@@ -289,16 +287,16 @@ def test_expm_records_on_the_rk4_mesh(small_chain, monkeypatch):
     p, h, _ = small_chain
     state = make_initial_state("gaussian", p, width=3.0)
     runs = {}
-    for method in ("rk4", "expm"):
+    for method in ("rk4", "exact"):
         # 1000 steps at stride 7: the last chunk is a 6-step remainder
         monkeypatch.setattr(dynamics, "stepping_method", lambda *args: method)
         series = ObservableSeries()
         propagate(h, [state], (0.0, 10.0), IntegratorConfig(dt=0.01, record_stride=7),
                   series=[series])
         runs[method] = series
-    assert runs["expm"].times == runs["rk4"].times
-    assert len(runs["expm"]) == len(runs["rk4"]) == 1000 // 7 + 2
-    assert np.allclose(runs["expm"].norm2, runs["rk4"].norm2, rtol=1e-8, atol=0.0)
+    assert runs["exact"].times == runs["rk4"].times
+    assert len(runs["exact"]) == len(runs["rk4"]) == 1000 // 7 + 2
+    assert np.allclose(runs["exact"].norm2, runs["rk4"].norm2, rtol=1e-8, atol=0.0)
 
 
 def _stiff_edge_state(half_width):
@@ -313,7 +311,7 @@ def test_expm_keeps_the_small_entries_of_the_propagator():
     # max|U|; dropping them changes this norm by ten orders of magnitude.
     p, h, state = _stiff_edge_state(30)
     dt = 20.0 / round(20.0 / default_dt(p))  # the step taken
-    assert stepping_method(h, dt, 1) == "rk4" and stepping_method(h, dt, 50) == "expm"
+    assert stepping_method(h, dt, 1) == "rk4" and stepping_method(h, dt, 50) == "exact"
     [rk4] = propagate(h, [state], (0.0, 20.0), IntegratorConfig(dt=default_dt(p)))
     [exact] = propagate(h, [state], (0.0, 20.0),
                         IntegratorConfig(dt=default_dt(p), record_stride=50))
@@ -328,7 +326,7 @@ def _exact_and_dense(h, state, t, dt, stride):
     sample of k steps, on propagate's mesh.
     """
     n_steps = round(t / dt)
-    assert dynamics.stepping_method(h, t / n_steps, stride) == "expm"
+    assert dynamics.stepping_method(h, t / n_steps, stride) == "exact"
     series = ObservableSeries()
     [out] = propagate(h, [state], (0.0, t), IntegratorConfig(dt=dt, record_stride=stride),
                       series=[series])
@@ -376,7 +374,7 @@ def test_exact_route_matches_dense_expm_on_the_pulsed_chain(h_small_ratio, stabl
     # degree 41 per sample (||H||_inf ~ 15,700).  Tolerance as on the
     # preset chains, 1e-12 relative; measured 6e-15.  The rule steps fig5's
     # pulse with RK4 (fewer nonzeros), so the exact route is forced here.
-    monkeypatch.setattr(dynamics, "stepping_method", lambda *args: "expm")
+    monkeypatch.setattr(dynamics, "stepping_method", lambda *args: "exact")
     ground, _ = stable_modes
     sched = PulseSchedule(delta=0.02)
     pulsed = quenched_hamiltonian(h_small_ratio, sched)
@@ -411,7 +409,7 @@ def test_chain_above_the_old_dense_cap_steps_exactly():
     config = cfg.integrator()
     p = cfg.chain_params()
     h = build_hamiltonian(p)
-    assert stepping_method(h, cfg.t_end / 500, 2) == "expm"
+    assert stepping_method(h, cfg.t_end / 500, 2) == "exact"
     state = make_initial_state("gaussian", p, width=5.0)
     series = ObservableSeries()
     [out] = propagate(h, [state], (0.0, cfg.t_end), config, series=[series])
@@ -428,7 +426,7 @@ def test_underflow_split_into_log_scale():
     p, h, state = _stiff_edge_state(70)
     log_norms = []
     for cfg, method in ((IntegratorConfig(dt=default_dt(p)), "rk4"),
-                        (IntegratorConfig(dt=default_dt(p), record_stride=50), "expm")):
+                        (IntegratorConfig(dt=default_dt(p), record_stride=50), "exact")):
         assert stepping_method(h, 5.0 / round(5.0 / cfg.dt), cfg.record_stride) == method
         [out] = propagate(h, [state], (0.0, 5.0), cfg)
         assert out.log_scale < math.log(UNDERFLOW_GUARD)
@@ -436,7 +434,8 @@ def test_underflow_split_into_log_scale():
     assert log_norms[1] == pytest.approx(log_norms[0], abs=1e-6)
 
 
-@pytest.mark.parametrize("method", ["rk4", "expm"])
+# ids: the exact route's former label, so that the test names stay stable
+@pytest.mark.parametrize("method", ["rk4", "exact"], ids=["rk4", "expm"])
 def test_block_propagation_matches_solo_runs(method, monkeypatch):
     # The edge column falls below the underflow guard and splits a factor
     # into log_scale; the stable-pair column never does.  At M = 30 the edge
@@ -491,7 +490,8 @@ def _unflushed_propagate(h, states, t, cfg):
     return y, log_scale, would_flush
 
 
-@pytest.mark.parametrize("method", ["rk4", "expm"])
+# ids: the exact route's former label, so that the test names stay stable
+@pytest.mark.parametrize("method", ["rk4", "exact"], ids=["rk4", "expm"])
 def test_flush_error_stays_within_its_bound(method, monkeypatch):
     # The edge column's front and the propagator's far entries leave parts
     # below FLUSH_RELATIVE times their column's norm, which propagate
@@ -596,7 +596,7 @@ def test_compensated_chain_conserves_probability():
                           M).normalized()
         deviations = []
         for h in (bare, compensated):
-            assert stepping_method(h, 200.0 / round(200.0 / default_dt(p)), 10) == "expm"
+            assert stepping_method(h, 200.0 / round(200.0 / default_dt(p)), 10) == "exact"
             series = ObservableSeries()
             propagate(h, [state], (0.0, 200.0), IntegratorConfig(dt=default_dt(p), record_stride=10),
                       series=[series])
@@ -620,31 +620,31 @@ def test_stepping_method_boundary():
     fig4, _ = chain(2e-4, 100)  # dt = 0.02, ||H||_inf = 3.95
     assert taylor_terms(fig4, 2 * 0.02) == (10, 1)
     assert stepping_method(fig4, 0.02, 2) == "rk4"  # 21 > 18
-    assert stepping_method(fig4, 0.02, 3) == "expm"  # 23 <= 27
+    assert stepping_method(fig4, 0.02, 3) == "exact"  # 23 <= 27
     # a tie (27 = 27) steps exactly; one degree more does not
     assert taylor_terms(fig4, 3 * 0.035) == (13, 1)
-    assert stepping_method(fig4, 0.035, 3) == "expm"
+    assert stepping_method(fig4, 0.035, 3) == "exact"
     assert stepping_method(fig4, 0.036, 3) == "rk4"
     # at the default dt (about 0.5 / ||H||) the crossover is stride 7, or 8
     for V, M, last_rk4 in ((0.02, 50, 6), (0.32, 30, 6), (2e-4, 400, 7), (2e-4, 801, 6)):
         h, dt = chain(V, M)
         assert stepping_method(h, dt, last_rk4) == "rk4"
-        assert stepping_method(h, dt, last_rk4 + 1) == "expm"
+        assert stepping_method(h, dt, last_rk4 + 1) == "exact"
     wide = '{"experiment": "probability", "M": 5000, "record_stride": %d}'
     assert method(wide % 6) == "rk4"
-    assert method(wide % 7) == "expm"
+    assert method(wide % 7) == "exact"
     # the stability clause: past the limit the run steps exactly, whatever the cost
     limit = stability_limit(fig4)
     assert stepping_method(fig4, limit, 1) == "rk4"
-    assert stepping_method(fig4, math.nextafter(limit, 2.0), 1) == "expm"
+    assert stepping_method(fig4, math.nextafter(limit, 2.0), 1) == "exact"
     stiff = '{"experiment": "probability", "V": 0.32, "M": 30, "dt": %r, "record_stride": 1}'
     assert method(stiff % 0.0086) == "rk4"  # the limit is 0.0086625
-    assert method(stiff % 0.0087) == "expm"
+    assert method(stiff % 0.0087) == "exact"
     # stride 1000 at ||H||_inf dt = 2.5: RK4 is cheaper up to its limit (0.024572)
     short = ('{"experiment": "probability", "M": 800, "V": 1.5625e-4, "t_end": 20.0, '
              '"dt": %r, "record_stride": 1000}')
     assert method(short % 0.02457) == "rk4"
-    assert method(short % 0.02458) == "expm"
+    assert method(short % 0.02458) == "exact"
 
 
 def test_overflow_detected_with_failure_time(h_small_ratio):
@@ -691,39 +691,22 @@ def test_integrator_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# expansion coefficients
+# overlaps with the stable pair
 
-def test_expansion_of_eigenvector_is_delta(spectrum12):
-    mode = spectrum12.modes[3]
-    coeffs = expansion_coefficients(mode.right_vector, spectrum12)
-    assert abs(coeffs[3] - 1.0) < 1e-8
-    others = np.delete(np.abs(coeffs), 3)
-    assert others.max() < 1e-8
-
-
-def test_point_state_couples_equally_to_both_branches(params_small_ratio, spectrum12):
+def test_point_state_couples_equally_to_both_branches(params_small_ratio, stable_modes):
+    ground, excited = stable_modes
     state = make_initial_state("point", params_small_ratio)
-    coeffs = expansion_coefficients(state, spectrum12)
-    c_plus = abs(coeffs[0])
-    c_minus = abs(coeffs[1])
-    assert abs(c_plus - c_minus) <= 1e-6 * c_plus
+    c_g = abs(dirac_overlap(ground.right_vector, state))
+    c_e = abs(dirac_overlap(excited.right_vector, state))
+    assert abs(c_g - c_e) <= 1e-6 * c_g
 
 
-def test_smooth_state_decouples_from_staggered_branch(params_small_ratio, spectrum12, stable_modes):
+def test_smooth_state_decouples_from_staggered_branch(params_small_ratio, stable_modes):
     ground, excited = stable_modes
     state = make_initial_state("gaussian", params_small_ratio, width=10.0)
-    coeffs = expansion_coefficients(state, spectrum12)
-    c_g = coeffs[spectrum12.modes.index(ground)]
-    c_e = coeffs[spectrum12.modes.index(excited)]
+    c_g = dirac_overlap(ground.right_vector, state)
+    c_e = dirac_overlap(excited.right_vector, state)
     assert abs(c_e) / abs(c_g) < 1e-3
-
-
-def test_expansion_reconstruction(small_chain):
-    p, _, spec = small_chain
-    state = make_initial_state("random", p, seed=5)
-    vectors = np.column_stack([mode.right_vector.amplitudes for mode in spec.modes])
-    reconstruction = vectors @ expansion_coefficients(state, spec)
-    assert np.abs(reconstruction - state.amplitudes).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -748,13 +731,6 @@ def test_fidelity_bounds_random_pairs():
         assert 0.0 <= fidelity(a, b) <= 1.0 + 1e-12
 
 
-def test_dirac_probability():
-    state = SiteState(np.full(5, 1.0 / math.sqrt(5.0), dtype=complex), 2)
-    assert dirac_probability(state) == pytest.approx(1.0, abs=1e-12)
-    halved = dataclasses.replace(state, amplitudes=state.amplitudes / math.sqrt(2.0))
-    assert dirac_probability(halved) == pytest.approx(0.25, abs=1e-12)
-
-
 def _record(series, t, state):
     series.record([t], state.amplitudes[None], [state.log_scale])
 
@@ -773,8 +749,8 @@ def test_series_recording_and_csv(stable_modes):
     assert lines[0] == "time,norm2,P,F_g"
     assert len(lines) == 3
     assert float(lines[1].split(",")[3]) == pytest.approx(1.0)
-    # a chunk gives the same bits as norm2(), dirac_probability() and
-    # fidelity() per state
+    # a chunk gives the same bits as norm2(), its square and fidelity() per
+    # state
     mixed = SiteState(0.3 * ground.right_vector.amplitudes + 0.1 * excited.right_vector.amplitudes,
                       ground.right_vector.half_width, log_scale=-1.41)  # math.exp differs in the last bit
     states = [mixed, excited.right_vector, ground.right_vector]
@@ -784,7 +760,7 @@ def test_series_recording_and_csv(stable_modes):
     assert series.times == [0.0, 1.0, 2.0, 3.0, 4.0]
     for i, state in enumerate(states, start=2):
         assert series.norm2[i] == state.norm2()
-        assert series.prob[i] == dirac_probability(state)
+        assert series.prob[i] == state.norm2() * state.norm2()
         assert series.fidelities["g"][i] == fidelity(ground.right_vector, state)
     with pytest.raises(ModelError, match="strictly increasing"):
         series.record([5.0, 5.0], np.array([ground.right_vector.amplitudes] * 2), [0.0, 0.0])
@@ -814,11 +790,13 @@ def test_series_csv_matches_per_value_formatting(rows):
 
 
 def test_series_rejects_a_non_finite_sample_at_its_time():
-    series = ObservableSeries()
-    samples = np.array([[1.0, 0.0, 0.0], [math.inf, 0.0, 0.0]], dtype=complex)
-    with pytest.raises(NumericError, match=r"non-finite norm at t=2\.5$"):
-        series.record([1.0, 2.5], samples, [0.0, 0.0])
-    assert len(series) == 0
+    # at 1e100 norm2 = 1e200 is finite but P = norm2^2 is not; no warning either way
+    for amplitude in (math.inf, 1e100):
+        series = ObservableSeries()
+        samples = np.array([[1.0, 0.0, 0.0], [amplitude, 0.0, 0.0]], dtype=complex)
+        with pytest.raises(NumericError, match=r"non-finite norm at t=2\.5$"):
+            series.record([1.0, 2.5], samples, [0.0, 0.0])
+        assert len(series) == 0
 
 
 def test_series_rejects_a_zero_sample_with_targets(stable_modes):
@@ -912,7 +890,7 @@ def test_two_mode_series_matches_the_mode_expansion_on_the_stiff_chain(params_la
     state = _pair_state(ground, excited, h.half_width)
     closed = dynamics.two_mode_series(ground, excited, (0.0, 200.0), IntegratorConfig(dt=0.5))
     for t in (0.5, 10.0, 50.0, 100.0, 200.0):  # P grows to 1.08e7
-        oracle = dirac_probability(eigen_propagate(spec, h, state, t))
+        oracle = eigen_propagate(spec, h, state, t).norm2() ** 2
         assert closed.prob[closed.times.index(t)] == pytest.approx(oracle, rel=2e-14)
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from nhchain.model import (ChainParams, Hamiltonian, ModelError, NumericError, S
                            anti_pt_residual, apply_parity, build_hamiltonian, parity_signs)
 from nhchain.spectral import (
     DENSE_MAX_DIMENSION,
+    EigenMode,
     Spectrum,
     _edge_eigenpairs,
     _spectrum,
@@ -150,13 +152,16 @@ def test_numeric_spectrum_contract(h_small_ratio, spectrum12):
     scale = 4.0  # rough matrix norm
     for mode in spec.modes:
         assert mode.residual <= 1e-8 * scale
-        # left vector satisfies the conjugate-transpose eigenproblem
-        u = mode.left_vector.amplitudes
+        # H is complex symmetric, so conj(v), the left vector up to scale,
+        # satisfies the conjugate-transpose eigenproblem
+        u = np.conj(mode.right_vector.amplitudes)
         defect = np.linalg.norm(
             np.conj(h_small_ratio.matrix.toarray()).T @ u - np.conj(mode.energy) * u
         ) / np.linalg.norm(u)
         assert defect <= 1e-8 * scale
-        assert abs(dirac_overlap(mode.left_vector, mode.right_vector) - 1.0) < 1e-10
+        # scaled by 1/conj(v^T v), it is biorthonormal to v
+        v = mode.right_vector.amplitudes
+        assert abs(np.vdot(u / np.conj(v @ v), v) - 1.0) < 1e-10
         assert mode.right_vector.is_normalized(tol=1e-10)
     # sorted by descending Im, ties by ascending Re
     keys = [(-m.energy.imag, m.energy.real) for m in spec.modes]
@@ -216,9 +221,10 @@ def test_edge_route_agrees_with_dense():
                 assert abs(twin.energy - mode.energy) <= 1e-12 * h_norm
                 assert (twin.m, twin.branch) == (mode.m, mode.branch)
                 assert twin.residual <= 1e-13 * h_norm
-                # vectors agree up to phase (odd modes tie at +-l, so pivots differ)
-                overlap = dirac_overlap(mode.left_vector, twin.right_vector)
-                assert abs(abs(overlap) - 1.0) <= 1e-10
+                # vectors agree up to phase (odd modes tie at +-l, so pivots
+                # differ): <left|twin> = v^T w / v^T v has modulus 1
+                v, w = mode.right_vector.amplitudes, twin.right_vector.amplitudes
+                assert abs(abs(complex(v @ w) / complex(v @ v)) - 1.0) <= 1e-10
 
 
 def test_edge_route_is_deterministic_and_needs_spares():
@@ -361,8 +367,8 @@ def test_imaginary_parts_semi_negative_after_shift(spectrum12, params_small_rati
 
 def test_biorthogonality_matrix(spectrum12):
     mat = biorthogonality_matrix(spectrum12)
-    reference = [[abs(dirac_overlap(a.left_vector, b.right_vector)) for b in spectrum12.modes]
-                 for a in spectrum12.modes]
+    vectors = [mode.right_vector.amplitudes for mode in spectrum12.modes]
+    reference = [[abs(complex(a @ b)) / abs(complex(a @ a)) for b in vectors] for a in vectors]
     assert np.allclose(mat, reference, rtol=0.0, atol=1e-13)  # summation order
     assert np.abs(np.diag(mat) - 1.0).max() < 1e-10
     off = mat - np.diag(np.diag(mat))
@@ -406,17 +412,26 @@ def test_biorthogonality_single_mode(spectrum12):
         single.stable_pair()
 
 
-
-def test_self_orthogonal_modes_keep_the_conjugate_as_left_vector(h_small_ratio):
+def test_self_orthogonal_rows_stay_undivided(h_small_ratio):
     # Deep in the full M = 100 spectrum some right vectors have |v^T v| < 1e-10,
-    # so no scaling of conj(v) gives <left|right> = 1; those keep left = conj(v).
+    # so no scaling of conj(v) gives <left|right> = 1; their rows of the
+    # biorthogonality matrix are |v_a^T v_b|, undivided.
     spec = numeric_spectrum(h_small_ratio, h_small_ratio.dimension)
-    taken = [mode for mode in spec.modes
-             if abs(complex(mode.right_vector.amplitudes @ mode.right_vector.amplitudes)) < 1e-10]
+    mat = biorthogonality_matrix(spec)
+    vectors = [mode.right_vector.amplitudes for mode in spec.modes]
+    taken = [a for a, v in enumerate(vectors) if abs(complex(v @ v)) < 1e-10]
     assert taken
-    for mode in taken:
-        assert (mode.m, mode.branch) == (-1, "u")
-        assert np.array_equal(mode.left_vector.amplitudes, np.conj(mode.right_vector.amplitudes))
+    for a in taken:
+        assert (spec.modes[a].m, spec.modes[a].branch) == (-1, "u")
+        reference = [abs(complex(vectors[a] @ w)) for w in vectors]
+        assert np.allclose(mat[a], reference, rtol=0.0, atol=1e-13)
+
+
+def test_a_mode_stores_only_its_right_vector():
+    # the left vector is conj(v) / conj(v^T v), derived where it is needed
+    fields = [field.name for field in dataclasses.fields(EigenMode)]
+    assert fields == ["m", "branch", "energy", "right_vector", "residual"]
+
 
 def test_dirac_overlap_basics(stable_modes):
     ground, excited = stable_modes
