@@ -80,12 +80,15 @@ DEFAULT_SEED = 223
 UNDERFLOW_GUARD = 1e-50
 # Parts below this times their column's norm are zeroed (module docstring).
 FLUSH_RELATIVE = 1e-150
-# RK4 steps between two checks of the block: 4-8 measured fastest on an
-# N = 801, stride-1 run.
+# RK4 steps between two checks of the block: 8 and 16 tie, 4 costs 20% more
+# at M = 400 (stride-1 convergence runs at M = 100 and 400, switch at M = 100).
 RK4_CHECK_EVERY = 8
 # Recorded samples reach an ObservableSeries in chunks of at most this many
 # bytes of amplitudes, so a long stride-1 run never holds its trajectory.
 RECORD_CHUNK_BYTES = 2**20
+# Most operator products a ``propagate`` call plans, and most times ``_time_grid``
+# records: at N <= 801 a product took up to 0.75 ms, a recorded time 1.5 kB (README).
+MAX_WORK = 2**20
 STATE_KINDS = ("point", "gaussian", "tophat", "random")
 
 
@@ -362,19 +365,26 @@ def _check_columns(y: np.ndarray, log_scale: np.ndarray, t: float) -> None:
     parts[np.abs(parts) < limits[:, None]] = 0.0
 
 
+def _check_work(count: int, what: str) -> None:
+    if count > MAX_WORK:
+        raise ModelError(f"the span needs {count:,} {what}, above MAX_WORK = {MAX_WORK:,}")
+
+
 def _time_grid(t_span: tuple[float, float], config: IntegratorConfig):
     """(dt, n_steps, steps, time): the uniform mesh over ``t_span`` = (t0, t1) and its records.
 
     n_steps = max(1, round((t1 - t0) / config.dt)) steps of dt = (t1 - t0) / n_steps,
     none over a zero span.  ``steps`` yields the recorded steps lazily: the
-    multiples of ``record_stride`` below n_steps, then n_steps.  ``time``
-    maps a step, or an array of them, to t0 + step dt.
+    multiples of ``record_stride`` below n_steps, then n_steps; more than
+    MAX_WORK of them raise ModelError.  ``time`` maps a step, or an array
+    of them, to t0 + step dt.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
         raise ModelError(f"t_span end {t1} precedes start {t0}")
     n_steps = max(1, round((t1 - t0) / config.dt)) if t1 > t0 else 0
     dt = (t1 - t0) / max(1, n_steps)
+    _check_work(-(-n_steps // config.record_stride) + 1, "recorded times")
     steps = itertools.chain(range(0, n_steps, config.record_stride), [n_steps])
     return dt, n_steps, steps, lambda step: t0 + step * dt
 
@@ -398,6 +408,7 @@ def propagate(
     to the bound in the module docstring.  Both routes record at the
     times of ``_time_grid``: every ``record_stride`` steps and at the last
     step, handed to the series in chunks of at most RECORD_CHUNK_BYTES.
+    More than MAX_WORK planned operator products raise ModelError.
     """
     dt, n_steps, recorded, time = _time_grid(t_span, config)
     states = list(states)
@@ -415,6 +426,8 @@ def propagate(
         return states
 
     jump, check_every, operators = _step_operators(h, dt, n_steps, config.record_stride)
+    samples = {jump: n_steps // jump, n_steps % jump: 1}  # samples of k steps, by k
+    _check_work(sum(samples[k] * s for k, (_, s) in operators.items()), "operator products")
 
     y = np.column_stack([s.amplitudes for s in states])
     log_scale = np.array([s.log_scale for s in states])

@@ -68,20 +68,13 @@ def _check_degree(m: int) -> None:
 
 
 def hermite_polynomial(m: int, z):
-    """Physicists' Hermite polynomial H_m(z) by the three-term recurrence.
+    """Physicists' Hermite polynomial H_m(z), by ``numpy.polynomial.hermite.hermval``.
 
     Accepts scalar or array ``z`` (real or complex).  ``m`` is capped at
-    60 to stay clear of overflow in the recurrence over the supported
-    parameter range.
+    60 to stay clear of overflow over the supported parameter range.
     """
     _check_degree(m)
-    z = np.asarray(z, dtype=complex)
-    h_prev = np.ones_like(z)
-    if m == 0:
-        return h_prev if h_prev.ndim else complex(h_prev)
-    h = 2.0 * z
-    for k in range(1, m):
-        h, h_prev = 2.0 * z * h - 2.0 * k * h_prev, h
+    h = np.polynomial.hermite.hermval(np.asarray(z, dtype=complex), [0.0] * m + [1.0])
     return h if h.ndim else complex(h)
 
 

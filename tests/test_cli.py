@@ -513,6 +513,39 @@ def test_a_span_past_2_53_taylor_substeps_is_an_input_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("config", [
+    '{"experiment": "switch", "M": 10, "t_relax": 1e18}',
+    '{"experiment": "convergence", "M": 10, "t_end": 1e12, "record_stride": 1}',
+    '{"experiment": "probability", "M": 10, "t_end": 1e12, "record_stride": 1}',
+])
+def test_work_beyond_the_bound_is_refused_before_it_starts(tmp_path, capsys, config):
+    # 2e17 products of the switch's relaxation; 5e13 recorded times of the others
+    (tmp_path / "cfg.json").write_text(config)
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="envelope tail"):
+        assert main(["run", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the span needs ") and err.count("\n") == 1
+    assert err.endswith(f"above MAX_WORK = {dynamics.MAX_WORK:,}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_preset_plans_work_within_the_bound(tmp_path, monkeypatch):
+    planned = []
+    check_work = dynamics._check_work
+
+    def spy(count, what):
+        planned.append((what, count))
+        check_work(count, what)
+
+    monkeypatch.setattr(dynamics, "_check_work", spy)
+    for name in cli.PRESETS:
+        run_preset(name, tmp_path / name)
+    assert {what for what, _ in planned} == {"recorded times", "operator products"}
+    # measured at most 2,025 recorded times (fig4) and 2,000 products (fig3, fig5)
+    assert max(count for _, count in planned) <= dynamics.MAX_WORK // 100
+
+
 def test_record_stride_beyond_the_float_range_records_the_ends(tmp_path):
     # The route is chosen on the sample actually taken, all 50 steps, not on
     # 10**400 steps, whose length in time does not fit a float.  The

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import warnings
 from pathlib import Path
@@ -253,3 +254,16 @@ def test_src_defines_and_raises_only_the_two_error_types():
                 raised.add(ast.unparse(exc) if exc else "")  # "" for a bare re-raise
     assert defined == {"ModelError": "model.py", "NumericError": "model.py"}
     assert raised == {"ModelError", "NumericError"}
+
+
+def test_each_public_name_lives_in_its_module_only():
+    # every module's __all__ is the one list of its public names: each name
+    # resolves there, and the package root re-exports none of them
+    names = set()
+    for path in sorted(Path(nhchain.__file__).parent.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"nhchain.{path.stem}")
+            assert module.__all__ and all(hasattr(module, name) for name in module.__all__)
+            names.update(module.__all__)
+    assert "propagate" in names and "ModelError" in names
+    assert not names & set(vars(nhchain))

@@ -48,10 +48,29 @@ def test_hermite_base_cases():
     assert hermite_polynomial(2, 1.0) == 2.0  # 4z^2 - 2
 
 
+def hermite_recurrence(m, z):
+    """Independent oracle: the three-term recurrence H_k+1 = 2z H_k - 2k H_k-1."""
+    h_prev, h = np.ones_like(z), 2.0 * z
+    if m == 0:
+        return h_prev
+    for k in range(1, m):
+        h, h_prev = 2.0 * z * h - 2.0 * k * h_prev, h
+    return h
+
+
 def test_hermite_against_series_oracle():
     for m in (3, 5, 11):
         z = 0.3 + 0.1j
         assert hermite_polynomial(m, z) == pytest.approx(hermite_series(m, z), rel=1e-12)
+    # On the lattice's z = alpha * l, |l| <= 100, for every supported degree:
+    # within 2.4e-15 relative of the recurrence (max over entries, measured).
+    for V in (2e-4, 0.02, 0.32):
+        z = mode_scale(ChainParams(J=1.0, V=V, half_width=1)) * np.arange(-100.0, 101.0)
+        for m in range(61):
+            got, expected = hermite_polynomial(m, z), hermite_recurrence(m, z)
+            zero = expected == 0  # z = 0 at odd m, exact on both routes
+            assert np.all(got[zero] == 0)
+            assert np.max(np.abs(got - expected)[~zero] / np.abs(expected[~zero])) < 3e-15
 
 
 def test_hermite_guard():
