@@ -32,7 +32,7 @@ from .dynamics import (
     run_convergence_experiment,
     two_mode_series,
 )
-from .model import ChainParams, ModelError, NumericError, SiteState, build_hamiltonian
+from .model import ChainParams, Hamiltonian, ModelError, NumericError, SiteState, build_hamiltonian
 from .quench import PulseSchedule, run_switch_experiment
 from .spectral import numeric_spectrum, spectrum_table
 from .svgplot import render_line_plot
@@ -201,9 +201,8 @@ def _finish_run(outdir: Path, cfg_json: str, files: dict[str, str]) -> list[Path
 # ---------------------------------------------------------------------------
 # experiment runners
 
-def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
-    params = cfg.chain_params()
-    spec = numeric_spectrum(build_hamiltonian(params), count=cfg.count)
+def _run_spectrum(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> list[Path]:
+    spec = numeric_spectrum(h, count=cfg.count)
     curves = []
     for branch in "+-":
         modes = [mode for mode in spec.modes if mode.branch == branch]
@@ -218,12 +217,11 @@ def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return _finish_run(outdir, cfg.to_json(), files)
 
 
-def _run_convergence(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
-    params = cfg.chain_params()
-    initials = {kind: make_initial_state(kind, params, center=cfg.initial_center,
+def _run_convergence(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> list[Path]:
+    initials = {kind: make_initial_state(kind, h.params, center=cfg.initial_center,
                                          width=cfg.initial_width, seed=cfg.seed)
                 for kind in STATE_KINDS}
-    results = run_convergence_experiment(initials, params, cfg.t_end, cfg.integrator())
+    results = run_convergence_experiment(initials, h, cfg.t_end, cfg.integrator())
     files: dict[str, str] = {}
     for kind, state in initials.items():
         files[f"profile_{kind}.csv"] = _profile_csv(state)
@@ -236,15 +234,14 @@ def _run_convergence(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return _finish_run(outdir, cfg.to_json(), files)
 
 
-def _probability_series(cfg: ExperimentConfig) -> ObservableSeries:
+def _probability_series(cfg: ExperimentConfig, h: Hamiltonian) -> ObservableSeries:
     """P(t) from (g + e) / ||g + e||, the stable pair's superposition, in closed form."""
-    spec = numeric_spectrum(build_hamiltonian(cfg.chain_params()), count=2)
-    ground, excited = spec.stable_pair()
+    ground, excited = numeric_spectrum(h, count=2).stable_pair()
     return two_mode_series(ground, excited, (0.0, cfg.t_end), cfg.integrator())
 
 
-def _run_probability(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
-    series = _probability_series(cfg)
+def _run_probability(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> list[Path]:
+    series = _probability_series(cfg, h)
     files = {
         "probability.csv": series.to_csv(),
         "probability.svg": render_line_plot([("P", series.times, series.prob)],
@@ -260,7 +257,8 @@ def _run_probability_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         raw = {"experiment": "probability", "J": cfg.J, "V": V, "M": M,
                "t_end": cfg.t_end, "seed": cfg.seed}
         sub_configs.append((ratio, _resolve(raw)))
-    series_list = [_probability_series(sub) for _, sub in sub_configs]
+    series_list = [_probability_series(sub, build_hamiltonian(sub.chain_params()))
+                   for _, sub in sub_configs]
     files: dict[str, str] = {}
     for (ratio, _), series in zip(sub_configs, series_list):
         files[f"probability_ratio_{ratio:g}.csv"] = series.to_csv()
@@ -276,15 +274,14 @@ def _run_probability_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return _finish_run(outdir, json.dumps(resolved, indent=2, sort_keys=True) + "\n", files)
 
 
-def _run_switch(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
-    params = cfg.chain_params()
+def _run_switch(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> list[Path]:
     schedule = PulseSchedule(delta=cfg.delta)
-    series = run_switch_experiment(params, schedule, cfg.t_relax, cfg.integrator(),
+    series = run_switch_experiment(h, schedule, cfg.t_relax, cfg.integrator(),
                                    initial=cfg.initial_level)
     sidecar = {
         "delta": cfg.delta,
         "mu": schedule.mu,
-        "hardness_ratio": schedule.hardness_ratio(params),
+        "hardness_ratio": schedule.hardness_ratio(h),
         "t_relax": cfg.t_relax,
         "initial_level": cfg.initial_level,
         "dt_pulse": schedule.dt,
@@ -303,13 +300,14 @@ def _run_switch(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 
 
 def run_config(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+    """Build the config's chain once and run its experiment on it into ``outdir``."""
     runner = {
         "spectrum": _run_spectrum,
         "convergence": _run_convergence,
         "probability": _run_probability,
         "switch": _run_switch,
     }[cfg.experiment]
-    return runner(cfg, outdir)
+    return runner(cfg, build_hamiltonian(cfg.chain_params()), outdir)
 
 
 PRESET_CONFIGS = {

@@ -54,8 +54,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
-                    build_hamiltonian, row_norm2)
+from .model import ChainParams, Hamiltonian, ModelError, NumericError, SiteState, row_norm2
 from .spectral import EigenMode, Spectrum, dirac_overlap, numeric_spectrum
 
 __all__ = [
@@ -521,17 +520,16 @@ def fidelity(target: SiteState, evolved: SiteState) -> float:
 
 def run_convergence_experiment(
     initials: dict[str, SiteState],
-    params: ChainParams,
+    h: Hamiltonian,
     t_end: float,
     config: IntegratorConfig,
 ) -> dict[str, ObservableSeries]:
     """Propagate the named initial states and track fidelity to |g> and |e>.
 
     The targets are the two slowest-decaying numeric eigenmodes of the
-    chain.  All states are stepped as one block.  Returns one series per
-    name of ``initials``, in its order.
+    built chain ``h``.  All states are stepped as one block.  Returns one
+    series per name of ``initials``, in its order.
     """
-    h = build_hamiltonian(params)
     spec = numeric_spectrum(h, count=2)
     ground, excited = spec.stable_pair()
     targets = {"g": ground.right_vector, "e": excited.right_vector}

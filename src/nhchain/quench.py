@@ -1,12 +1,12 @@
 """Rectangular linear-field pulse that swaps the two stable bound states.
 
-During the window (0, delta) the diagonal gains mu * l with
-mu = pi / delta, so the accumulated phase per site is exp(-i*pi*l): the
-staggered parity.  Since parity maps the ground mode onto the conjugate of
-the excited one (and vice versa), a pulse followed by free relaxation
-switches the two levels.  The delta -> 0 limit is ``model.apply_parity``;
-``run_switch_experiment(use_impulse=True)`` applies it in place of the
-pulse and serves as the oracle for the finite-pulse integration.
+During the window (0, delta) the diagonal gains mu * l with mu = pi / delta,
+so the accumulated phase per site is exp(-i*pi*l): the staggered parity,
+which maps the ground mode onto the conjugate of the excited one (and vice
+versa).  A pulse much harder than the chain, mu >> ||H||_inf, followed by
+free relaxation therefore switches the two levels.  The delta -> 0 limit is
+``model.apply_parity``; ``run_switch_experiment(use_impulse=True)`` applies
+it to the caller's chain as the oracle for the finite-pulse integration.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .model import ChainParams, Hamiltonian, ModelError, apply_parity, build_hamiltonian
+from .model import Hamiltonian, ModelError, apply_parity
 from .dynamics import IntegratorConfig, ObservableSeries, propagate
 from .spectral import numeric_spectrum
 
@@ -52,9 +52,9 @@ class PulseSchedule:
     def dt(self) -> float:
         return self.delta / 400.0
 
-    def hardness_ratio(self, params: ChainParams) -> float:
-        """mu over the chain's energy scale; >> 1 validates the impulse picture."""
-        return self.mu / max(2.0 * params.J, params.V * params.half_width**2)
+    def hardness_ratio(self, h: Hamiltonian) -> float:
+        """mu over the chain's size ||H||_inf; >> 1 validates the impulse picture."""
+        return self.mu / h.norm
 
 
 def quenched_hamiltonian(h: Hamiltonian, sched: PulseSchedule) -> Hamiltonian:
@@ -69,26 +69,26 @@ def quenched_hamiltonian(h: Hamiltonian, sched: PulseSchedule) -> Hamiltonian:
 
 
 def run_switch_experiment(
-    params: ChainParams,
+    h: Hamiltonian,
     schedule: PulseSchedule,
     t_relax: float,
     config: IntegratorConfig,
     initial: str = "g",
     use_impulse: bool = False,
 ) -> ObservableSeries:
-    """Drive one stable mode through the pulse and relax for ``t_relax``; record F_g, F_e.
+    """Drive one stable mode of ``h`` through the pulse, relax for ``t_relax``; record F_g, F_e.
 
     ``initial`` selects the numeric ground ('g') or excited ('e') mode.
     ``config`` steps the relaxation; the pulse window takes the schedule's
     own dt.  With ``use_impulse`` the finite pulse is replaced by the exact
-    parity kick at t = 0 (the comparison oracle).  A pulse softer than the
-    advertised hardness ratio of 10 only warns.
+    parity kick at t = 0 (the comparison oracle).  A pulse whose
+    ``hardness_ratio(h)`` = mu / ||H||_inf is below 10 only warns.
     """
     if t_relax < 0:
         raise ModelError(f"t_relax must be >= 0, got {t_relax}")
     if initial not in ("g", "e"):
         raise ModelError(f"initial must be 'g' or 'e', got {initial!r}")
-    hardness = schedule.hardness_ratio(params)
+    hardness = schedule.hardness_ratio(h)
     if hardness < HARDNESS_ADVERTISED:
         warnings.warn(
             f"pulse hardness ratio {hardness:.3g} < {HARDNESS_ADVERTISED:g}: "
@@ -96,7 +96,6 @@ def run_switch_experiment(
             stacklevel=2,
         )
 
-    h = build_hamiltonian(params)
     spec = numeric_spectrum(h, count=2)
     ground, excited = spec.stable_pair()
     targets = {"g": ground.right_vector, "e": excited.right_vector}

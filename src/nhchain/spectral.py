@@ -229,10 +229,13 @@ def _edge_eigenpairs(h: Hamiltonian, count: int) -> tuple[np.ndarray, np.ndarray
         ritz, v = scipy.sparse.linalg.eigs(matrix, k=-(-count // 2) + EDGE_SPARES,
                                            sigma=sigma, v0=v0)
         for j, value in enumerate(ritz):
-            x = scipy.sparse.linalg.splu(matrix - value * identity).solve(v[:, j])
-            v[:, j] = x / np.linalg.norm(x)
+            v[:, j] = scipy.sparse.linalg.splu(matrix - value * identity).solve(v[:, j])
     except RuntimeError as exc:  # ArpackError (incl. no convergence), exactly singular LU
         raise NumericError(f"shift-invert search at {sigma:.6g} failed: {exc}") from exc
+    norms = [np.linalg.norm(x) for x in v.T]
+    if not all(0 < norm < math.inf for norm in norms):  # a solve underflowed to 0 or overflowed
+        raise NumericError(f"shift-invert search at {sigma:.6g} returned non-finite modes")
+    v /= norms
     e = np.sum(v * (matrix @ v), axis=0) / np.sum(v * v, axis=0)
     own, mirrored = e.real <= TOL, e.real < -TOL
     signs = parity_signs(h.half_width)[:, None]
@@ -296,7 +299,7 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
     selected.sort(key=lambda i: _sort_key(eigenvalues[i]))
     if len(eigenvalues) < h.dimension:
         spare_imag = [eigenvalues[i].imag for i in order if i not in selected_set]
-        kept_imag = min(eigenvalues[i].imag for i in selected)
+        kept_imag = min((eigenvalues[i].imag for i in selected), default=-math.inf)
         if not spare_imag or kept_imag <= max(spare_imag):
             raise NumericError(
                 f"spare modes do not certify the cut below the {len(selected)} slowest-decaying"

@@ -125,7 +125,7 @@ def test_criterion_4_convergence_dynamics():
     initials = {kind: make_initial_state(kind, params, seed=DEFAULT_SEED)
                 for kind in ("gaussian", "tophat", "random", "point")}
     results = run_convergence_experiment(
-        initials, params, 600.0, IntegratorConfig(dt=0.02, record_stride=3000),
+        initials, build_hamiltonian(params), 600.0, IntegratorConfig(dt=0.02, record_stride=3000),
     )
     finals = {kind: series.fidelities["g"][-1] for kind, series in results.items()}
     smooth_ok = all(finals[k] > 0.99 for k in ("gaussian", "tophat", "random"))
@@ -161,7 +161,8 @@ def test_criterion_5_probability_conservation():
 
 def test_criterion_6_pulse_switch():
     params = ChainParams(J=1.0, V=2e-4)
-    plan = (params, PulseSchedule(delta=0.02), 600.0, IntegratorConfig(dt=default_dt(params)))
+    plan = (build_hamiltonian(params), PulseSchedule(delta=0.02), 600.0,
+            IntegratorConfig(dt=default_dt(params)))
     forward = run_switch_experiment(*plan, initial="g")
     backward = run_switch_experiment(*plan, initial="e")
     oracle = run_switch_experiment(*plan, initial="g", use_impulse=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nhchain import cli, dynamics, quench, svgplot
+from nhchain import cli, dynamics, svgplot
 from nhchain.dynamics import (
     DEFAULT_SEED,
     STATE_KINDS,
@@ -284,6 +284,9 @@ def test_switch_preset_short_run(tmp_path):
     sidecar = json.loads(_read(outdir / "switch_plan.json"))
     assert sidecar["mu"] == pytest.approx(math.pi / 0.02)
     assert sidecar["hardness_ratio"] > 10.0
+    # mu / ||H||_inf of fig5's chain (3.9502), not of the parameter radius max(2J, V M^2) = 2
+    h = build_hamiltonian(parse_config(json.dumps(raw)).chain_params())
+    assert sidecar["hardness_ratio"] == PulseSchedule(delta=0.02).mu / h.norm == 39.76498219824051
     header = _read(outdir / "switch.csv").split("\n", 1)[0]
     assert header == "time,norm2,P,F_g,F_e"
 
@@ -383,8 +386,8 @@ def test_probability_series_steps_nothing(tmp_path, monkeypatch):
         return stepped(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "propagate", counted)
-    series = cli._probability_series(parse_config('{"experiment": "probability", "M": 30, '
-                                                  '"V": 0.32, "t_end": 50.0}'))
+    probability = parse_config('{"experiment": "probability", "M": 30, "V": 0.32, "t_end": 50.0}')
+    series = cli._probability_series(probability, build_hamiltonian(probability.chain_params()))
     assert calls == [] and series.times[-1] == 50.0 and not hasattr(cli, "propagate")
     # the wrapper sees a run that steps: a convergence run is one block
     convergence = parse_config('{"experiment": "convergence", "M": 30, "V": 0.32, "t_end": 5.0}')
@@ -405,7 +408,7 @@ def test_wide_switch_steps_its_pulse_exactly(tmp_path):
     assert stepping_method(quenched_hamiltonian(h, sched), sched.dt, 1) == "exact"
     config = tmp_path / "switch.json"
     config.write_text(json.dumps(raw))
-    with pytest.warns(UserWarning, match="hardness"):  # 4.91 at M = 400
+    with pytest.warns(UserWarning, match="hardness"):  # 4.64 at M = 400
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
     header, *rows = _read(tmp_path / "out" / "switch.csv").strip().split("\n")
     assert header == "time,norm2,P,F_g,F_e"
@@ -501,7 +504,7 @@ def test_main_reports_an_overflowing_omega_by_its_keys(tmp_path, capsys):
 
 def test_a_span_past_2_53_taylor_substeps_is_an_input_error(tmp_path, capsys):
     # The pulse lasts 1e300: every Taylor degree would need more than 2**53
-    # substeps.  Its hardness ratio, 1.6e-300, warns first.
+    # substeps.  Its hardness ratio, 8e-301, warns first.
     config = tmp_path / "cfg.json"
     config.write_text('{"experiment": "switch", "delta": 1e300}')
     capsys.readouterr()
@@ -510,6 +513,24 @@ def test_a_span_past_2_53_taylor_substeps_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: a span of 1e+300 needs more than 2**53 Taylor substeps\n"
     )
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config", [
+    '{"experiment": "probability", "J": 1e300, "V": 1e-300, "t_end": 1}',
+    '{"experiment": "switch", "J": 1e200, "V": 1e-200, "t_relax": 1}',
+    '{"experiment": "convergence", "J": 1e200, "V": 1e-200, "t_end": 1}',
+    '{"experiment": "spectrum", "J": 1e200, "V": 1e-200, "M": 3000, "count": 12}',
+])
+def test_a_band_edge_search_with_no_usable_mode_is_a_numeric_failure(tmp_path, capsys, config):
+    # At these scales every refining LU solve returns an exact zero vector;
+    # normalizing it gave nan modes, and an empty selection a ValueError.
+    (tmp_path / "cfg.json").write_text(config)
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="envelope tail|pulse hardness"):  # the switch warns twice
+        assert main(["run", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: shift-invert search at ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -628,7 +649,7 @@ def test_cli_run_warns_once_at_the_callers_line(tmp_path):
     assert done.returncode == 0, done.stderr
     tail = [line for line in done.stderr.splitlines() if "envelope tail" in line]
     assert len(tail) == 1
-    assert tail[0].startswith(quench.__file__ + ":")  # run_switch_experiment builds the chain
+    assert tail[0].startswith(cli.__file__ + ":")  # run_config builds the chain
 
 
 def test_convergence_builds_each_initial_state_once(tmp_path, monkeypatch):

@@ -894,10 +894,10 @@ def test_two_mode_series_matches_the_mode_expansion_on_the_stiff_chain(params_la
         assert closed.prob[closed.times.index(t)] == pytest.approx(oracle, rel=2e-14)
 
 
-def test_convergence_experiment_small_scale(params_small_ratio):
+def test_convergence_experiment_small_scale(params_small_ratio, h_small_ratio):
     initials = {kind: make_initial_state(kind, params_small_ratio) for kind in ("gaussian", "point")}
     results = run_convergence_experiment(
-        initials, params_small_ratio, 200.0, IntegratorConfig(dt=0.02, record_stride=1000),
+        initials, h_small_ratio, 200.0, IntegratorConfig(dt=0.02, record_stride=1000),
     )
     assert list(results) == ["gaussian", "point"]
     assert results["gaussian"].fidelities["g"][-1] > 0.99

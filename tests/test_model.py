@@ -256,6 +256,17 @@ def test_src_defines_and_raises_only_the_two_error_types():
     assert raised == {"ModelError", "NumericError"}
 
 
+def test_only_the_cli_builds_chains():
+    # library functions take a built Hamiltonian, so a chain is built once
+    # per run and the envelope-tail warning points at the caller's own line
+    builders = set()
+    for path in sorted(Path(nhchain.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "build_hamiltonian" in ast.unparse(node.func):
+                builders.add(path.name)
+    assert builders == {"cli.py"}
+
+
 def test_each_public_name_lives_in_its_module_only():
     # every module's __all__ is the one list of its public names: each name
     # resolves there, and the package root re-exports none of them

@@ -46,19 +46,19 @@ def test_pulse_area_is_pi():
         assert sched.mu * sched.delta == pytest.approx(math.pi, rel=1e-15)
 
 
-def test_hardness_ratio(params_small_ratio):
+def test_hardness_ratio(h_small_ratio):
     sched = PulseSchedule(delta=0.02)
-    # energy scale is max(2J, V M^2) = 2 for these parameters
-    assert sched.hardness_ratio(params_small_ratio) == pytest.approx(
-        math.pi / 0.02 / 2.0, rel=1e-12
+    # ||H||_inf = 2J + |omega - V l^2| at l = 99 = 3.9502 for this chain
+    assert sched.hardness_ratio(h_small_ratio) == pytest.approx(
+        math.pi / 0.02 / 3.9502, rel=1e-12
     )
 
 
-def test_plan_validation(params_small_ratio):
+def test_plan_validation(params_small_ratio, h_small_ratio):
     sched = PulseSchedule(delta=0.02)
     config = IntegratorConfig(dt=default_dt(params_small_ratio))
     with pytest.raises(ModelError, match="t_relax"):
-        run_switch_experiment(params_small_ratio, sched, -1.0, config)
+        run_switch_experiment(h_small_ratio, sched, -1.0, config)
     assert sched.dt == 0.02 / 400.0
 
 
@@ -125,9 +125,9 @@ def test_bare_pulse_propagator_approximates_parity():
 # full switch experiment
 
 @pytest.fixture(scope="module")
-def short_plan(params_small_ratio):
+def short_plan(params_small_ratio, h_small_ratio):
     """Positional inputs of a 200/J switch: chain, pulse, relaxation, stepping."""
-    return (params_small_ratio, PulseSchedule(delta=0.02), 200.0,
+    return (h_small_ratio, PulseSchedule(delta=0.02), 200.0,
             IntegratorConfig(dt=default_dt(params_small_ratio)))
 
 
@@ -152,21 +152,21 @@ def test_finite_pulse_matches_impulse(short_plan):
     assert abs(finite.fidelities["e"][-1] - impulse.fidelities["e"][-1]) < 1e-6
 
 
-def test_outcome_independent_of_duration(params_small_ratio):
+def test_outcome_independent_of_duration(params_small_ratio, h_small_ratio):
     # the pulse area is fixed at pi, so halving the duration changes nothing
     config = IntegratorConfig(dt=default_dt(params_small_ratio))
     results = []
     for delta in (0.02, 0.01):
-        series = run_switch_experiment(params_small_ratio, PulseSchedule(delta=delta), 200.0,
+        series = run_switch_experiment(h_small_ratio, PulseSchedule(delta=delta), 200.0,
                                        config, initial="g")
         results.append(series.fidelities["e"][-1])
     assert abs(results[0] - results[1]) < 1e-6
 
 
-def test_soft_pulse_warns(params_small_ratio):
+def test_soft_pulse_warns(params_small_ratio, h_small_ratio):
     config = IntegratorConfig(dt=default_dt(params_small_ratio))
     with pytest.warns(UserWarning, match="hardness"):
-        run_switch_experiment(params_small_ratio, PulseSchedule(delta=1.0), 0.0, config,
+        run_switch_experiment(h_small_ratio, PulseSchedule(delta=1.0), 0.0, config,
                               initial="g")
 
 
