@@ -290,9 +290,9 @@ def make_initial_state(
         amps = np.zeros(params.dimension, dtype=complex)
         amps[center + params.half_width] = 1.0
     elif kind == "gaussian":
-        if not (width > 0 and math.isfinite(width * width)):  # width**2 raises on overflow
+        if not (width > 0 and 0 < width * width < math.inf):  # width**2 raises on overflow
             raise ModelError(f"width must be > 0 with a finite square, got {width}")
-        with np.errstate(divide="ignore", invalid="ignore"):  # width**2 == 0 fails in normalized()
+        with np.errstate(over="ignore"):  # a subnormal width**2 sends l != c to exp(-inf) = 0
             amps = np.exp(-((l - center) ** 2) / (2.0 * width**2)).astype(complex)
     elif kind == "tophat":
         if width <= 0:
@@ -375,8 +375,9 @@ def _time_grid(t_span: tuple[float, float], config: IntegratorConfig):
     n_steps = max(1, round((t1 - t0) / config.dt)) steps of dt = (t1 - t0) / n_steps,
     none over a zero span.  ``steps`` yields the recorded steps lazily: the
     multiples of ``record_stride`` below n_steps, then n_steps; more than
-    MAX_WORK of them raise ModelError.  ``time`` maps a step, or an array
-    of them, to t0 + step dt.
+    MAX_WORK of them raise ModelError, and so do last recorded times that
+    round to the same float (the smallest gaps, where a float's spacing is
+    widest).  ``time`` maps a step, or an array of them, to t0 + step dt.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
@@ -384,6 +385,11 @@ def _time_grid(t_span: tuple[float, float], config: IntegratorConfig):
     n_steps = max(1, round((t1 - t0) / config.dt)) if t1 > t0 else 0
     dt = (t1 - t0) / max(1, n_steps)
     _check_work(-(-n_steps // config.record_stride) + 1, "recorded times")
+    last = (n_steps - 1) // config.record_stride * config.record_stride
+    ends = [t0 + step * dt for step in (last - config.record_stride, last, n_steps) if step >= 0]
+    if not all(a < b for a, b in zip(ends, ends[1:])):
+        raise ModelError(f"dt = {config.dt!r} is too small for the span ({t0!r}, {t1!r}): "
+                         "recorded times round to the same float")
     steps = itertools.chain(range(0, n_steps, config.record_stride), [n_steps])
     return dt, n_steps, steps, lambda step: t0 + step * dt
 

@@ -11,7 +11,6 @@ exactly (zero for the bare chain, by construction of the entries).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,8 +30,6 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-12
-# Envelope tail at the chain's ends above which ``build_hamiltonian`` warns.
-TAIL_TOL = 1e-13
 
 
 class ModelError(ValueError):
@@ -119,6 +116,11 @@ class ChainParams(_OnLattice):
             raise ModelError("V * half_width**2 overflows the floating range")
         object.__setattr__(self, "omega", omega)
 
+    @property
+    def envelope_tail(self) -> float:
+        """exp(-omega*M^2/(2J)), the bound states' envelope at the chain's ends."""
+        return math.exp(-self.omega * self.half_width**2 / (2.0 * self.J))
+
 
 @dataclass(frozen=True)
 class Hamiltonian(_OnLattice):
@@ -190,16 +192,7 @@ class SiteState(_OnLattice):
 
 
 def build_hamiltonian(params: ChainParams) -> Hamiltonian:
-    """Tridiagonal matrix with diagonal i*omega - i*V*l**2, off-diagonals -J.
-
-    Warns, without failing, when the bound states' envelope tail at the
-    chain's ends, exp(-omega*M^2/(2J)), exceeds TAIL_TOL: the truncation
-    to 2M+1 sites may then matter.
-    """
-    tail = math.exp(-params.omega * params.half_width**2 / (2.0 * params.J))
-    if tail > TAIL_TOL:
-        warnings.warn(f"envelope tail exp(-omega*M^2/(2J)) = {tail:.3e} exceeds "
-                      f"{TAIL_TOL:.3e}; boundary effects may matter", stacklevel=2)
+    """Tridiagonal matrix with diagonal i*omega - i*V*l**2, off-diagonals -J; never warns."""
     l = params.sites().astype(float)
     diagonal = 1j * (params.omega - params.V * l * l)
     return Hamiltonian(diagonal=diagonal, off_diagonal=-params.J,

@@ -12,7 +12,6 @@ it to the caller's chain as the oracle for the finite-pulse integration.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 from .model import Hamiltonian, ModelError, apply_parity
@@ -24,8 +23,6 @@ __all__ = [
     "quenched_hamiltonian",
     "run_switch_experiment",
 ]
-
-HARDNESS_ADVERTISED = 10.0
 
 
 @dataclass(frozen=True)
@@ -81,20 +78,12 @@ def run_switch_experiment(
     ``initial`` selects the numeric ground ('g') or excited ('e') mode.
     ``config`` steps the relaxation; the pulse window takes the schedule's
     own dt.  With ``use_impulse`` the finite pulse is replaced by the exact
-    parity kick at t = 0 (the comparison oracle).  A pulse whose
-    ``hardness_ratio(h)`` = mu / ||H||_inf is below 10 only warns.
+    parity kick at t = 0 (the comparison oracle).  Never warns, even on a soft pulse.
     """
     if t_relax < 0:
         raise ModelError(f"t_relax must be >= 0, got {t_relax}")
     if initial not in ("g", "e"):
         raise ModelError(f"initial must be 'g' or 'e', got {initial!r}")
-    hardness = schedule.hardness_ratio(h)
-    if hardness < HARDNESS_ADVERTISED:
-        warnings.warn(
-            f"pulse hardness ratio {hardness:.3g} < {HARDNESS_ADVERTISED:g}: "
-            "impulse approximation not advertised as valid",
-            stacklevel=2,
-        )
 
     spec = numeric_spectrum(h, count=2)
     ground, excited = spec.stable_pair()

@@ -1,5 +1,3 @@
-import warnings
-
 import pytest
 
 from nhchain.model import ChainParams, build_hamiltonian
@@ -30,6 +28,4 @@ def stable_modes(spectrum12):
 @pytest.fixture(scope="session")
 def params_large_ratio():
     """Stiff chain: omega/J = 0.4 (V = 0.32), 61 sites."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ChainParams(J=1.0, V=0.32, half_width=30)
+    return ChainParams(J=1.0, V=0.32, half_width=30)

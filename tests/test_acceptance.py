@@ -5,7 +5,6 @@ to see them) and then asserts, so a red test is also a printed FAIL.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -31,10 +30,8 @@ from nhchain.quench import PulseSchedule, run_switch_experiment
 from nhchain.cli import run_preset
 
 
-def _quiet_chain(**kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # short chains exceed the envelope-tail budget
-        return build_hamiltonian(ChainParams(**kw))
+def _chain(**kw):
+    return build_hamiltonian(ChainParams(**kw))
 
 
 def _report(number: int, label: str, ok: bool, detail: str) -> bool:
@@ -44,7 +41,7 @@ def _report(number: int, label: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_symmetry_and_pairing():
     sweep = [
-        _quiet_chain(J=J, V=V, half_width=M)
+        _chain(J=J, V=V, half_width=M)
         for J in (0.5, 1.0, 2.0, 7.3)
         for V, M in ((2e-4, 100), (0.02, 50), (0.32, 30), (1e-3, 75), (0.1, 20))
     ]
@@ -57,7 +54,7 @@ def test_criterion_1_symmetry_and_pairing():
 
     pair_dists = []
     for V, M in ((0.02, 50), (0.32, 30)):
-        h = _quiet_chain(J=1.0, V=V, half_width=M)
+        h = _chain(J=1.0, V=V, half_width=M)
         pair_dists.append(mirror_distance(eigvals(h.matrix.toarray())))
     slow = numeric_spectrum(build_hamiltonian(ChainParams(J=1.0, V=2e-4)), 12)
     pair_dists.append(mirror_distance(np.array([m.energy for m in slow.modes])))
@@ -140,7 +137,7 @@ def test_criterion_4_convergence_dynamics():
 def test_criterion_5_probability_conservation():
     deviations = []
     for V, M in ((2e-4, 100), (0.02, 50), (0.32, 30)):
-        h = _quiet_chain(J=1.0, V=V, half_width=M)
+        h = _chain(J=1.0, V=V, half_width=M)
         ground, excited = numeric_spectrum(h, 2).stable_pair()
         amps = (ground.right_vector.amplitudes + excited.right_vector.amplitudes)
         state = SiteState(amps, h.half_width).normalized()
@@ -181,7 +178,7 @@ def test_criterion_6_pulse_switch():
 
 
 def test_criterion_7_integrator_oracle():
-    h = _quiet_chain(J=1.0, V=2e-4, half_width=10)
+    h = _chain(J=1.0, V=2e-4, half_width=10)
     spec = numeric_spectrum(h, h.dimension)
     state = make_initial_state("gaussian", h.params, width=3.0)
     oracle = eigen_propagate(spec, h, state, 100.0)

@@ -48,11 +48,9 @@ def test_minimal_config_gets_defaults():
     assert cfg.t_end == 0.0
     assert cfg.dt > 0.0
     # convergence never reads count; its default must not reject a small chain
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # envelope tail of the short chains
-        assert parse_config('{"experiment": "convergence", "M": 5}').count == 11
-        assert parse_config('{"experiment": "spectrum", "M": 1}').count == 3
-        assert parse_config('{"experiment": "spectrum", "M": 6}').count == 12
+    assert parse_config('{"experiment": "convergence", "M": 5}').count == 11
+    assert parse_config('{"experiment": "spectrum", "M": 1}').count == 3
+    assert parse_config('{"experiment": "spectrum", "M": 6}').count == 12
 
 
 def test_readme_lists_every_config_key():
@@ -296,9 +294,7 @@ def test_probability_sweep_layout(tmp_path):
     raw = dict(PRESET_CONFIGS["fig4"], t_end=20.0)
     from nhchain.cli import _resolve, _run_probability_sweep
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        paths = _run_probability_sweep(_resolve(raw), outdir)
+    paths = _run_probability_sweep(_resolve(raw), outdir)  # no chain of the sweep warns
     names = sorted(p.name for p in paths)
     assert names == [
         "config.json",
@@ -531,6 +527,27 @@ def test_a_band_edge_search_with_no_usable_mode_is_a_numeric_failure(tmp_path, c
         assert main(["run", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: shift-invert search at ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, tail, named", [
+    ('{"experiment": "probability", "J": 1e100, "V": 1e100, "t_end": 1}', False,
+     "dt = 4.9996464716076396e-105 is too small for the span (0.0, 1.0)"),
+    ('{"experiment": "convergence", "M": 10, "t_end": 1, "dt": 1e-300}', True, "dt = 1e-300"),
+    ('{"experiment": "convergence", "M": 2, "t_end": 10, "initial_width": 1e-200}', True,
+     "width must be > 0 with a finite square, got 1e-200"),
+])
+def test_inputs_below_the_float_spacing_are_named(tmp_path, capsys, config, tail, named):
+    # The first two record times t = k dt whose last ones round to the same
+    # float; the third has a width whose square underflows to 0.
+    (tmp_path / "cfg.json").write_text(config)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 1
+    assert [str(w.message)[:13] for w in caught] == ["envelope tail"] * tail
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -37,10 +36,8 @@ from nhchain.dynamics import (
 @pytest.fixture(scope="module")
 def small_chain():
     """21-site chain used for integrator-oracle comparisons."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = ChainParams(J=1.0, V=2e-4, half_width=10)
-        h = build_hamiltonian(p)
+    p = ChainParams(J=1.0, V=2e-4, half_width=10)
+    h = build_hamiltonian(p)
     return p, h, numeric_spectrum(h, h.dimension)
 
 
@@ -81,8 +78,11 @@ def test_initial_state_validation(params_small_ratio):
         make_initial_state("tophat", p, width=-1.0)
     with pytest.raises(ModelError):
         make_initial_state("random", p)  # seed required
-    with pytest.raises(ModelError, match="normalize"):
-        make_initial_state("gaussian", p, width=1e-320)  # width**2 underflows to 0
+    for bad in (-1.0, 1e-320, 1e-200):  # the last two square to 0
+        with pytest.raises(ModelError, match=f"finite square, got {bad}"):
+            make_initial_state("gaussian", p, width=bad)
+    point = make_initial_state("gaussian", p, width=1e-160)  # width**2 is subnormal
+    assert np.array_equal(point.amplitudes, make_initial_state("point", p).amplitudes)
     with pytest.raises(ModelError, match="finite square"):
         make_initial_state("gaussian", p, width=1e155)  # width**2 overflows
     flat = make_initial_state("gaussian", p, width=1e154)  # 2 width**2 overflows to inf
@@ -198,10 +198,8 @@ def test_rk4_steps_only_within_the_stability_limit(V, M, dt_per_limit, record_st
                                                    span_per_dt):
     # propagate routes on the step it takes, span / n_steps, which differs
     # from dt whenever the span is not a whole number of steps.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = ChainParams(J=1.0, V=V, half_width=M)
-        h = build_hamiltonian(p)
+    p = ChainParams(J=1.0, V=V, half_width=M)
+    h = build_hamiltonian(p)
     limit = stability_limit(h)
     cfg = IntegratorConfig(dt=dt_per_limit * limit, record_stride=record_stride)
     span = span_per_dt * cfg.dt
@@ -235,10 +233,7 @@ def test_rk4_at_the_stability_limit_grows_no_mode_faster_than_the_exact_flow(V, 
     # |R(z)| stays within the largest |e^z|, or within 1 where no mode grows.
     # At 2.5 / max(2|H_l,l+1|, max|H_ll|) RK4 grows a mode of the fig4 chain
     # (V = 2e-4, M = 100) 2.156 times per step.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = ChainParams(J=1.0, V=V, half_width=M)
-        bare = build_hamiltonian(p)
+    bare = build_hamiltonian(ChainParams(J=1.0, V=V, half_width=M))
     for h in (bare, quenched_hamiltonian(bare, PulseSchedule(delta=0.02))):
         z = -1j * scipy.linalg.eigvals(h.matrix.toarray()) * stability_limit(h)
         rk4 = np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max()
@@ -300,9 +295,7 @@ def test_expm_records_on_the_rk4_mesh(small_chain, monkeypatch):
 
 
 def _stiff_edge_state(half_width):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = ChainParams(J=1.0, V=0.32, half_width=half_width)
+    p = ChainParams(J=1.0, V=0.32, half_width=half_width)
     return p, build_hamiltonian(p), make_initial_state("point", p, center=half_width)
 
 
@@ -358,10 +351,8 @@ def test_exact_route_matches_dense_expm_on_the_preset_chains(V, M, stride, start
     # Tolerance 1e-12 relative over 20 time units (up to 204 samples): the
     # truncation bound is s sqrt(N) 2^-53 per sample, below 1e-14 here; the
     # rest is rounding, measured at most 3e-13 (the N = 61 chain).
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = ChainParams(J=1.0, V=V, half_width=M)
-        h = build_hamiltonian(p)
+    p = ChainParams(J=1.0, V=V, half_width=M)
+    h = build_hamiltonian(p)
     state = _stable_pair_state(h) if start == "pair" else make_initial_state(start, p)
     exact, dense, final_error = _exact_and_dense(h, state, 20.0, default_dt(p), stride)
     assert np.abs(exact - dense).max() <= 1e-12 * dense.min()
@@ -521,10 +512,8 @@ def test_flush_keeps_subnormals_out_of_states_and_records(monkeypatch):
     # On this 801-site chain the stable pair's far tails decay below the
     # normal range by t ~ 25: unflushed, 64 parts of the state at t = 30 and
     # 11,345 parts of the recorded samples are subnormal.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = ChainParams(J=1.0, V=2e-4, half_width=400)
-        h = build_hamiltonian(p)
+    p = ChainParams(J=1.0, V=2e-4, half_width=400)
+    h = build_hamiltonian(p)
     ground, excited = numeric_spectrum(h, 2).stable_pair()
     state = SiteState(ground.right_vector.amplitudes + excited.right_vector.amplitudes,
                       p.half_width).normalized()
@@ -584,10 +573,8 @@ def test_compensated_chain_conserves_probability():
     # identity, so the modes are unchanged) leaves the stable pair with
     # |Im E| of order V^(3/2): criterion 5's drift is the lattice term.
     for V, M, bound in ((2e-4, 100, 1e-4), (0.02, 50, 0.02)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = ChainParams(J=1.0, V=V, half_width=M)
-            bare = build_hamiltonian(p)
+        p = ChainParams(J=1.0, V=V, half_width=M)
+        bare = build_hamiltonian(p)
         l = p.sites().astype(float)
         compensated = Hamiltonian(diagonal=1j * (p.omega - V / 16.0 - V * l * l),
                                   off_diagonal=-p.J, half_width=M)
@@ -608,9 +595,7 @@ def test_stepping_method_boundary():
     # RK4 only when dt is within the stability limit and one exact sample
     # applies more nonzeros, s (2p + 1), than record_stride RK4 steps, 9 each.
     def chain(V, M):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = ChainParams(J=1.0, V=V, half_width=M)
+        p = ChainParams(J=1.0, V=V, half_width=M)
         return build_hamiltonian(p), default_dt(p)
 
     def method(raw):

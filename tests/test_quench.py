@@ -104,10 +104,8 @@ def test_parity_maps_ground_to_conjugate_excited(stable_modes):
 
 def test_bare_pulse_propagator_approximates_parity():
     # the pulse term alone, integrated over the window, is the parity gate
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = ChainParams(J=1.0, V=2e-4, half_width=10)
-        h = build_hamiltonian(p)
+    p = ChainParams(J=1.0, V=2e-4, half_width=10)
+    h = build_hamiltonian(p)
     sched = PulseSchedule(delta=0.02)
     bare = Hamiltonian(
         diagonal=(sched.mu * h.sites()).astype(complex),
@@ -163,11 +161,15 @@ def test_outcome_independent_of_duration(params_small_ratio, h_small_ratio):
     assert abs(results[0] - results[1]) < 1e-6
 
 
-def test_soft_pulse_warns(params_small_ratio, h_small_ratio):
+def test_soft_pulse_is_reported_not_warned(params_small_ratio, h_small_ratio):
+    # mu / ||H||_inf = pi / 3.9502; the CLI warns of it
+    sched = PulseSchedule(delta=1.0)
+    assert sched.hardness_ratio(h_small_ratio) < 10
     config = IntegratorConfig(dt=default_dt(params_small_ratio))
-    with pytest.warns(UserWarning, match="hardness"):
-        run_switch_experiment(h_small_ratio, PulseSchedule(delta=1.0), 0.0, config,
-                              initial="g")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = run_switch_experiment(h_small_ratio, sched, 0.0, config, initial="g")
+    assert series.times[-1] == 1.0
 
 
 def test_bad_initial_label(short_plan):

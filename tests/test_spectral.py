@@ -1,7 +1,6 @@
 import cmath
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -200,9 +199,7 @@ def test_numeric_spectrum_validation(h_small_ratio):
 
 
 def _chain(V, M):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # short chains exceed the tail budget
-        return build_hamiltonian(ChainParams(J=1.0, V=V, half_width=M))
+    return build_hamiltonian(ChainParams(J=1.0, V=V, half_width=M))
 
 
 def test_residual_gate_rejects_inaccurate_pairs():
@@ -408,9 +405,7 @@ chains = st.builds(
 @example(chain=(0.7, 0.02, 60), count=1)
 def test_numeric_spectrum_pairs_and_biorthonormal(chain, count):
     J, V, M = chain
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        h = build_hamiltonian(ChainParams(J=J, V=V, half_width=M))
+    h = build_hamiltonian(ChainParams(J=J, V=V, half_width=M))
     spec = numeric_spectrum(h, min(count, h.dimension))
     energies = spec.energies()
     # E -> -conj(E): the selection is closed under the anti-PT pairing
