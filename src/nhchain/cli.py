@@ -242,7 +242,7 @@ def _run_convergence(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> lis
         files[f"fidelity_{kind}.csv"] = results[kind].to_csv()
     files["profile_ground.csv"] = _profile_csv(results[STATE_KINDS[0]].targets["g"])
     files["fidelity.svg"] = render_line_plot(
-        [(kind, series.times, series.fidelities["g"]) for kind, series in results.items()],
+        [(kind, series["time"], series["F_g"]) for kind, series in results.items()],
         TIME_LABEL, "F_g(t)", "convergence to the ground mode",
     )
     return _finish_run(outdir, cfg.to_json(), files)
@@ -258,7 +258,7 @@ def _run_probability(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> lis
     series = _probability_series(cfg, h)
     files = {
         "probability.csv": series.to_csv(),
-        "probability.svg": render_line_plot([("P", series.times, series.prob)],
+        "probability.svg": render_line_plot([("P", series["time"], series["P"])],
                                             TIME_LABEL, "P(t)", "Dirac probability"),
     }
     return _finish_run(outdir, cfg.to_json(), files)
@@ -277,7 +277,7 @@ def _run_probability_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     for (ratio, _), series in zip(sub_configs, series_list):
         files[f"probability_ratio_{ratio:g}.csv"] = series.to_csv()
     files["probability.svg"] = render_line_plot(
-        [(f"omega/J = {ratio:g}", series.times, series.prob)
+        [(f"omega/J = {ratio:g}", series["time"], series["P"])
          for (ratio, _), series in zip(sub_configs, series_list)],
         TIME_LABEL, "P(t)", "Dirac probability vs dissipation scale",
     )
@@ -309,8 +309,8 @@ def _run_switch(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> list[Pat
         "switch.csv": series.to_csv(),
         "switch_plan.json": json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
         "switch.svg": render_line_plot(
-            [("F_g(t)", series.times, series.fidelities["g"]),
-             ("F_e(t)", series.times, series.fidelities["e"])],
+            [("F_g(t)", series["time"], series["F_g"]),
+             ("F_e(t)", series["time"], series["F_e"])],
             TIME_LABEL, "fidelity", "pulse-driven level switch",
         ),
     }

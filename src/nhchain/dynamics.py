@@ -86,7 +86,7 @@ RK4_CHECK_EVERY = 8
 # bytes of amplitudes, so a long stride-1 run never holds its trajectory.
 RECORD_CHUNK_BYTES = 2**20
 # Most operator products a ``propagate`` call plans, and most times ``_time_grid``
-# records: at N <= 801 a product took up to 0.75 ms, a recorded time 1.5 kB (README).
+# records: at N <= 801 a product took up to 0.75 ms, a recorded time 0.9 kB of peak RSS (README).
 MAX_WORK = 2**20
 STATE_KINDS = ("point", "gaussian", "tophat", "random")
 
@@ -175,25 +175,29 @@ class ObservableSeries:
 
     Fidelity targets are registered at construction (name -> normalized
     state; their raw norms are computed once) and evaluated at every
-    recorded time.  Samples arrive in chunks (see ``record``).  Serializes
-    to CSV with columns: time, norm2, P, then one F_<name> column per
-    target, all at 17 significant digits.
+    recorded time.  Samples arrive in chunks (see ``record``), each kept as
+    one float64 block whose columns are ``header``: time, norm2, P, then one
+    F_<name> per target.  ``series[name]`` reads a column by its header
+    name; ``to_csv`` writes the blocks under the header, 17 significant digits.
     """
 
     def __init__(self, targets: dict[str, SiteState] | None = None):
         self.targets: dict[str, SiteState] = dict(targets or {})
         for name, target in self.targets.items():
-            if not target.is_normalized(tol=1e-8):
+            if abs(target.norm2() - 1.0) > 1e-8:
                 raise ModelError(f"fidelity target {name!r} is not Dirac-normalized")
         self._target_rows = np.array([target.amplitudes.conj() for target in self.targets.values()])
         self._target_norm2 = np.array([target.raw_norm2() for target in self.targets.values()])
-        self.times: list[float] = []
-        self.norm2: list[float] = []
-        self.prob: list[float] = []
-        self.fidelities: dict[str, list[float]] = {name: [] for name in self.targets}
+        self.header = ("time", "norm2", "P", *(f"F_{name}" for name in self.targets))
+        self._blocks: list[np.ndarray] = []  # rows x len(header), float64
 
     def __len__(self) -> int:
-        return len(self.times)
+        return sum(len(block) for block in self._blocks)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        """The column named ``name`` in ``header``, as a new float64 array (ValueError if none)."""
+        column = self.header.index(name)
+        return np.concatenate([block[:, column] for block in self._blocks] or [np.empty(0)])
 
     def record(self, times, samples: np.ndarray, log_scale) -> None:
         """Append one chunk of samples (``_append`` checks the times and norms).
@@ -215,20 +219,19 @@ class ObservableSeries:
         the raw ``samples``, of norm^2 ``raw_n2``.
         """
         times = np.asarray(times, dtype=float)
-        start = int(bool(self.times) and len(times) > 0 and times[0] == self.times[-1])
+        last = self._blocks[-1][-1, 0] if self._blocks else -math.inf
+        start = int(bool(self._blocks) and len(times) > 0 and times[0] == last)
         times, n2 = times[start:], n2[start:]
         if not len(times):
             return
-        before = np.concatenate([self.times[-1:] or [-math.inf], times[:-1]])
+        before = np.concatenate([[last], times[:-1]])
         if np.any(times <= before):
             i = int(np.argmax(times <= before))
-            raise ModelError(
-                f"times must be strictly increasing, got {times[i]} after {before[i]}"
-            )
+            raise ModelError(f"times must be strictly increasing, got {times[i]} after {before[i]}")
         with np.errstate(over="ignore"):
             prob = n2 * n2
         _raise_at_first(~np.isfinite(prob), times, "non-finite norm")
-        fidelities = {}
+        columns = [times, n2, prob]
         if self.targets:
             samples, raw_n2 = samples[start:], raw_n2[start:]
             denom = self._target_norm2[:, None] * raw_n2
@@ -237,20 +240,15 @@ class ObservableSeries:
             values = np.abs(_overlaps(self._target_rows, samples)) ** 2 / denom
             in_range = (values >= 0.0) & (values <= 1.0 + 1e-12)
             _raise_at_first(~in_range.all(axis=0), times, "fidelity out of [0, 1]")
-            fidelities = dict(zip(self.targets, np.minimum(values, 1.0)))
-        self.times.extend(times.tolist())
-        self.norm2.extend(n2.tolist())
-        self.prob.extend(prob.tolist())
-        for name, values in fidelities.items():
-            self.fidelities[name].extend(values.tolist())
+            columns.extend(np.minimum(values, 1.0))
+        self._blocks.append(np.column_stack(columns))
 
     def to_csv(self) -> str:
-        if not self.times:
+        if not self._blocks:
             raise ModelError("cannot serialize an empty series")
-        header = ",".join(["time", "norm2", "P"] + [f"F_{name}" for name in self.targets])
-        columns = [self.times, self.norm2, self.prob] + list(self.fidelities.values())
-        row = ",".join(["%.17g"] * len(columns)) + "\n"  # as f"{value:.17g}"
-        return header + "\n" + (row * len(self.times)) % tuple(np.array(columns).T.ravel().tolist())
+        row = ",".join(["%.17g"] * len(self.header)) + "\n"  # as f"{value:.17g}"
+        return ",".join(self.header) + "\n" + "".join(
+            (row * len(block)) % tuple(block.ravel().tolist()) for block in self._blocks)
 
 
 def _overlaps(conj_targets: np.ndarray, samples: np.ndarray) -> np.ndarray:

@@ -29,8 +29,6 @@ __all__ = [
     "row_norm2",
 ]
 
-NORM_TOL = 1e-12
-
 
 class ModelError(ValueError):
     """Bad input: invalid parameters, config values or operands (CLI exit 1)."""
@@ -180,9 +178,6 @@ class SiteState(_OnLattice):
     def norm2(self) -> float:
         """Physical Dirac norm squared, including the split-off scale."""
         return float(np.exp(2.0 * self.log_scale)) * self.raw_norm2()  # np.exp as in a series
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm2() - 1.0) <= tol
 
     def normalized(self) -> "SiteState":
         n2 = self.raw_norm2()

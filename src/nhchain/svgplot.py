@@ -47,7 +47,7 @@ def _fmt(value: float) -> str:
 
 
 def render_line_plot(
-    curves: list[tuple[str, list, list]],
+    curves: list[tuple[str, list | np.ndarray, list | np.ndarray]],
     xlabel: str,
     ylabel: str,
     title: str = "",
@@ -63,11 +63,11 @@ def render_line_plot(
         if len(xs) == 0 or len(xs) != len(ys):
             raise ModelError(f"curve {label!r} is empty or ragged")
 
-    all_x = [float(x) for _, xs, _ in curves for x in xs]
-    all_y = [float(y) for _, _, ys in curves for y in ys]
+    all_x = np.concatenate([np.asarray(xs, dtype=float) for _, xs, _ in curves])
+    all_y = np.concatenate([np.asarray(ys, dtype=float) for _, _, ys in curves])
     # Bounds in quarters of the data (exact on normal floats): no padded span overflows.
-    x_lo, x_hi = min(all_x) / 4, max(all_x) / 4
-    y_lo, y_hi = min(all_y) / 4, max(all_y) / 4
+    x_lo, x_hi = float(all_x.min()) / 4, float(all_x.max()) / 4
+    y_lo, y_hi = float(all_y.min()) / 4, float(all_y.max()) / 4
     # A flat range is widened by 0.5 (0.125 in quarters), or by one ulp where that is more.
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - max(0.125, math.ulp(x_lo)), x_hi + max(0.125, math.ulp(x_hi))

@@ -124,7 +124,7 @@ def test_criterion_4_convergence_dynamics():
     results = run_convergence_experiment(
         initials, build_hamiltonian(params), 600.0, IntegratorConfig(dt=0.02, record_stride=3000),
     )
-    finals = {kind: series.fidelities["g"][-1] for kind, series in results.items()}
+    finals = {kind: series["F_g"][-1] for kind, series in results.items()}
     smooth_ok = all(finals[k] > 0.99 for k in ("gaussian", "tophat", "random"))
     point_ok = abs(finals["point"] - 0.5) <= 0.02
     ok = smooth_ok and point_ok
@@ -145,7 +145,7 @@ def test_criterion_5_probability_conservation():
         propagate(h, [state], (0.0, 200.0),
                   IntegratorConfig(dt=default_dt(h.params), record_stride=10),
                   series=[series])
-        deviations.append(max(abs(p - 1.0) for p in series.prob))
+        deviations.append(max(abs(p - 1.0) for p in series["P"]))
     small_ok = deviations[0] < 0.01
     monotone_ok = deviations[0] < deviations[1] < deviations[2]
     ok = small_ok and monotone_ok
@@ -163,12 +163,12 @@ def test_criterion_6_pulse_switch():
     forward = run_switch_experiment(*plan, initial="g")
     backward = run_switch_experiment(*plan, initial="e")
     oracle = run_switch_experiment(*plan, initial="g", use_impulse=True)
-    fe, fg = forward.fidelities["e"][-1], forward.fidelities["g"][-1]
+    fe, fg = forward["F_e"][-1], forward["F_g"][-1]
     swap_gap = max(
-        abs(backward.fidelities["g"][-1] - fe),
-        abs(backward.fidelities["e"][-1] - fg),
+        abs(backward["F_g"][-1] - fe),
+        abs(backward["F_e"][-1] - fg),
     )
-    oracle_gap = abs(oracle.fidelities["e"][-1] - fe)
+    oracle_gap = abs(oracle["F_e"][-1] - fe)
     ok = fe > 0.99 and fg < 0.01 and swap_gap < 0.01 and oracle_gap < 0.01
     assert _report(
         6, "pi-pulse switch", ok,

@@ -10,6 +10,7 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -149,6 +150,20 @@ def test_render_line_plot_deterministic():
 
 def test_render_line_plot_single_point_uses_marker():
     assert "<circle" in render_line_plot(_toy_curves(n=1), "t", "F")
+
+
+def test_render_line_plot_reads_arrays_as_it_reads_lists():
+    curves = [("a", [0.0, 0.5, 2.0], [1.0, -3.0, 0.25]), ("marker", [1], [7]),
+              ("b", [-1.5, 4], [0, 2.5])]
+
+    def frozen(values):
+        array = np.array(values, dtype=float)
+        array.flags.writeable = False
+        return array
+
+    arrays = [(label, frozen(xs), frozen(ys)) for label, xs, ys in curves]
+    svg = render_line_plot(curves, "t", "F", "demo")
+    assert "<circle" in svg and render_line_plot(arrays, "t", "F", "demo") == svg
 
 
 def _quarter_range(values, pad):
@@ -370,7 +385,7 @@ def test_stiff_chain_steps_beyond_the_rk4_limit_with_expm(tmp_path):
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
     header, *rows = _read(tmp_path / "out" / "probability.csv").strip().split("\n")
     assert header == "time,norm2,P" and len(rows) == len(series) == 2001
-    assert [float(row.split(",")[0]) for row in rows] == series.times
+    assert [float(row.split(",")[0]) for row in rows] == series["time"].tolist()
 
 
 def test_probability_series_steps_nothing(tmp_path, monkeypatch):
@@ -384,7 +399,7 @@ def test_probability_series_steps_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "propagate", counted)
     probability = parse_config('{"experiment": "probability", "M": 30, "V": 0.32, "t_end": 50.0}')
     series = cli._probability_series(probability, build_hamiltonian(probability.chain_params()))
-    assert calls == [] and series.times[-1] == 50.0 and not hasattr(cli, "propagate")
+    assert calls == [] and series["time"][-1] == 50.0 and not hasattr(cli, "propagate")
     # the wrapper sees a run that steps: a convergence run is one block
     convergence = parse_config('{"experiment": "convergence", "M": 30, "V": 0.32, "t_end": 5.0}')
     cli.run_config(convergence, tmp_path / "c")

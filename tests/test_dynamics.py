@@ -99,7 +99,7 @@ def test_normalized_rejects_a_non_finite_norm(amplitude):
 def test_all_kinds_normalized(params_small_ratio):
     for kind in ("point", "gaussian", "tophat", "random"):
         state = make_initial_state(kind, params_small_ratio, seed=1)
-        assert state.is_normalized()
+        assert abs(state.norm2() - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +289,9 @@ def test_expm_records_on_the_rk4_mesh(small_chain, monkeypatch):
         propagate(h, [state], (0.0, 10.0), IntegratorConfig(dt=0.01, record_stride=7),
                   series=[series])
         runs[method] = series
-    assert runs["exact"].times == runs["rk4"].times
+    assert runs["exact"]["time"].tolist() == runs["rk4"]["time"].tolist()
     assert len(runs["exact"]) == len(runs["rk4"]) == 1000 // 7 + 2
-    assert np.allclose(runs["exact"].norm2, runs["rk4"].norm2, rtol=1e-8, atol=0.0)
+    assert np.allclose(runs["exact"]["norm2"], runs["rk4"]["norm2"], rtol=1e-8, atol=0.0)
 
 
 def _stiff_edge_state(half_width):
@@ -331,7 +331,7 @@ def _exact_and_dense(h, state, t, dt, stride):
         y = u[min(stride, n_steps - step)] @ y
         norm2.append(float(np.vdot(y, y).real))
     final = out.amplitudes * math.exp(out.log_scale)
-    return (np.array(series.norm2), np.array(norm2),
+    return (np.array(series["norm2"]), np.array(norm2),
             np.linalg.norm(final - y) / np.linalg.norm(y))
 
 
@@ -447,8 +447,8 @@ def test_block_propagation_matches_solo_runs(method, monkeypatch):
         assert np.abs(out.amplitudes - solo.amplitudes).max() <= 1e-13 * scale
         assert out.log_scale == pytest.approx(solo.log_scale, rel=1e-13, abs=0.0)
         assert out.norm2() == pytest.approx(solo.norm2(), rel=1e-13, abs=0.0)
-        assert series.times == solo_series.times
-        assert np.allclose(series.norm2, solo_series.norm2, rtol=1e-13, atol=0.0)
+        assert series["time"].tolist() == solo_series["time"].tolist()
+        assert np.allclose(series["norm2"], solo_series["norm2"], rtol=1e-13, atol=0.0)
     assert block[0].log_scale < math.log(UNDERFLOW_GUARD)
     assert block[1].log_scale == block[2].log_scale == 0.0
 
@@ -540,8 +540,8 @@ def test_flush_keeps_subnormals_out_of_states_and_records(monkeypatch):
     for _ in range(n_steps):
         y = step @ y
         norm2.append(dataclasses.replace(state, amplitudes=y).norm2())
-    assert series.norm2 == norm2
-    assert series.prob == [n2 * n2 for n2 in norm2]
+    assert series["norm2"].tolist() == norm2
+    assert series["P"].tolist() == [n2 * n2 for n2 in norm2]
 
 
 def test_split_keeps_subnormals_out_of_a_decayed_column(monkeypatch):
@@ -587,7 +587,7 @@ def test_compensated_chain_conserves_probability():
             series = ObservableSeries()
             propagate(h, [state], (0.0, 200.0), IntegratorConfig(dt=default_dt(p), record_stride=10),
                       series=[series])
-            deviations.append(max(abs(prob - 1.0) for prob in series.prob))
+            deviations.append(max(abs(prob - 1.0) for prob in series["P"]))
         assert deviations[1] <= bound < deviations[0]
 
 
@@ -660,7 +660,7 @@ def test_series_argument_matches_the_state_argument(h_small_ratio, stable_modes)
     series = [ObservableSeries(), ObservableSeries()]
     out = propagate(h_small_ratio, states, (2.0, 2.0), cfg, series=series)
     assert isinstance(out, list) and all(a is b for a, b in zip(out, states, strict=True))
-    assert [s.times for s in series] == [[2.0], [2.0]]
+    assert [s["time"].tolist() for s in series] == [[2.0], [2.0]]
 
 
 def test_integrator_config_validation():
@@ -726,7 +726,7 @@ def test_series_recording_and_csv(stable_modes):
     _record(series, 0.0, ground.right_vector)
     _record(series, 0.0, ground.right_vector)  # duplicate time is ignored
     _record(series, 1.0, ground.right_vector)
-    assert series.times == [0.0, 1.0]
+    assert series["time"].tolist() == [0.0, 1.0]
     with pytest.raises(ModelError):
         _record(series, 0.5, ground.right_vector)
     csv = series.to_csv()
@@ -742,14 +742,25 @@ def test_series_recording_and_csv(stable_modes):
     chunk = [ground.right_vector] + states  # its first sample repeats t = 1.0: the seam
     series.record([1.0, 2.0, 3.0, 4.0], np.array([s.amplitudes for s in chunk]),
                   [s.log_scale for s in chunk])
-    assert series.times == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert series["time"].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
     for i, state in enumerate(states, start=2):
-        assert series.norm2[i] == state.norm2()
-        assert series.prob[i] == state.norm2() * state.norm2()
-        assert series.fidelities["g"][i] == fidelity(ground.right_vector, state)
+        assert series["norm2"][i] == state.norm2()
+        assert series["P"][i] == state.norm2() * state.norm2()
+        assert series["F_g"][i] == fidelity(ground.right_vector, state)
     with pytest.raises(ModelError, match="strictly increasing"):
         series.record([5.0, 5.0], np.array([ground.right_vector.amplitudes] * 2), [0.0, 0.0])
     assert len(series) == 5
+    # each column, read across the blocks and the seam, is the CSV's column bit for bit,
+    # and a returned column is the caller's own copy
+    csv = series.to_csv()
+    header, *rows = csv.strip().split("\n")
+    assert tuple(header.split(",")) == series.header
+    for j, name in enumerate(series.header):
+        column = series[name]
+        assert column.dtype == np.float64
+        assert column.tobytes() == np.array([float(row.split(",")[j]) for row in rows]).tobytes()
+        column[:] = -1.0
+    assert series.to_csv() == csv
 
 
 _CSV_VALUES = st.one_of(
@@ -762,13 +773,14 @@ _CSV_VALUES = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3).flatmap(
     lambda k: st.lists(st.lists(_CSV_VALUES, min_size=3 + k, max_size=3 + k),
-                       min_size=1, max_size=20)))
-def test_series_csv_matches_per_value_formatting(rows):
+                       min_size=1, max_size=20)),
+       st.lists(st.integers(1, 19), max_size=2))
+def test_series_csv_matches_per_value_formatting(rows, cuts):
     unit = SiteState(np.ones(1, dtype=complex), 0)
     series = ObservableSeries(targets={f"t{i}": unit for i in range(len(rows[0]) - 3)})
-    columns = [list(column) for column in zip(*rows)]
-    series.times, series.norm2, series.prob = columns[:3]
-    series.fidelities = dict(zip(series.targets, columns[3:]))
+    # the rows as 1-3 non-empty blocks, as successive chunks leave them
+    bounds = sorted({0, len(rows), *(cut for cut in cuts if cut < len(rows))})
+    series._blocks = [np.array(rows[a:b], dtype=float) for a, b in zip(bounds, bounds[1:])]
     lines = [",".join(["time", "norm2", "P"] + [f"F_{name}" for name in series.targets])]
     lines += [",".join(f"{value:.17g}" for value in row) for row in rows]
     assert series.to_csv() == "\n".join(lines) + "\n"
@@ -839,13 +851,13 @@ def test_time_grid_is_the_mesh_propagate_records(small_chain):
         stepped = ObservableSeries()
         propagate(h, [state], t_span, config, series=[stepped])
         closed = dynamics.two_mode_series(ground, excited, t_span, config)
-        assert closed.times == stepped.times  # bit for bit
-        assert closed.times[0] == t_span[0] and closed.times[-1] == t_span[1]
-        assert closed.norm2[0] == 1.0
+        assert closed["time"].tolist() == stepped["time"].tolist()  # bit for bit
+        assert closed["time"][0] == t_span[0] and closed["time"][-1] == t_span[1]
+        assert closed["norm2"][0] == 1.0
         if t_span[0] == t_span[1]:
-            assert closed.times == [0.0] and closed.prob == [1.0]
+            assert closed["time"].tolist() == [0.0] and closed["P"].tolist() == [1.0]
         if stride > 2**63:
-            assert closed.times == [0.0, 2.5]
+            assert closed["time"].tolist() == [0.0, 2.5]
 
 
 # Largest relative difference in P between the closed form and stepping,
@@ -863,8 +875,8 @@ def test_two_mode_series_follows_propagate_on_the_fig4_chains(ratio, V, M):
     propagate(h, [_pair_state(ground, excited, M)], (0.0, config.t_end), config.integrator(),
               series=[stepped])
     closed = dynamics.two_mode_series(ground, excited, (0.0, config.t_end), config.integrator())
-    assert closed.times == stepped.times
-    relative = np.abs(np.subtract(closed.prob, stepped.prob)) / stepped.prob
+    assert closed["time"].tolist() == stepped["time"].tolist()
+    relative = np.abs(np.subtract(closed["P"], stepped["P"])) / stepped["P"]
     assert relative.max() <= FIG4_STEPPED_P_RTOL[ratio]
 
 
@@ -876,7 +888,7 @@ def test_two_mode_series_matches_the_mode_expansion_on_the_stiff_chain(params_la
     closed = dynamics.two_mode_series(ground, excited, (0.0, 200.0), IntegratorConfig(dt=0.5))
     for t in (0.5, 10.0, 50.0, 100.0, 200.0):  # P grows to 1.08e7
         oracle = eigen_propagate(spec, h, state, t).norm2() ** 2
-        assert closed.prob[closed.times.index(t)] == pytest.approx(oracle, rel=2e-14)
+        assert closed["P"][closed["time"].tolist().index(t)] == pytest.approx(oracle, rel=2e-14)
 
 
 def test_convergence_experiment_small_scale(params_small_ratio, h_small_ratio):
@@ -885,8 +897,8 @@ def test_convergence_experiment_small_scale(params_small_ratio, h_small_ratio):
         initials, h_small_ratio, 200.0, IntegratorConfig(dt=0.02, record_stride=1000),
     )
     assert list(results) == ["gaussian", "point"]
-    assert results["gaussian"].fidelities["g"][-1] > 0.99
-    assert results["point"].fidelities["g"][-1] == pytest.approx(0.5, abs=0.02)
+    assert results["gaussian"]["F_g"][-1] > 0.99
+    assert results["point"]["F_g"][-1] == pytest.approx(0.5, abs=0.02)
     for series in results.values():
-        assert all(0.0 <= f <= 1.0 for f in series.fidelities["g"])
-        assert series.times[-1] == 200.0
+        assert all(0.0 <= f <= 1.0 for f in series["F_g"])
+        assert series["time"][-1] == 200.0

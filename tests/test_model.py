@@ -215,7 +215,7 @@ def test_site_state_validation_and_norm():
     state = SiteState(np.full(5, 1.0 + 0.0j), 2)
     assert state.norm2() == pytest.approx(5.0)
     n = state.normalized()
-    assert n.is_normalized()
+    assert abs(n.norm2() - 1.0) <= 1e-12
     with pytest.raises(ModelError):
         SiteState(np.zeros(5, dtype=complex), 2).normalized()
 

@@ -131,23 +131,23 @@ def short_plan(params_small_ratio, h_small_ratio):
 
 def test_switch_ground_to_excited(short_plan):
     series = run_switch_experiment(*short_plan, initial="g")
-    assert series.fidelities["g"][0] == pytest.approx(1.0, abs=1e-9)
-    assert series.fidelities["e"][-1] > 0.999
-    assert series.times[-1] == pytest.approx(200.02)
+    assert series["F_g"][0] == pytest.approx(1.0, abs=1e-9)
+    assert series["F_e"][-1] > 0.999
+    assert series["time"][-1] == pytest.approx(200.02)
 
 
 def test_switch_is_symmetric(short_plan):
     forward = run_switch_experiment(*short_plan, initial="g")
     backward = run_switch_experiment(*short_plan, initial="e")
-    assert backward.fidelities["g"][-1] == pytest.approx(
-        forward.fidelities["e"][-1], abs=1e-9
+    assert backward["F_g"][-1] == pytest.approx(
+        forward["F_e"][-1], abs=1e-9
     )
 
 
 def test_finite_pulse_matches_impulse(short_plan):
     finite = run_switch_experiment(*short_plan, initial="g")
     impulse = run_switch_experiment(*short_plan, initial="g", use_impulse=True)
-    assert abs(finite.fidelities["e"][-1] - impulse.fidelities["e"][-1]) < 1e-6
+    assert abs(finite["F_e"][-1] - impulse["F_e"][-1]) < 1e-6
 
 
 def test_outcome_independent_of_duration(params_small_ratio, h_small_ratio):
@@ -157,7 +157,7 @@ def test_outcome_independent_of_duration(params_small_ratio, h_small_ratio):
     for delta in (0.02, 0.01):
         series = run_switch_experiment(h_small_ratio, PulseSchedule(delta=delta), 200.0,
                                        config, initial="g")
-        results.append(series.fidelities["e"][-1])
+        results.append(series["F_e"][-1])
     assert abs(results[0] - results[1]) < 1e-6
 
 
@@ -169,7 +169,7 @@ def test_soft_pulse_is_reported_not_warned(params_small_ratio, h_small_ratio):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         series = run_switch_experiment(h_small_ratio, sched, 0.0, config, initial="g")
-    assert series.times[-1] == 1.0
+    assert series["time"][-1] == 1.0
 
 
 def test_bad_initial_label(short_plan):
