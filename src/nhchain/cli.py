@@ -5,10 +5,10 @@ Subcommands:
 * ``run <config.json>`` -- execute the experiment described by a config
 * ``preset <name>``     -- canned experiments (fig2 | fig3 | fig4 | fig5)
 
-Every run writes, into one output directory: the fully resolved config
-(JSON), one or more CSVs (17 significant digits, so reruns are
-byte-identical), one or more SVG plots, and a manifest listing all files
-with SHA-256 hashes.
+Every run writes, into one output directory and one file at a time as it
+is made: the fully resolved config (JSON), one or more CSVs (17 significant
+digits, so reruns are byte-identical), one or more SVG plots, and last a
+manifest listing the SHA-256 hash and size of every file's written bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,7 +96,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
     experiment = raw.get("experiment")
     _require(experiment in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}, got {experiment!r}")
 
-    def number(key, default, minimum=None, exclusive=True):
+    def number(key, default, exclusive=True):
         value = raw.get(key, default)
         _require(isinstance(value, (int, float)) and not isinstance(value, bool),
                  key, f"must be a number, got {value!r}")
@@ -104,11 +105,10 @@ def _resolve(raw: dict) -> ExperimentConfig:
         except OverflowError:
             value = math.inf
         _require(math.isfinite(value), key, "must be finite")
-        if minimum is not None:
-            if exclusive:
-                _require(value > minimum, key, f"must be > {minimum}, got {value!r}")
-            else:
-                _require(value >= minimum, key, f"must be >= {minimum}, got {value!r}")
+        if exclusive:
+            _require(value > 0.0, key, f"must be > 0.0, got {value!r}")
+        else:
+            _require(value >= 0.0, key, f"must be >= 0.0, got {value!r}")
         return value
 
     def integer(key, default, minimum):
@@ -118,24 +118,24 @@ def _resolve(raw: dict) -> ExperimentConfig:
         _require(value >= minimum, key, f"must be >= {minimum}, got {value!r}")
         return value
 
-    J = number("J", 1.0, minimum=0.0)
-    V = number("V", 2e-4, minimum=0.0)
+    J = number("J", 1.0)
+    V = number("V", 2e-4)
     M = integer("M", 100, minimum=1)
     count = integer("count", min(12, 2 * M + 1), minimum=1)
     _require(count <= 2 * M + 1, "count", f"must be <= chain dimension {2 * M + 1}")
     seed = integer("seed", DEFAULT_SEED, minimum=0)
 
     default_t_end = {"spectrum": 0.0, "convergence": 600.0, "probability": 200.0, "switch": 0.0}
-    t_end = number("t_end", default_t_end[experiment], minimum=0.0, exclusive=False)
+    t_end = number("t_end", default_t_end[experiment], exclusive=False)
 
     try:
         params = ChainParams(J=J, V=V, half_width=M)
     except ModelError as exc:  # each key is checked above: omega or V * M**2 is out of range
         raise ModelError(f"config keys 'J', 'V' and 'M': {exc}") from exc
-    dt = number("dt", default_dt(params), minimum=0.0)
+    dt = number("dt", default_dt(params))
 
-    delta = number("delta", 0.02, minimum=0.0)
-    t_relax = number("t_relax", 600.0, minimum=0.0, exclusive=False)
+    delta = number("delta", 0.02)
+    t_relax = number("t_relax", 600.0, exclusive=False)
 
     horizon = t_end if experiment != "switch" else delta + t_relax  # pulse and relaxation
     steps = horizon / dt
@@ -145,7 +145,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
 
     initial_center = integer("initial_center", 0, minimum=-M)
     _require(abs(initial_center) <= M, "initial_center", f"must satisfy |center| <= {M}")
-    initial_width = number("initial_width", 10.0, minimum=0.0)
+    initial_width = number("initial_width", 10.0)
     initial_level = raw.get("initial_level", "g")
     _require(initial_level in ("g", "e"), "initial_level",
              f"must be 'g' or 'e', got {initial_level!r}")
@@ -183,29 +183,24 @@ def _profile_csv(state: SiteState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finish_run(outdir: Path, cfg_json: str, files: dict[str, str]) -> list[Path]:
-    """Write config, payload files and the hash manifest; return all paths."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = {"config.json": cfg_json}
-    written.update(files)
-    for name, text in written.items():
-        (outdir / name).write_text(text, newline="")
-    manifest = {
-        "outputs": [
-            {
-                "name": name,
-                "sha256": hashlib.sha256(text.encode()).hexdigest(),
-                "bytes": len(text.encode()),
-            }
-            for name, text in sorted(written.items())
-        ]
-    }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", newline="")
-    return [outdir / name for name in written] + [outdir / "manifest.json"]
+def _finish_run(outdir: Path, files: Iterator[tuple[str, str]]) -> list[Path]:
+    """Write each (name, text) as it comes, then a manifest of the written bytes; return paths."""
+    outputs = {}
+    for name, text in files:
+        if not outputs:
+            outdir.mkdir(parents=True, exist_ok=True)
+        data = text.encode()
+        (outdir / name).write_bytes(data)
+        outputs[name] = {"name": name, "sha256": hashlib.sha256(data).hexdigest(),
+                         "bytes": len(data)}
+    manifest = {"outputs": [entry for _, entry in sorted(outputs.items())]}
+    (outdir / "manifest.json").write_bytes((json.dumps(manifest, indent=2) + "\n").encode())
+    return [outdir / name for name in outputs] + [outdir / "manifest.json"]
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each computes before its first yield, so a failed computation
+# writes nothing, then yields config.json and its files as (name, text) on demand
 
 def _build_chain(params: ChainParams) -> Hamiltonian:
     """The chain's Hamiltonian; warns once per chain when its envelope tail exceeds TAIL_TOL."""
@@ -215,7 +210,7 @@ def _build_chain(params: ChainParams) -> Hamiltonian:
     return build_hamiltonian(params)
 
 
-def _run_spectrum(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> list[Path]:
+def _run_spectrum(cfg: ExperimentConfig, h: Hamiltonian) -> Iterator[tuple[str, str]]:
     spec = numeric_spectrum(h, count=cfg.count)
     curves = []
     for branch in "+-":
@@ -225,27 +220,26 @@ def _run_spectrum(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> list[P
                            [mode.energy.real for mode in modes]))
     curves.append(("Im E", [mode.m for mode in spec.modes],
                    [mode.energy.imag for mode in spec.modes]))
-    svg = render_line_plot(curves, xlabel="mode index m", ylabel="energy (J)",
-                           title="spectral ladder")
-    files = {"spectrum.csv": spectrum_table(spec), "ladder.svg": svg}
-    return _finish_run(outdir, cfg.to_json(), files)
+    yield "config.json", cfg.to_json()
+    yield "spectrum.csv", spectrum_table(spec)
+    yield "ladder.svg", render_line_plot(curves, xlabel="mode index m", ylabel="energy (J)",
+                                         title="spectral ladder")
 
 
-def _run_convergence(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> list[Path]:
+def _run_convergence(cfg: ExperimentConfig, h: Hamiltonian) -> Iterator[tuple[str, str]]:
     initials = {kind: make_initial_state(kind, h.params, center=cfg.initial_center,
                                          width=cfg.initial_width, seed=cfg.seed)
                 for kind in STATE_KINDS}
     results = run_convergence_experiment(initials, h, cfg.t_end, cfg.integrator())
-    files: dict[str, str] = {}
+    yield "config.json", cfg.to_json()
     for kind, state in initials.items():
-        files[f"profile_{kind}.csv"] = _profile_csv(state)
-        files[f"fidelity_{kind}.csv"] = results[kind].to_csv()
-    files["profile_ground.csv"] = _profile_csv(results[STATE_KINDS[0]].targets["g"])
-    files["fidelity.svg"] = render_line_plot(
+        yield f"profile_{kind}.csv", _profile_csv(state)
+        yield f"fidelity_{kind}.csv", results[kind].to_csv()
+    yield "profile_ground.csv", _profile_csv(results[STATE_KINDS[0]].targets["g"])
+    yield "fidelity.svg", render_line_plot(
         [(kind, series["time"], series["F_g"]) for kind, series in results.items()],
         TIME_LABEL, "F_g(t)", "convergence to the ground mode",
     )
-    return _finish_run(outdir, cfg.to_json(), files)
 
 
 def _probability_series(cfg: ExperimentConfig, h: Hamiltonian) -> ObservableSeries:
@@ -254,17 +248,15 @@ def _probability_series(cfg: ExperimentConfig, h: Hamiltonian) -> ObservableSeri
     return two_mode_series(ground, excited, (0.0, cfg.t_end), cfg.integrator())
 
 
-def _run_probability(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> list[Path]:
+def _run_probability(cfg: ExperimentConfig, h: Hamiltonian) -> Iterator[tuple[str, str]]:
     series = _probability_series(cfg, h)
-    files = {
-        "probability.csv": series.to_csv(),
-        "probability.svg": render_line_plot([("P", series["time"], series["P"])],
-                                            TIME_LABEL, "P(t)", "Dirac probability"),
-    }
-    return _finish_run(outdir, cfg.to_json(), files)
+    yield "config.json", cfg.to_json()
+    yield "probability.csv", series.to_csv()
+    yield "probability.svg", render_line_plot([("P", series["time"], series["P"])],
+                                              TIME_LABEL, "P(t)", "Dirac probability")
 
 
-def _run_probability_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+def _run_probability_sweep(cfg: ExperimentConfig) -> Iterator[tuple[str, str]]:
     """Three-ratio probability comparison (the fig4 preset)."""
     sub_configs = []
     for ratio, V, M in PROBABILITY_SWEEP:
@@ -273,22 +265,21 @@ def _run_probability_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         sub_configs.append((ratio, _resolve(raw)))
     series_list = [_probability_series(sub, _build_chain(sub.chain_params()))
                    for _, sub in sub_configs]
-    files: dict[str, str] = {}
-    for (ratio, _), series in zip(sub_configs, series_list):
-        files[f"probability_ratio_{ratio:g}.csv"] = series.to_csv()
-    files["probability.svg"] = render_line_plot(
-        [(f"omega/J = {ratio:g}", series["time"], series["P"])
-         for (ratio, _), series in zip(sub_configs, series_list)],
-        TIME_LABEL, "P(t)", "Dirac probability vs dissipation scale",
-    )
     resolved = {
         "sweep": [dataclasses.asdict(sub) for _, sub in sub_configs],
         "base": dataclasses.asdict(cfg),
     }
-    return _finish_run(outdir, json.dumps(resolved, indent=2, sort_keys=True) + "\n", files)
+    yield "config.json", json.dumps(resolved, indent=2, sort_keys=True) + "\n"
+    for (ratio, _), series in zip(sub_configs, series_list):
+        yield f"probability_ratio_{ratio:g}.csv", series.to_csv()
+    yield "probability.svg", render_line_plot(
+        [(f"omega/J = {ratio:g}", series["time"], series["P"])
+         for (ratio, _), series in zip(sub_configs, series_list)],
+        TIME_LABEL, "P(t)", "Dirac probability vs dissipation scale",
+    )
 
 
-def _run_switch(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> list[Path]:
+def _run_switch(cfg: ExperimentConfig, h: Hamiltonian) -> Iterator[tuple[str, str]]:
     schedule = PulseSchedule(delta=cfg.delta)
     hardness = schedule.hardness_ratio(h)
     if hardness < HARDNESS_ADVERTISED:
@@ -305,16 +296,14 @@ def _run_switch(cfg: ExperimentConfig, h: Hamiltonian, outdir: Path) -> list[Pat
         "dt_pulse": schedule.dt,
         "chain": {"J": cfg.J, "V": cfg.V, "M": cfg.M},
     }
-    files = {
-        "switch.csv": series.to_csv(),
-        "switch_plan.json": json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
-        "switch.svg": render_line_plot(
-            [("F_g(t)", series["time"], series["F_g"]),
-             ("F_e(t)", series["time"], series["F_e"])],
-            TIME_LABEL, "fidelity", "pulse-driven level switch",
-        ),
-    }
-    return _finish_run(outdir, cfg.to_json(), files)
+    yield "config.json", cfg.to_json()
+    yield "switch.csv", series.to_csv()
+    yield "switch_plan.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    yield "switch.svg", render_line_plot(
+        [("F_g(t)", series["time"], series["F_g"]),
+         ("F_e(t)", series["time"], series["F_e"])],
+        TIME_LABEL, "fidelity", "pulse-driven level switch",
+    )
 
 
 def run_config(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
@@ -325,7 +314,7 @@ def run_config(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         "probability": _run_probability,
         "switch": _run_switch,
     }[cfg.experiment]
-    return runner(cfg, _build_chain(cfg.chain_params()), outdir)
+    return _finish_run(outdir, runner(cfg, _build_chain(cfg.chain_params())))
 
 
 PRESET_CONFIGS = {
@@ -346,7 +335,7 @@ def run_preset(name: str, outdir: Path, seed: int | None = None) -> list[Path]:
         raw["seed"] = seed
     cfg = _resolve(raw)
     if name == "fig4":
-        return _run_probability_sweep(cfg, outdir)
+        return _finish_run(outdir, _run_probability_sweep(cfg))
     return run_config(cfg, outdir)
 
 
@@ -378,7 +367,7 @@ def main(argv=None) -> int:
             outdir = args.out or Path("runs") / args.name
             paths = run_preset(args.name, outdir, seed=args.seed)
         else:
-            raw = _load_object(args.config.read_text())
+            raw = _load_object(args.config.read_text(encoding="utf-8"))
             if args.seed is not None:
                 raw["seed"] = args.seed
             cfg = _resolve(raw)

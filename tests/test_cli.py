@@ -307,9 +307,10 @@ def test_switch_preset_short_run(tmp_path):
 def test_probability_sweep_layout(tmp_path):
     outdir = tmp_path / "fig4"
     raw = dict(PRESET_CONFIGS["fig4"], t_end=20.0)
-    from nhchain.cli import _resolve, _run_probability_sweep
+    from nhchain.cli import _finish_run, _resolve, _run_probability_sweep
 
-    paths = _run_probability_sweep(_resolve(raw), outdir)  # no chain of the sweep warns
+    # no chain of the sweep warns
+    paths = _finish_run(outdir, _run_probability_sweep(_resolve(raw)))
     names = sorted(p.name for p in paths)
     assert names == [
         "config.json",
@@ -322,6 +323,69 @@ def test_probability_sweep_layout(tmp_path):
     svg = _read(outdir / "probability.svg")
     for label in ("omega/J = 0.01", "omega/J = 0.1", "omega/J = 0.4"):
         assert label in svg
+
+
+@pytest.mark.parametrize("raw", [
+    {"experiment": "spectrum", "M": 30, "count": 6},
+    {"experiment": "convergence", "M": 30, "t_end": 2.0},
+    {"experiment": "probability", "M": 30, "t_end": 5.0},
+    {"experiment": "switch", "M": 30, "t_relax": 2.0},
+    "fig4",
+], ids=lambda raw: raw if isinstance(raw, str) else raw["experiment"])
+def test_manifest_lists_the_written_bytes(tmp_path, raw):
+    outdir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the tail warning of the M = 30 chains
+        if raw == "fig4":
+            paths = cli._finish_run(outdir, cli._run_probability_sweep(
+                cli._resolve(dict(PRESET_CONFIGS["fig4"], t_end=5.0))))
+        else:
+            paths = cli.run_config(parse_config(json.dumps(raw)), outdir)
+    assert paths[0].name == "config.json" and paths[-1].name == "manifest.json"
+    assert sorted(paths) == sorted(outdir.iterdir())
+    entries = json.loads(_read(outdir / "manifest.json"))["outputs"]
+    assert [e["name"] for e in entries] == sorted(p.name for p in paths[:-1])
+    for entry in entries:
+        payload = (outdir / entry["name"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(payload).hexdigest()
+        assert entry["bytes"] == len(payload)
+
+
+def test_each_file_is_written_before_the_next_is_made(tmp_path, monkeypatch):
+    outdir = tmp_path / "out"
+    on_disk = []
+    to_csv = ObservableSeries.to_csv
+
+    def watched(series):
+        on_disk.append(sorted(p.name for p in outdir.glob("fidelity_*.csv")))
+        return to_csv(series)
+
+    monkeypatch.setattr(ObservableSeries, "to_csv", watched)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the tail warning of the M = 10 chain
+        cli.run_config(parse_config('{"experiment": "convergence", "M": 10, "t_end": 1.0}'), outdir)
+    assert on_disk == [[f"fidelity_{kind}.csv" for kind in sorted(STATE_KINDS[:k])]
+                       for k in range(len(STATE_KINDS))]
+
+
+def test_config_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # JSON text is UTF-8 (RFC 8259 section 8.1) under an ASCII locale too; Latin-1 is bad input.
+    accented = tmp_path / "accented.json"
+    accented.write_bytes('{"experiment": "spectrum", "M": 5, "initial_level": "é"}'.encode())
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"experiment": "spectrum", "M": 5, "initial_level": "\xe9"}')
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    for config, message in ((accented, "error: config key 'initial_level': must be 'g' or 'e'"),
+                            (latin1, "error: ")):
+        done = subprocess.run(
+            [sys.executable, "-m", "nhchain.cli", "run", str(config), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_probability_run_through_main(tmp_path):
