@@ -86,7 +86,7 @@ RK4_CHECK_EVERY = 8
 # bytes of amplitudes, so a long stride-1 run never holds its trajectory.
 RECORD_CHUNK_BYTES = 2**20
 # Most operator products a ``propagate`` call plans, and most times ``_time_grid``
-# records: at N <= 801 a product took up to 0.75 ms, a recorded time 0.55 kB of peak RSS (README).
+# records: at N <= 801 a product took up to 0.75 ms, a recorded time 0.48 kB of peak RSS (README).
 MAX_WORK = 2**20
 STATE_KINDS = ("point", "gaussian", "tophat", "random")
 

@@ -182,10 +182,6 @@ class Spectrum:
         return ground, excited
 
 
-def _sort_key(energy: complex) -> tuple:
-    return (-energy.imag, energy.real)
-
-
 def _uses_edge_search(h: Hamiltonian, count: int) -> bool:
     """Whether ``numeric_spectrum`` takes the band-edge shift-invert route.
 
@@ -276,31 +272,22 @@ def numeric_spectrum(h: Hamiltonian, count: int) -> Spectrum:
 def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.ndarray) -> Spectrum:
     """Select, normalize, check and label ``count`` modes from raw eigenpairs.
 
-    ``eigenvalues``/``right`` are all N modes, or a partial set whose
-    unselected modes must certify the cut.
+    ``eigenvalues``/``right`` are all N modes or a partial set.  A stable sort
+    into ``Spectrum`` order and a mask keep the first ``count``; a kept mode with
+    |Re E| > TOL and no kept partner -conj(E) within 1e-8 adds the first partner
+    among the next four.  In a partial set every kept Im E must top every unkept one.
     """
-    order = sorted(range(len(eigenvalues)), key=lambda i: _sort_key(eigenvalues[i]))
-
-    selected = list(order[:count])
-    selected_set = set(selected)
-    # Close the selection under E -> -conj(E) pairing at the cut.
-    for i in list(selected):
-        partner_energy = -np.conj(eigenvalues[i])
-        if abs(eigenvalues[i].real) <= TOL:
-            continue
-        if any(abs(eigenvalues[j] - partner_energy) <= 1e-8 for j in selected_set):
-            continue
-        candidates = [
-            j for j in order[count : count + 4] if abs(eigenvalues[j] - partner_energy) <= 1e-8
-        ]
-        if candidates:
-            selected.append(candidates[0])
-            selected_set.add(candidates[0])
-    selected.sort(key=lambda i: _sort_key(eigenvalues[i]))
+    order = np.lexsort((eigenvalues.real, -eigenvalues.imag))
+    energies = eigenvalues[order]
+    keep = np.arange(len(order)) < count
+    for e in energies[:count][np.abs(energies[:count].real) > TOL]:
+        near = np.abs(energies[:count + 4] + np.conj(e)) <= 1e-8
+        if not (near & keep[:count + 4]).any() and near[count:].any():
+            keep[count + np.argmax(near[count:])] = True
+    selected = order[keep]
     if len(eigenvalues) < h.dimension:
-        spare_imag = [eigenvalues[i].imag for i in order if i not in selected_set]
-        kept_imag = min((eigenvalues[i].imag for i in selected), default=-math.inf)
-        if not spare_imag or kept_imag <= max(spare_imag):
+        kept_imag = min(energies.imag[keep], default=-math.inf)
+        if keep.all() or kept_imag <= energies.imag[~keep].max():
             raise NumericError(
                 f"spare modes do not certify the cut below the {len(selected)} slowest-decaying"
                 f" modes (lowest kept Im E {kept_imag:.6g})"

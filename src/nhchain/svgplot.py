@@ -63,11 +63,11 @@ def render_line_plot(
         if len(xs) == 0 or len(xs) != len(ys):
             raise ModelError(f"curve {label!r} is empty or ragged")
 
-    all_x = np.concatenate([np.asarray(xs, dtype=float) for _, xs, _ in curves])
-    all_y = np.concatenate([np.asarray(ys, dtype=float) for _, _, ys in curves])
     # Bounds in quarters of the data (exact on normal floats): no padded span overflows.
-    x_lo, x_hi = float(all_x.min()) / 4, float(all_x.max()) / 4
-    y_lo, y_hi = float(all_y.min()) / 4, float(all_y.max()) / 4
+    x_lo = float(np.min([np.min(xs) for _, xs, _ in curves])) / 4
+    x_hi = float(np.max([np.max(xs) for _, xs, _ in curves])) / 4
+    y_lo = float(np.min([np.min(ys) for _, _, ys in curves])) / 4
+    y_hi = float(np.max([np.max(ys) for _, _, ys in curves])) / 4
     # A flat range is widened by 0.5 (0.125 in quarters), or by one ulp where that is more.
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - max(0.125, math.ulp(x_lo)), x_hi + max(0.125, math.ulp(x_hi))
@@ -152,5 +152,5 @@ def render_line_plot(
             f'font-family="sans-serif" font-size="12">{label}</text>'
         )
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -164,6 +164,29 @@ def test_render_line_plot_reads_arrays_as_it_reads_lists():
     arrays = [(label, frozen(xs), frozen(ys)) for label, xs, ys in curves]
     svg = render_line_plot(curves, "t", "F", "demo")
     assert "<circle" in svg and render_line_plot(arrays, "t", "F", "demo") == svg
+    # Each axis spans every curve: x's extrema and y's sit in different curves,
+    # and one x is an integer list, like the ladder plot's mode indices.
+    spread = [("m", [0, 1, 2, 3], [-0.5, 0.25, 4.0, 0.5]), ("b", [-1.5, 2.5], [3.0, -2.0]),
+              ("c", [0.5, 6.0], [0.0, 0.125])]
+    svg = render_line_plot(spread, "m", "E")
+    assert render_line_plot([(label, frozen(xs), frozen(ys)) for label, xs, ys in spread],
+                            "m", "E") == svg
+    all_xs, all_ys = [x for _, xs, _ in spread for x in xs], [y for _, _, ys in spread for y in ys]
+    for _, xs, ys in spread:
+        assert f'<polyline points="{_polyline(xs, ys, all_xs, all_ys)}" ' in svg
+
+
+def _polyline(xs, ys, all_xs, all_ys):
+    """The points render_line_plot draws for (xs, ys), on axes that span all_xs and all_ys."""
+    x_lo, x_hi = _quarter_range(all_xs, 0.0)
+    y_lo, y_hi = _quarter_range(all_ys, 0.04)
+    plot_w = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
+    plot_h = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
+    return " ".join(
+        f"{svgplot.MARGIN_L + (float(x) / 4 - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
+        f"{svgplot.MARGIN_T + (y_hi - float(y) / 4) / (y_hi - y_lo) * plot_h:.2f}"
+        for x, y in zip(xs, ys)
+    )
 
 
 def _quarter_range(values, pad):
@@ -192,15 +215,7 @@ _MAX = 1.7976931348623157e308
 @example([(-_MAX, -_MAX), (-_MAX, -_MAX)])  # flat at the end of the range
 def test_polyline_points_match_per_point_formatting(points):
     xs, ys = [x for x, _ in points], [y for _, y in points]
-    x_lo, x_hi = _quarter_range(xs, 0.0)
-    y_lo, y_hi = _quarter_range(ys, 0.04)
-    plot_w = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
-    plot_h = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
-    expected = " ".join(
-        f"{svgplot.MARGIN_L + (float(x) / 4 - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
-        f"{svgplot.MARGIN_T + (y_hi - float(y) / 4) / (y_hi - y_lo) * plot_h:.2f}"
-        for x, y in points
-    )
+    expected = _polyline(xs, ys, xs, ys)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow or invalid value on the way
         svg = render_line_plot([("c", xs, ys)], "x", "y")

@@ -211,6 +211,82 @@ def test_residual_gate_rejects_inaccurate_pairs():
         _spectrum(h, 2, energies + 1e-6, right)
 
 
+def _reference_selection(eigenvalues, count):
+    """The selection rule as first written: a key sort, a scan of the kept set, a re-sort.
+
+    Returns the kept indices and whether the unkept modes certify the cut.
+    """
+    def key(i):
+        return (-eigenvalues[i].imag, eigenvalues[i].real)
+
+    order = sorted(range(len(eigenvalues)), key=key)
+    selected = list(order[:count])
+    selected_set = set(selected)
+    for i in list(selected):
+        partner = -np.conj(eigenvalues[i])
+        if abs(eigenvalues[i].real) <= 1e-8 or any(
+                abs(eigenvalues[j] - partner) <= 1e-8 for j in selected_set):
+            continue
+        spares = [j for j in order[count:count + 4] if abs(eigenvalues[j] - partner) <= 1e-8]
+        if spares:
+            selected.append(spares[0])
+            selected_set.add(spares[0])
+    selected.sort(key=key)
+    spare_imag = [eigenvalues[i].imag for i in order if i not in selected_set]
+    kept_imag = min((eigenvalues[i].imag for i in selected), default=-math.inf)
+    return selected, bool(spare_imag) and kept_imag > max(spare_imag)
+
+
+def _top(eigenvalues, right, size):
+    """The first ``size`` eigenpairs in Spectrum order: descending Im E, ties by ascending Re E."""
+    order = sorted(range(len(eigenvalues)), key=lambda i: (-eigenvalues[i].imag, eigenvalues[i].real))
+    return eigenvalues[order[:size]], right[:, order[:size]]
+
+
+def _assert_selects_as_reference(h, count, eigenvalues, right):
+    selected, certified = _reference_selection(eigenvalues, count)
+    if len(eigenvalues) < h.dimension and not certified:
+        with pytest.raises(NumericError, match="certify"):
+            _spectrum(h, count, eigenvalues, right)
+    else:
+        spec = _spectrum(h, count, eigenvalues, right)
+        assert np.array_equal(spec.energies(), eigenvalues[selected])
+
+
+# The deep cut of V = 4.65e-4, M = 60 (count 118 leaves a pair open under an
+# adjacent-partner rule), a milder chain and two stiff ones whose slowest modes
+# include near-degenerate doublets on the imaginary axis.
+@pytest.mark.parametrize("V, M", [(4.65e-4, 60), (2e-3, 60), (0.1, 20), (0.32, 30)])
+def test_selection_keeps_the_reference_rule(V, M):
+    h = _chain(V, M)
+    pairs = scipy.linalg.eig(h.matrix.toarray())
+    n = h.dimension
+    for count in range(1, n + 1):
+        _assert_selects_as_reference(h, count, *pairs)
+    # partial sets: the top modes, more of them than the count
+    for count in [*range(1, 25), *range(n - 8, n - 1)]:
+        for top in {count + 1, count + 3, count + 6} & set(range(n)):
+            _assert_selects_as_reference(h, count, *_top(*pairs, top))
+
+
+# Diagonal matrices, so that the columns of the identity are exact eigenvectors:
+# a spare whose Im E ties the lowest kept one, and a near-degenerate doublet
+# 0.5, 0.5 + 8e-9 whose open partner is the second of two candidates, while
+# the first lies within 1e-8 of the second member's partner only.
+@pytest.mark.parametrize("energies", [
+    [-0.1j, 0.3 - 0.2j, 0.7 - 0.2j, -0.3 - 0.5j, -1j],
+    [0.5 - 0.1j, 0.5 + 8e-9 - 0.1j, -0.5 - 1.4e-8 - 0.100000001j, -0.5 - 4e-9 - 0.100000002j,
+     -1j, 0.2 - 2j, -0.2 - 2j],
+])
+def test_selection_keeps_the_reference_rule_at_ties(energies):
+    eigenvalues = np.array(energies)
+    h = Hamiltonian(diagonal=eigenvalues, off_diagonal=0.0, half_width=len(energies) // 2)
+    right = np.eye(h.dimension, dtype=complex)
+    for count in range(1, h.dimension + 1):
+        for top in range(count, h.dimension + 1):
+            _assert_selects_as_reference(h, count, *_top(eigenvalues, right, top))
+
+
 # V = 2e-4 at M = 30, 100, 400 (M = 100 is fig4's omega/J = 0.01 chain), then
 # fig4's omega/J = 0.1 and 0.4 chains.
 EDGE_CHAINS = [(2e-4, 30), (2e-4, 100), (2e-4, 400), (0.02, 50), (0.32, 30)]
@@ -408,6 +484,9 @@ def test_numeric_spectrum_pairs_and_biorthonormal(chain, count):
     h = build_hamiltonian(ChainParams(J=J, V=V, half_width=M))
     spec = numeric_spectrum(h, min(count, h.dimension))
     energies = spec.energies()
+    # in Spectrum order on either route: descending Im E, ties by ascending Re E
+    keys = [(-e.imag, e.real) for e in energies]
+    assert keys == sorted(keys)
     # E -> -conj(E): the selection is closed under the anti-PT pairing
     for e in energies:
         if abs(e.real) > 1e-8:
