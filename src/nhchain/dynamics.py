@@ -3,41 +3,46 @@
 States are propagated without renormalization: the returned amplitudes are
 the raw decaying ones, except that an overall factor is split off into
 ``SiteState.log_scale`` if the norm would otherwise underflow.
-``propagate`` steps a sequence of states over a span (t0, t1) as the
-columns of one N x k block, each column keeping its own ``log_scale``,
-and returns them as a list; recorded samples reach an
-``ObservableSeries`` in bounded chunks, whose norms and fidelities are
-computed per chunk.  ``two_mode_series`` writes the norm of a sum of two
-eigenmodes in closed form, on the times ``propagate`` records over the
-same span (``_time_grid``), without stepping.
+``propagate`` steps a sequence of states over a span (t0, t1) as one
+block, each state keeping its own ``log_scale``, and returns them as a
+list; recorded samples reach an ``ObservableSeries`` in bounded chunks,
+whose norms and fidelities are computed per chunk.  ``two_mode_series``
+writes the norm of a sum of two eigenmodes in closed form, on the times
+``propagate`` records over the same span (``_time_grid``), without stepping.
 
-Both stepping routes apply ``taylor_operator(h, tau, p)``, the degree-p
-Taylor polynomial of expm(-i H tau) as a CSR matrix with 2p + 1 diagonals.
+States are stepped in the gauge z = i^-l y, an exact sign and swap of real
+and imaginary parts, where -i H tau has the diagonal -i H_ll tau, o tau above
+it and -o tau below for hopping o: real when ``anti_pt_residual(h) == 0.0``.
+The k states are one float64 block k x 2 x (N + 2q), each state's real and
+imaginary row zero-padded by the widest band's half width q.  Both routes
+apply ``taylor_band(h, tau, p)``, the degree-p Taylor polynomial of
+expm(-i H tau) as N x (2p + 1) band rows: a product reduces each entry's
+window of 2p + 1 padded entries against its band row (``_product``).
 Each ``propagate`` call picks its route with ``stepping_method`` on the
 Hamiltonian it steps, at the step actually taken, dt = (t1 - t0) / n_steps,
 and the sample actually taken, at most n_steps steps.
 RK4 is p = 4 at tau = dt, taken only within ``stability_limit``.  The
-exact route ('exact') applies it s times per recorded sample of k steps, at
-tau = k dt/s, with (p, s) from ``taylor_terms``: p <= MAX_DEGREE and
-x^(p+1)/(p+1)! e^x <= 2^-53 for x = ||H||_inf tau.  The remainder then moves
-each entry of a column y by at most 2^-53 ||y||_inf, so y by at most
+exact route ('exact') applies the band s times per recorded sample of k
+steps, at tau = k dt/s, with (p, s) from ``taylor_terms``: p <= MAX_DEGREE
+and x^(p+1)/(p+1)! e^x <= 2^-53 for x = ||H||_inf tau.  The remainder then
+moves each entry of a state y by at most 2^-53 ||y||_inf, so y by at most
 sqrt(N) 2^-53 ||y||_2, for any matrix; as ||expm(-i H t)||_2 <= exp(omega t)
 (max Im H_ll = omega), a sample is off expm(-i H k dt) y(t_j) by at most
 s sqrt(N) 2^-53 exp(omega k dt) ||y(t_j)||_2, to first order.  Rounding comes
 on top: Horner's sums reach e^x ||y||, so a part of y that decays like e^-x
 (the stiff edge) is rounded to about 2^-53 e^(2x) of itself.  There is no
-dimension cap: an operator holds (2p + 1) N entries.  The mode expansion
+dimension cap: a band holds (2p + 1) N entries.  The mode expansion
 ``eigen_propagate``, its coefficients solved over the full spectrum's
 right vectors, is the oracle for both routes.
 
 Every check of the block (each exact sample, every RK4_CHECK_EVERY-th RK4
-step) zeroes the real and imaginary parts of each column y below
+step) zeroes the real and imaginary parts of each state y below
 FLUSH_RELATIVE ||y||, since x86 arithmetic on subnormal numbers is many
 times slower.  A flush at t_j changes y by at most sqrt(2N) FLUSH_RELATIVE
 relative; by t_j + tau that error grows by at most exp(omega tau) ||y(t_j)||
 / ||y(t_j + tau)|| (RK4 follows the exact flow to its truncation error).
-Between checks a product shrinks a part by at most the operator's smallest
-entry, (dt J)^4/24 for RK4.  A column whose norm falls below UNDERFLOW_GUARD
+Between checks a product shrinks a part by at most the band's smallest
+entry, (dt J)^4/24 for RK4.  A state whose norm falls below UNDERFLOW_GUARD
 is split into its ``log_scale`` at the check, so the parts kept there are
 at least about 1e-200 and the products up to the next check stay normal.
 Recorded norms are unchanged: a flushed part squares to below 1e-300 ||y||^2.
@@ -52,9 +57,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import ChainParams, Hamiltonian, ModelError, NumericError, SiteState, row_norm2
+from .model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
+                    anti_pt_residual, row_norm2)
 from .spectral import EigenMode, Spectrum, dirac_overlap, numeric_spectrum
 
 __all__ = [
@@ -67,7 +73,7 @@ __all__ = [
     "make_initial_state",
     "propagate",
     "two_mode_series",
-    "taylor_operator",
+    "taylor_band",
     "taylor_terms",
     "eigen_propagate",
     "fidelity",
@@ -305,61 +311,84 @@ def make_initial_state(
     return state.normalized()
 
 
-def taylor_operator(h: Hamiltonian, tau: float, degree: int) -> scipy.sparse.csr_array:
-    """Degree-p Taylor polynomial of expm(-i H tau) as a sparse matrix with 2p + 1 diagonals.
+def taylor_band(h: Hamiltonian, tau: float, degree: int) -> np.ndarray:
+    """Degree-p Taylor polynomial of expm(-i H tau) in the gauge z = i^-l y, as band rows.
 
-    Built in Horner form, I + A (I + A/2 (... (I + A/p))) with A = -i H tau.
-    Degree 4 at tau = dt is one classical RK4 step: for a linear system the
-    four stages collapse into this polynomial.
+    Row n of the N x (2p + 1) array holds columns n - p .. n + p, zero beyond
+    the chain; entry (n, m) is i^(m - n) times the site-basis entry, float64
+    when the gauge is real.  Built in Horner form, I + A (I + A/2 (... (I + A/p)))
+    with A = -i H tau.  Degree 4 at tau = dt is one classical RK4 step.
     """
-    a = h.matrix * (-1j * tau)
-    identity = scipy.sparse.eye_array(h.dimension, dtype=complex, format="csr")
-    step = identity
+    diagonal, hop = h.diagonal * (-1j * tau), h.off_diagonal * tau  # A: hop above, -hop below
+    if anti_pt_residual(h) == 0.0:
+        diagonal, hop = diagonal.real, hop.real
+    band = np.ones((h.dimension, 1), dtype=diagonal.dtype)
     for k in range(degree, 0, -1):
-        step = identity + (a @ step) / k
-    return step
+        product = np.zeros((h.dimension, band.shape[1] + 2), dtype=band.dtype)
+        product[1:, :-2] -= hop * band[:-1]  # summed in the row order of A: below, on, above
+        product[:, 1:-1] += diagonal[:, None] * band
+        product[:-1, 2:] += hop * band[1:]
+        band = product / k
+        band[:, band.shape[1] // 2] += 1.0
+    return band
 
 
 def _step_operators(h: Hamiltonian, dt: float, n_steps: int, stride: int):
-    """(jump, check_every, {k: (operator, substeps)}): k steps are ``substeps`` products.
+    """(jump, check_every, {k: (band, substeps)}): k steps are ``substeps`` band products.
 
     The route is ``stepping_method`` on ``h`` at the step actually taken, ``dt``,
     and at the sample actually taken, at most ``n_steps`` steps.
     """
     sample = min(stride, n_steps)
     if stepping_method(h, dt, sample) == "rk4":
-        return 1, RK4_CHECK_EVERY, {1: (taylor_operator(h, dt, 4), 1)}
+        return 1, RK4_CHECK_EVERY, {1: (taylor_band(h, dt, 4), 1)}
     operators = {}
     for k in {sample, n_steps % stride} - {0}:  # full chunks, remainder
         degree, substeps = taylor_terms(h, k * dt)
-        operators[k] = (taylor_operator(h, k * dt / substeps, degree), substeps)
+        operators[k] = (taylor_band(h, k * dt / substeps, degree), substeps)
     return stride, 1, operators
 
 
-def _check_columns(y: np.ndarray, log_scale: np.ndarray, t: float) -> None:
-    """Fail on non-finite amplitudes; rescale each column of ``y`` before it underflows.
+def _product(band: np.ndarray, source: np.ndarray, target: np.ndarray):
+    """A call writing band @ source into target's interior; blocks are k x 2 x (N + 2 pad).
 
-    A column of norm below UNDERFLOW_GUARD is divided by its norm, which goes
-    into ``log_scale``.  Then zero the parts of each column below
-    FLUSH_RELATIVE times its norm (the norm after the split): this removes at
-    most sqrt(2N) FLUSH_RELATIVE of the column, relative to its norm (the
-    module docstring bounds how that error grows), and keeps no part below
-    about UNDERFLOW_GUARD * FLUSH_RELATIVE = 1e-200.
+    A real band wider than RK4's 9 entries is one ``np.vecdot`` without its
+    dominant diagonal, added last as the sparse product did; a narrower one is
+    one faster ``np.einsum``; a complex band (a pulse's mu l), one 2 x 2 real-block einsum.
     """
-    limits = np.empty(y.shape[1])
-    for j in range(y.shape[1]):
-        # BLAS nrm2 scales: exact where |y|^2 underflows.  Called directly,
-        # it costs half of scipy.linalg.norm's wrapper on these short columns.
-        norm = float(scipy.linalg.blas.dznrm2(y[:, j]))
+    n, width = band.shape
+    pad, half = (source.shape[2] - n) // 2, width // 2
+    windows = sliding_window_view(source[:, :, pad - half:pad + n + half], width, axis=2)
+    into, diagonal = target[:, :, pad:pad + n], source[:, :, pad:pad + n]
+    if np.iscomplexobj(band):
+        blocks = np.array([[band.real, -band.imag], [band.imag, band.real]])
+        return lambda: np.einsum("rcnw,kcnw->krn", blocks, windows, out=into)
+    if width <= 9:
+        return lambda: np.einsum("krnw,nw->krn", windows, band, out=into)
+    off, centre = band * (np.arange(width) != half), band[:, half].copy()
+    return lambda: np.add(np.vecdot(windows, off, out=into), centre * diagonal, out=into)
+
+
+def _check_columns(z: np.ndarray, log_scale: np.ndarray, t: float) -> None:
+    """Fail on non-finite amplitudes; rescale each state z[j] of the block before it underflows.
+
+    A state of norm below UNDERFLOW_GUARD is divided by its norm, which goes
+    into ``log_scale``.  Then zero the parts of each state below FLUSH_RELATIVE
+    times its norm (after the split): at most sqrt(2N) FLUSH_RELATIVE of it,
+    relative (module docstring), and no part kept is below about 1e-200.
+    """
+    limits = np.empty(len(z))
+    for j, state in enumerate(z):
+        # BLAS nrm2 scales: exact where |z|^2 underflows.  One contiguous call per state.
+        norm = float(scipy.linalg.blas.dnrm2(state.reshape(-1)))
         if not math.isfinite(norm):
             raise NumericError(f"non-finite amplitudes at t = {t:g}")
         if 0.0 < norm < UNDERFLOW_GUARD:
-            y[:, j] /= norm
+            state /= norm
             log_scale[j] += math.log(norm)
             norm = 1.0
         limits[j] = FLUSH_RELATIVE * norm
-    parts = y.view(np.float64).reshape(*y.shape, 2)  # [site, column, real/imaginary]
-    parts[np.abs(parts) < limits[:, None]] = 0.0
+    z[np.abs(z) < limits[:, None, None]] = 0.0
 
 
 def _check_work(count: int, what: str) -> None:
@@ -401,8 +430,9 @@ def propagate(
 ) -> list[SiteState]:
     """Evolve k ``states`` from t0 to t1, ``t_span`` = (t0, t1), under dpsi/dt = -i H psi.
 
-    The states are stepped together as the columns of one N x k block on
-    a uniform mesh: each product with a Taylor operator advances all k.
+    The states are stepped together as one k x 2 x (N + 2q) block in the
+    real gauge (module docstring) on a uniform mesh: each band product
+    advances all k, and samples are recorded in the site basis.
     ``series`` is None or one ObservableSeries per state.  Returns the k
     states raw (decaying), each with its own underflow-prevention factor
     in ``log_scale``.  The route is ``stepping_method`` on ``h`` at the
@@ -432,37 +462,47 @@ def propagate(
     samples = {jump: n_steps // jump, n_steps % jump: 1}  # samples of k steps, by k
     _check_work(sum(samples[k] * s for k, (_, s) in operators.items()), "operator products")
 
-    y = np.column_stack([s.amplitudes for s in states])
+    n, phases = h.dimension, np.array([1, 1j, -1, -1j])[h.sites() % 4]  # y = i^l z, exactly
+    pad = max(band.shape[1] for band, _ in operators.values()) // 2
+    z = np.array([s.amplitudes for s in states]) * phases.conj()
+    blocks = np.zeros((2, len(states), 2, n + 2 * pad))  # two k x 2 x (N + 2 pad) blocks
+    inner = blocks[..., pad:pad + n]
+    inner[0] = np.stack([z.real, z.imag], axis=1)
+    products = {k: ([_product(band, blocks[b], blocks[1 - b]) for b in (0, 1)], substeps)
+                for k, (band, substeps) in operators.items()}
     log_scale = np.array([s.log_scale for s in states])
     n_records = n_steps // config.record_stride + 2 if series else 0
-    rows = min(n_records, max(1, RECORD_CHUNK_BYTES // (16 * y.size)))
-    chunk = np.empty((len(states), rows, h.dimension), dtype=complex)
+    rows = min(n_records, max(1, RECORD_CHUNK_BYTES // (16 * z.size)))
+    chunk = np.empty((len(states), rows, n), dtype=complex)
+    real, imag = chunk.real, chunk.imag
     chunk_times = np.empty(rows)
     chunk_logs = np.empty((len(states), rows))
     filled = 0
 
-    step = 0
+    step = current = 0
     for sample_step in recorded:
         while step < sample_step:
             k = min(jump, sample_step - step)
-            operator, substeps = operators[k]
+            product, substeps = products[k]
             for _ in range(substeps):
-                y = operator @ y
+                product[current]()
+                current = 1 - current
             step += k
             if step % check_every == 0 or step == n_steps:
-                _check_columns(y, log_scale, time(step))
+                _check_columns(blocks[current], log_scale, time(step))
         if series is None:
             continue
         chunk_times[filled] = time(step)
-        chunk[:, filled] = y.T
+        real[:, filled], imag[:, filled] = inner[current, :, 0], inner[current, :, 1]
         chunk_logs[:, filled] = log_scale
         filled += 1
         if filled == rows or step == n_steps:
+            chunk[:, :filled] *= phases  # to the site basis, exactly
             for j, target in enumerate(series):
                 target.record(chunk_times[:filled], chunk[j, :filled], chunk_logs[j, :filled])
             filled = 0
-    return [SiteState(y[:, j], h.half_width, log_scale=float(log_scale[j]))
-            for j in range(len(states))]
+    y = (inner[current, :, 0] + 1j * inner[current, :, 1]) * phases
+    return [SiteState(row, h.half_width, log_scale=float(log)) for row, log in zip(y, log_scale)]
 
 
 def two_mode_series(ground: EigenMode, excited: EigenMode, t_span: tuple[float, float],

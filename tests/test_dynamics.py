@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +28,7 @@ from nhchain.dynamics import (
     run_convergence_experiment,
     stability_limit,
     stepping_method,
-    taylor_operator,
+    taylor_band,
     taylor_terms,
     _step_operators,
 )
@@ -177,6 +178,16 @@ def _four_stage_step(h, y, dt):
     return y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def _site_matrix(band):
+    """The dense site-basis matrix of ``taylor_band`` rows: (n, m) is i^(n - m) band[n, m - n + p]."""
+    n, width = band.shape
+    padded = np.zeros((n, n + width - 1), dtype=complex)
+    for row in range(n):
+        padded[row, row:row + width] = band[row]
+    phases = 1j ** np.arange(-(n // 2), n // 2 + 1)  # i^l, here to rounding
+    return phases[:, None] * padded[:, width // 2:width // 2 + n] * phases.conj()
+
+
 def test_rk4_step_operator_is_one_classical_step(h_small_ratio):
     # The pulsed diagonal mu*l has a real part; the pulse step is delta/400.
     sched = PulseSchedule(delta=0.02)
@@ -184,11 +195,70 @@ def test_rk4_step_operator_is_one_classical_step(h_small_ratio):
     rng = np.random.default_rng(11)
     y = rng.normal(size=201) + 1j * rng.normal(size=201)
     for h, dt in ((h_small_ratio, 0.02), (pulsed, sched.dt)):
-        operator = taylor_operator(h, dt, 4)
+        band = taylor_band(h, dt, 4)
         expected = _four_stage_step(h, y, dt)
-        assert np.abs(operator @ y - expected).max() <= 1e-13 * np.abs(expected).max()
-        rows, cols = operator.nonzero()
-        assert np.abs(rows - cols).max() == 4  # 9 diagonals, none further out
+        assert np.abs(_site_matrix(band) @ y - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert band.shape == (201, 9)  # 9 diagonals, none further out
+
+
+def _csr_taylor_operator(h, tau, degree):
+    """Reference: the degree-p Taylor polynomial of expm(-i H tau) in Horner form, as CSR."""
+    a = h.matrix * (-1j * tau)
+    identity = scipy.sparse.eye_array(h.dimension, dtype=complex, format="csr")
+    step = identity
+    for k in range(degree, 0, -1):
+        step = identity + (a @ step) / k
+    return step
+
+
+@pytest.mark.parametrize("V, M, stride, substeps, degree, rtol", [
+    (2e-4, 100, 15, 1, 19, 1e-15),  # fig3's sample: measured 1.2e-16
+    (0.32, 30, 57, 4, 46, 1e-13),  # the stiff chain's substep: measured 1.7e-14
+])
+def test_gauged_band_is_real_and_matches_the_site_operator(V, M, stride, substeps, degree, rtol):
+    # The gauge z = i^-l y turns the anti-PT chain's -i H tau into a real
+    # matrix, so the band is float64; entry (n, m) is i^(m - n) times the
+    # site-basis entry, to rounding relative to the largest entry.
+    p = ChainParams(J=1.0, V=V, half_width=M)
+    h = build_hamiltonian(p)
+    tau = stride * default_dt(p) / substeps
+    assert taylor_terms(h, stride * default_dt(p)) == (degree, substeps)
+    band = taylor_band(h, tau, degree)
+    assert band.dtype == np.float64 and band.shape == (h.dimension, 2 * degree + 1)
+    reference = _csr_taylor_operator(h, tau, degree).toarray()
+    assert np.abs(_site_matrix(band) - reference).max() <= rtol * np.abs(reference).max()
+
+
+def test_propagate_performs_no_sparse_product(h_small_ratio, stable_modes, monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def counted(self, *args, **kwargs):
+            calls.append(name)
+            return original(self, *args, **kwargs)
+        return counted
+
+    formats = [value for name, value in vars(scipy.sparse).items()
+               if name.endswith(("_array", "_matrix")) and isinstance(value, type)]
+    assert scipy.sparse.csr_array in formats and scipy.sparse.dia_matrix in formats
+    for cls in formats:
+        for name in ("__matmul__", "__rmatmul__", "__mul__", "__rmul__", "dot"):
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    ground, _ = stable_modes
+    sched = PulseSchedule(delta=0.02)
+    pulsed = quenched_hamiltonian(h_small_ratio, sched)
+    # the real band on both routes, then the complex band on both (past the RK4 limit)
+    for h, dt, stride, route in ((h_small_ratio, 0.02, 1, "rk4"),
+                                 (h_small_ratio, 0.02, 15, "exact"),
+                                 (pulsed, sched.dt, 1, "rk4"),
+                                 (pulsed, 4 * sched.dt, 1, "exact")):
+        assert stepping_method(h, dt, stride) == route
+        propagate(h, [ground.right_vector], (0.0, 30 * dt), IntegratorConfig(dt, stride),
+                  series=[ObservableSeries()])
+    assert calls == []
+    # the wrapper sees a sparse product
+    h_small_ratio.matrix @ ground.right_vector.amplitudes
+    assert calls == ["__matmul__"]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -369,9 +439,26 @@ def test_exact_route_matches_dense_expm_on_the_pulsed_chain(h_small_ratio, stabl
     ground, _ = stable_modes
     sched = PulseSchedule(delta=0.02)
     pulsed = quenched_hamiltonian(h_small_ratio, sched)
+    assert np.iscomplexobj(taylor_band(pulsed, sched.dt, 1))  # mu l leaves the real gauge
     exact, dense, final_error = _exact_and_dense(pulsed, ground.right_vector, sched.delta,
                                                  sched.dt, 15)
     assert len(exact) == 400 // 15 + 2
+    assert np.abs(exact - dense).max() <= 1e-12 * dense.min()
+    assert final_error <= 1e-12
+
+
+def test_exact_route_matches_dense_expm_on_a_chain_with_a_real_defect():
+    # A real on-site energy at one site breaks the anti-PT symmetry, so the
+    # exact route steps fig4's omega/J = 0.1 chain through the complex band.
+    # Tolerance as on the preset chains, 1e-12 relative.
+    p = ChainParams(J=1.0, V=0.02, half_width=50)
+    bare = build_hamiltonian(p)
+    diagonal = bare.diagonal.copy()
+    diagonal[53] += 0.05
+    h = Hamiltonian(diagonal=diagonal, off_diagonal=bare.off_diagonal, half_width=50)
+    assert np.iscomplexobj(taylor_band(h, default_dt(p), 1))
+    exact, dense, final_error = _exact_and_dense(h, _stable_pair_state(bare), 20.0,
+                                                 default_dt(p), 10)
     assert np.abs(exact - dense).max() <= 1e-12 * dense.min()
     assert final_error <= 1e-12
 
@@ -454,31 +541,25 @@ def test_block_propagation_matches_solo_runs(method, monkeypatch):
 
 
 def _unflushed_propagate(h, states, t, cfg):
-    """propagate's steps and underflow splits, with no flush anywhere.
+    """propagate's products and underflow splits, with the flush switched off.
 
     Also counts the parts a flush would have zeroed at the checks.
     """
-    n_steps = round(t / cfg.dt)
-    jump, check_every, operators = _step_operators(h, t / n_steps, n_steps, cfg.record_stride)
-    y = np.column_stack([s.amplitudes for s in states])
-    log_scale = np.zeros(len(states))
-    step = would_flush = 0
-    while step < n_steps:
-        k = min(jump, n_steps - step)
-        operator, substeps = operators[k]
-        for _ in range(substeps):
-            y = operator @ y
-        step += k
-        if step % check_every == 0 or step == n_steps:
-            for j in range(len(states)):
-                norm = scipy.linalg.norm(y[:, j])
-                if norm < UNDERFLOW_GUARD:
-                    y[:, j] /= norm
-                    log_scale[j] += math.log(norm)
-                parts = np.abs(np.concatenate([y[:, j].real, y[:, j].imag]))
-                limit = FLUSH_RELATIVE * scipy.linalg.norm(y[:, j])
-                would_flush += np.count_nonzero((parts > 0) & (parts < limit))
-    return y, log_scale, would_flush
+    would_flush = []
+    check = dynamics._check_columns
+
+    def counted(z, log_scale, t):
+        check(z, log_scale, t)  # splits; with FLUSH_RELATIVE = 0 it zeroes nothing
+        parts = np.abs(z.reshape(len(z), -1))
+        limits = FLUSH_RELATIVE * np.linalg.norm(parts, axis=1, keepdims=True)
+        would_flush.append(np.count_nonzero((parts > 0) & (parts < limits)))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "FLUSH_RELATIVE", 0.0)
+        patch.setattr(dynamics, "_check_columns", counted)
+        out = propagate(h, states, (0.0, t), cfg)
+    y = np.column_stack([s.amplitudes for s in out])
+    return y, np.array([s.log_scale for s in out]), sum(would_flush)
 
 
 # ids: the exact route's former label, so that the test names stay stable
@@ -532,14 +613,20 @@ def test_flush_keeps_subnormals_out_of_states_and_records(monkeypatch):
     for amplitudes in [out.amplitudes, *chunks]:
         parts = np.abs(amplitudes.view(np.float64))
         assert not np.any((parts > 0) & (parts < tiny))
-    # a plain loop with no flush gives the same recorded bits
+    # a plain loop of the same products with no flush gives the same recorded bits
     n_steps = round(30.0 / cfg.dt)
-    step = taylor_operator(h, 30.0 / n_steps, 4)
-    y = state.amplitudes
+    [(band, _)] = _step_operators(h, 30.0 / n_steps, n_steps, 1)[2].values()
+    phases = np.array([1, 1j, -1, -1j])[p.sites() % 4]  # propagate's exact i^l
+    blocks = np.zeros((2, 1, 2, h.dimension + 8))  # the RK4 band's half width is 4
+    z = state.amplitudes * phases.conj()
+    blocks[0, 0, :, 4:-4] = z.real, z.imag
+    products = [dynamics._product(band, blocks[b], blocks[1 - b]) for b in (0, 1)]
+    y = np.empty(h.dimension, dtype=complex)
     norm2 = [state.norm2()]
-    for _ in range(n_steps):
-        y = step @ y
-        norm2.append(dataclasses.replace(state, amplitudes=y).norm2())
+    for i in range(n_steps):
+        products[i % 2]()
+        y.real, y.imag = blocks[1 - i % 2, 0, :, 4:-4]
+        norm2.append(dataclasses.replace(state, amplitudes=y * phases).norm2())
     assert series["norm2"].tolist() == norm2
     assert series["P"].tolist() == [n2 * n2 for n2 in norm2]
 
@@ -878,6 +965,56 @@ def test_two_mode_series_follows_propagate_on_the_fig4_chains(ratio, V, M):
     assert closed["time"].tolist() == stepped["time"].tolist()
     relative = np.abs(np.subtract(closed["P"], stepped["P"])) / stepped["P"]
     assert relative.max() <= FIG4_STEPPED_P_RTOL[ratio]
+
+
+def _expm_longdouble(h, tau):
+    """expm(-i H tau) in numpy clongdouble: a Taylor series of A / 2^s, squared s times.
+
+    On x86-64 the long double has a 64-bit mantissa, 2^11 times float64's.
+    """
+    a = np.zeros((h.dimension, h.dimension), dtype=np.clongdouble)
+    sites = np.arange(h.dimension)
+    step = np.clongdouble(-1j * tau)
+    a[sites, sites] = h.diagonal.astype(np.clongdouble) * step
+    a[sites[1:], sites[:-1]] = a[sites[:-1], sites[1:]] = np.longdouble(h.off_diagonal) * step
+    squarings = max(0, math.ceil(math.log2(float(np.abs(a).sum(axis=1).max()) / 0.25)))
+    a /= 2**squarings
+    term = total = np.eye(h.dimension, dtype=np.clongdouble)
+    for k in range(1, 26):  # 0.25^26 / 26! < 1e-42
+        term = term @ a / k
+        total = total + term
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
+# Relative error of the exact route's P at t = 200 on fig4's omega/J = 0.1
+# chain against the extended-precision reference: measured 2.11e-14 (the CSR
+# product it replaced: 2.00e-14).  With the diagonal inside the reduction it
+# measures 6.27e-14 in one einsum, as RK4's band is summed, and 2.61e-14 in
+# one vecdot.
+DRIFT_P_RTOL = 3e-14
+
+
+def test_exact_route_drift_against_an_extended_precision_reference():
+    if np.finfo(np.longdouble).eps > 2.0**-60:
+        pytest.skip("numpy's long double is no wider than float64 on this platform")
+    config = parse_config('{"experiment": "probability", "V": 0.02, "M": 50}')
+    h = build_hamiltonian(config.chain_params())
+    ground, excited = numeric_spectrum(h, 2).stable_pair()
+    state = _pair_state(ground, excited, h.half_width)
+    series = ObservableSeries()
+    propagate(h, [state], (0.0, config.t_end), config.integrator(), series=[series])
+    dt, _, steps, _ = dynamics._time_grid((0.0, config.t_end), config.integrator())
+    gaps = np.diff(list(steps))  # 2,004 samples of 10 steps, one degree-38 product each
+    assert stepping_method(h, dt, config.record_stride) == "exact"
+    propagators = {k: _expm_longdouble(h, k * dt) for k in set(gaps.tolist())}
+    y = state.amplitudes.astype(np.clongdouble)
+    for k in gaps:
+        y = propagators[k] @ y
+    reference = float(np.sum(y.real**2 + y.imag**2) ** 2)
+    assert series["time"][-1] == config.t_end == 200.0
+    assert abs(series["P"][-1] - reference) <= DRIFT_P_RTOL * reference
 
 
 def test_two_mode_series_matches_the_mode_expansion_on_the_stiff_chain(params_large_ratio):
