@@ -31,9 +31,8 @@ sqrt(N) 2^-53 ||y||_2, for any matrix; as ||expm(-i H t)||_2 <= exp(omega t)
 s sqrt(N) 2^-53 exp(omega k dt) ||y(t_j)||_2, to first order.  Rounding comes
 on top: Horner's sums reach e^x ||y||, so a part of y that decays like e^-x
 (the stiff edge) is rounded to about 2^-53 e^(2x) of itself.  There is no
-dimension cap: a band holds (2p + 1) N entries.  The mode expansion
-``eigen_propagate``, its coefficients solved over the full spectrum's
-right vectors, is the oracle for both routes.
+dimension cap: a band holds (2p + 1) N entries.  The tests hold both routes
+against the mode expansion over the full spectrum (``tests/oracles.py``).
 
 Every check of the block (each exact sample, every RK4_CHECK_EVERY-th RK4
 step) zeroes the real and imaginary parts of each state y below
@@ -61,7 +60,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
                     anti_pt_residual, row_norm2)
-from .spectral import EigenMode, Spectrum, dirac_overlap, numeric_spectrum
+from .spectral import EigenMode, dirac_overlap, numeric_spectrum
 
 __all__ = [
     "IntegratorConfig",
@@ -75,8 +74,6 @@ __all__ = [
     "two_mode_series",
     "taylor_band",
     "taylor_terms",
-    "eigen_propagate",
-    "fidelity",
     "run_convergence_experiment",
 ]
 
@@ -531,35 +528,6 @@ def two_mode_series(ground: EigenMode, excited: EigenMode, t_span: tuple[float, 
     series = ObservableSeries()
     series._append(times, n2)
     return series
-
-
-def eigen_propagate(spectrum: Spectrum, h: Hamiltonian, state: SiteState, t: float) -> SiteState:
-    """Single-time exact mode-expansion evolution (the integrator oracle).
-
-    The coefficients solve R c = state over the right vectors R: projections
-    onto the left vectors lose a long chain's ill-conditioned deep modes.
-    """
-    if len(spectrum) != h.dimension:
-        raise ModelError(
-            f"eigen expansion needs all {h.dimension} modes, spectrum has {len(spectrum)}"
-        )
-    vectors = np.column_stack([m.right_vector.amplitudes for m in spectrum.modes])
-    coeffs = np.linalg.solve(vectors, state.amplitudes)
-    y = vectors @ (coeffs * np.exp(-1j * spectrum.energies() * t))
-    return SiteState(y, h.half_width, log_scale=state.log_scale)
-
-
-def fidelity(target: SiteState, evolved: SiteState) -> float:
-    """|<target|evolved>|^2 with the evolved state renormalized.
-
-    Scale-invariant in both arguments, so the split-off ``log_scale``
-    factors drop out; rounding above 1 is clipped, as in ObservableSeries.
-    """
-    denom = evolved.raw_norm2() * target.raw_norm2()
-    if denom == 0.0:
-        raise ModelError("fidelity undefined for a zero state")
-    overlap = _overlaps(target.amplitudes.conj()[None], evolved.amplitudes[None])[0, 0]
-    return min(float(abs(overlap) ** 2 / denom), 1.0)
 
 
 def run_convergence_experiment(

@@ -11,7 +11,7 @@ exactly (zero for the bare chain, by construction of the entries).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -23,7 +23,6 @@ __all__ = [
     "Hamiltonian",
     "SiteState",
     "build_hamiltonian",
-    "apply_parity",
     "anti_pt_residual",
     "parity_signs",
     "row_norm2",
@@ -192,15 +191,6 @@ def build_hamiltonian(params: ChainParams) -> Hamiltonian:
     diagonal = 1j * (params.omega - params.V * l * l)
     return Hamiltonian(diagonal=diagonal, off_diagonal=-params.J,
                        half_width=params.half_width, params=params)
-
-
-def apply_parity(state: SiteState) -> SiteState:
-    """Multiply the amplitude at site l by (-1)**l.
-
-    Involutive and exactly norm-preserving (sign flips only).
-    """
-    signs = parity_signs(state.half_width)
-    return replace(state, amplitudes=signs * state.amplitudes)
 
 
 def anti_pt_residual(h: Hamiltonian) -> float:

@@ -4,9 +4,9 @@ During the window (0, delta) the diagonal gains mu * l with mu = pi / delta,
 so the accumulated phase per site is exp(-i*pi*l): the staggered parity,
 which maps the ground mode onto the conjugate of the excited one (and vice
 versa).  A pulse much harder than the chain, mu >> ||H||_inf, followed by
-free relaxation therefore switches the two levels.  The delta -> 0 limit is
-``model.apply_parity``; ``run_switch_experiment(use_impulse=True)`` applies
-it to the caller's chain as the oracle for the finite-pulse integration.
+free relaxation therefore switches the two levels.  The tests hold the
+finite pulse against its delta -> 0 limit, the parity kick at t = 0
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import Hamiltonian, ModelError, apply_parity
+from .model import Hamiltonian, ModelError
 from .dynamics import IntegratorConfig, ObservableSeries, propagate
 from .spectral import numeric_spectrum
 
@@ -71,14 +71,12 @@ def run_switch_experiment(
     t_relax: float,
     config: IntegratorConfig,
     initial: str = "g",
-    use_impulse: bool = False,
 ) -> ObservableSeries:
     """Drive one stable mode of ``h`` through the pulse, relax for ``t_relax``; record F_g, F_e.
 
     ``initial`` selects the numeric ground ('g') or excited ('e') mode.
     ``config`` steps the relaxation; the pulse window takes the schedule's
-    own dt.  With ``use_impulse`` the finite pulse is replaced by the exact
-    parity kick at t = 0 (the comparison oracle).  Never warns, even on a soft pulse.
+    own dt.  Never warns, even on a soft pulse.
     """
     if t_relax < 0:
         raise ModelError(f"t_relax must be >= 0, got {t_relax}")
@@ -91,13 +89,8 @@ def run_switch_experiment(
     state = targets[initial]
     series = ObservableSeries(targets=targets)
 
-    t_end = schedule.delta + t_relax
-    if use_impulse:
-        propagate(h, [apply_parity(state)], (0.0, t_end), config, series=[series])
-        return series
-
     pulse_h = quenched_hamiltonian(h, schedule)
     [state] = propagate(pulse_h, [state], (0.0, schedule.delta), replace(config, dt=schedule.dt),
                         series=[series])
-    propagate(h, [state], (schedule.delta, t_end), config, series=[series])
+    propagate(h, [state], (schedule.delta, schedule.delta + t_relax), config, series=[series])
     return series

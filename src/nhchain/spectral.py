@@ -1,19 +1,18 @@
 """Eigenmodes of the dissipative chain.
 
 The anti-PT symmetry of the bare chain maps each '+' mode (E, v) to a '-'
-mode (-conj(E), (-1)**l conj(v)).  Two routes, cross-checked in the tests:
-
-* closed-form Hermite-Gaussian modes valid for V << J, with complex scale
-  alpha = exp(-i*pi/8) * (V/J)**(1/4) and energies
+mode (-conj(E), (-1)**l conj(v)).  The modes are numerical eigenpairs of the
+truncated tridiagonal matrix: shift-invert Arnoldi (ARPACK) at the '+' band
+edge, mirrored to the '-' edge, for the stable pair of a bare chain, dense
+diagonalization of all N modes otherwise (``numeric_spectrum`` states the
+rule).  Numeric modes get ladder labels (m, branch) from the closed-form
+energies, valid for V << J, of the chain the matrix carries
+(``Hamiltonian.params``),
   E_m^+ = (2m+1)*omega - 2J - 2i*m*omega,  E_m^- = 2J - (2m+1)*omega - 2i*m*omega,
-  and their first-order lattice correction i*V*(2m^2+2m+1)/16 (``lattice_shift``);
-* numerical eigenpairs of the truncated tridiagonal matrix: shift-invert
-  Arnoldi (ARPACK) at the '+' band edge, mirrored to the '-' edge, for the
-  stable pair of a bare chain, dense diagonalization of all N modes
-  otherwise (``numeric_spectrum`` states the rule).  Numeric modes get
-  ladder labels (m, branch) from the closed-form energies of the chain the
-  matrix carries (``Hamiltonian.params``); a matrix without one, such as a
-  pulsed chain, gets none.
+whose first-order lattice correction is i*V*(2m^2+2m+1)/16 (``lattice_shift``);
+a matrix without one, such as a pulsed chain, gets none.  The closed-form
+Hermite-Gaussian modes and the biorthogonality matrix, which no run reads,
+are test oracles (``tests/oracles.py``).
 
 A mode stores its Dirac-normalized right vector v, so it can be used
 directly as a fidelity target.  Because the matrix is complex symmetric,
@@ -22,7 +21,6 @@ its left vector is conj(v) / conj(v^T v), with v^T v the c-product.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,18 +35,15 @@ from .model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteStat
 __all__ = [
     "EigenMode",
     "Spectrum",
-    "hermite_polynomial",
-    "mode_scale",
-    "normalization_constant",
-    "analytic_wavefunction",
     "analytic_energy",
     "lattice_shift",
     "numeric_spectrum",
-    "biorthogonality_matrix",
     "dirac_overlap",
     "spectrum_table",
 ]
 
+# Labels stop at m = min(60, M), the degree cap of the closed-form modes in
+# tests/oracles.py; kept at 60, so spectrum.csv keeps its bytes.
 HERMITE_MAX_DEGREE = 60
 # Modes the band-edge search returns beyond half of ``count``; they and their
 # mirrors certify the cut (every kept Im E must lie above every spare's).
@@ -60,65 +55,6 @@ DENSE_MAX_DIMENSION = 4001
 # Eigenpair residual bound, relative to the matrix scale max(1, ||H||_inf); also
 # the |Re E| within which a mode counts as lying on the imaginary axis.
 TOL = 1e-8
-
-
-def _check_degree(m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or not 0 <= m <= HERMITE_MAX_DEGREE:
-        raise ModelError(f"mode index must be an integer in 0..{HERMITE_MAX_DEGREE}, got {m!r}")
-
-
-def hermite_polynomial(m: int, z):
-    """Physicists' Hermite polynomial H_m(z), by ``numpy.polynomial.hermite.hermval``.
-
-    Accepts scalar or array ``z`` (real or complex).  ``m`` is capped at
-    60 to stay clear of overflow over the supported parameter range.
-    """
-    _check_degree(m)
-    h = np.polynomial.hermite.hermval(np.asarray(z, dtype=complex), [0.0] * m + [1.0])
-    return h if h.ndim else complex(h)
-
-
-def mode_scale(params: ChainParams) -> complex:
-    """Complex Gaussian scale alpha = exp(-i*pi/8) * (V/J)**(1/4)."""
-    return cmath.exp(-1j * math.pi / 8.0) * (params.V / params.J) ** 0.25
-
-
-def normalization_constant(m: int, params: ChainParams) -> float:
-    """Normalization N_m from the continuum integral.
-
-    N_m^-2 = integral of H_m(alpha*x) * H_m(conj(alpha)*x) * exp(-Re(alpha^2)*x^2) dx
-    over the real line.  For real x the product is |H_m(alpha*x)|^2, a
-    degree-2m polynomial, so with x = u / sqrt(Re(alpha^2)) Gauss-Hermite
-    quadrature at m + 1 nodes gives the integral exactly, up to rounding.
-    """
-    _check_degree(m)
-    alpha = mode_scale(params)
-    scale = math.sqrt((alpha * alpha).real)
-    nodes, weights = np.polynomial.hermite.hermgauss(m + 1)
-    h = hermite_polynomial(m, alpha * nodes / scale)
-    value = float(weights @ (h * np.conj(h)).real) / scale
-    return 1.0 / math.sqrt(value)
-
-
-def analytic_wavefunction(m: int, branch: str, params: ChainParams) -> SiteState:
-    """Closed-form mode sampled on the lattice.
-
-    Branch '+' is N_m * exp(-alpha^2 l^2 / 2) * H_m(alpha*l); branch '-' is
-    its sitewise conjugate with the (-1)**l stagger.  Not Dirac-normalized:
-    N_m comes from the continuum integral (callers renormalize discrete
-    vectors before fidelity use).
-    """
-    if branch not in ("+", "-"):
-        raise ModelError(f"branch must be '+' or '-', got {branch!r}")
-    alpha = mode_scale(params)
-    norm = normalization_constant(m, params)
-    l = params.sites().astype(float)
-    psi_plus = norm * np.exp(-0.5 * alpha * alpha * l * l) * hermite_polynomial(m, alpha * l)
-    if branch == "+":
-        amps = psi_plus
-    else:
-        amps = parity_signs(params.half_width) * np.conj(psi_plus)
-    return SiteState(amps, params.half_width)
 
 
 def analytic_energy(m: int, branch: str, params: ChainParams) -> complex:
@@ -164,9 +100,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.modes)
-
-    def energies(self) -> np.ndarray:
-        return np.array([mode.energy for mode in self.modes])
 
     def stable_pair(self) -> tuple[EigenMode, EigenMode]:
         """The two slowest-decaying modes (ground, excited).
@@ -339,24 +272,6 @@ def dirac_overlap(a: SiteState, b: SiteState) -> complex:
     if a.dimension != b.dimension:
         raise ModelError(f"length mismatch: {a.dimension} vs {b.dimension}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def biorthogonality_matrix(spec: Spectrum) -> np.ndarray:
-    """Entry (a, b) = |<left_a|right_b>| = |G_ab / G_aa|, G_ab = v_a^T v_b the c-product.
-
-    G is the Gram matrix of the right vectors v_a; the left vector of mode a
-    is conj(v_a) / conj(G_aa) (module docstring).  A row with |G_aa| < 1e-10
-    is numerically self-orthogonal and stays undivided, |G_ab|: 109 of the
-    201 modes of the full M = 100 spectrum, all unlabeled, and none of a
-    full spectrum at M <= 60.  So the diagonal is 1 except there; off it,
-    entries are as small as the vectors are accurate: max|B - I| is 1e-12
-    for fig2's 12 modes and 3.9e-12 for the full M = 30 spectrum, but 13.8
-    at M = 100.
-    """
-    right = np.array([mode.right_vector.amplitudes for mode in spec.modes])
-    gram = right @ right.T
-    pivots = np.diag(gram)
-    return np.abs(gram / np.where(np.abs(pivots) < 1e-10, 1.0, pivots)[:, None])
 
 
 def spectrum_table(spec: Spectrum) -> str:

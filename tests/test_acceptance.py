@@ -11,23 +11,19 @@ import pytest
 from scipy.linalg import eigvals
 
 from nhchain.model import ChainParams, SiteState, anti_pt_residual, build_hamiltonian
-from nhchain.spectral import (
-    analytic_wavefunction,
-    dirac_overlap,
-    numeric_spectrum,
-)
+from nhchain.spectral import dirac_overlap, numeric_spectrum
 from nhchain.dynamics import (
     DEFAULT_SEED,
     IntegratorConfig,
     ObservableSeries,
     default_dt,
-    eigen_propagate,
     make_initial_state,
     propagate,
     run_convergence_experiment,
 )
 from nhchain.quench import PulseSchedule, run_switch_experiment
 from nhchain.cli import run_preset
+from oracles import analytic_wavefunction, eigen_propagate, impulse_switch
 
 
 def _chain(**kw):
@@ -162,7 +158,7 @@ def test_criterion_6_pulse_switch():
             IntegratorConfig(dt=default_dt(params)))
     forward = run_switch_experiment(*plan, initial="g")
     backward = run_switch_experiment(*plan, initial="e")
-    oracle = run_switch_experiment(*plan, initial="g", use_impulse=True)
+    oracle = impulse_switch(*plan, initial="g")
     fe, fg = forward["F_e"][-1], forward["F_g"][-1]
     swap_gap = max(
         abs(backward["F_g"][-1] - fe),

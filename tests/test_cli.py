@@ -19,7 +19,6 @@ from nhchain.dynamics import (
     DEFAULT_SEED,
     STATE_KINDS,
     ObservableSeries,
-    eigen_propagate,
     make_initial_state,
     propagate,
     stepping_method,
@@ -34,6 +33,7 @@ from nhchain.cli import (
     run_preset,
 )
 from nhchain.svgplot import render_line_plot
+from oracles import eigen_propagate
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import math
 import warnings
 from pathlib import Path
@@ -16,11 +17,11 @@ from nhchain.model import (
     ModelError,
     SiteState,
     anti_pt_residual,
-    apply_parity,
     build_hamiltonian,
     parity_signs,
 )
 from nhchain.quench import PulseSchedule, quenched_hamiltonian
+from oracles import apply_parity
 
 
 def test_omega_derived_exactly():
@@ -252,6 +253,34 @@ def _src_calls(name):
             if isinstance(node, ast.Call) and name in ast.unparse(node.func):
                 callers.add(path.name)
     return callers
+
+
+def test_every_public_function_and_method_has_a_src_caller():
+    # what no run calls is a test oracle and lives in tests/oracles.py;
+    # cli.parse_config is the entry point the benchmark and the tests call
+    called = set()
+    for path in sorted(Path(nhchain.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                called.add(getattr(node.func, "attr", getattr(node.func, "id", None)))
+    uncalled = []
+    for path in sorted(Path(nhchain.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"nhchain.{path.stem}")
+        for name in module.__all__:
+            value = getattr(module, name)
+            if inspect.isfunction(value):
+                functions = {name: value}
+            elif inspect.isclass(value):
+                functions = {f"{name}.{method}": function for method, function
+                             in inspect.getmembers(value, inspect.isfunction)
+                             if not method.startswith("_")}
+            else:
+                continue
+            uncalled += [f"{path.stem}.{label}" for label, function in functions.items()
+                         if function.__name__ not in called]
+    assert sorted(set(uncalled) - {"cli.parse_config"}) == []
 
 
 def test_only_the_cli_builds_chains():

@@ -10,12 +10,12 @@ from nhchain.model import (
     Hamiltonian,
     ModelError,
     anti_pt_residual,
-    apply_parity,
     build_hamiltonian,
 )
 from nhchain.spectral import dirac_overlap, numeric_spectrum
 from nhchain.dynamics import IntegratorConfig, default_dt, propagate
 from nhchain.quench import PulseSchedule, quenched_hamiltonian, run_switch_experiment
+from oracles import apply_parity, impulse_switch
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_switch_is_symmetric(short_plan):
 
 def test_finite_pulse_matches_impulse(short_plan):
     finite = run_switch_experiment(*short_plan, initial="g")
-    impulse = run_switch_experiment(*short_plan, initial="g", use_impulse=True)
+    impulse = impulse_switch(*short_plan, initial="g")
     assert abs(finite["F_e"][-1] - impulse["F_e"][-1]) < 1e-6
 
 

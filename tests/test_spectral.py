@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from nhchain.model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
-                           anti_pt_residual, apply_parity, build_hamiltonian, parity_signs)
+                           anti_pt_residual, build_hamiltonian, parity_signs)
 from nhchain.spectral import (
     DENSE_MAX_DIMENSION,
     EigenMode,
@@ -19,15 +19,19 @@ from nhchain.spectral import (
     _spectrum,
     _uses_edge_search,
     analytic_energy,
-    analytic_wavefunction,
-    biorthogonality_matrix,
     dirac_overlap,
-    hermite_polynomial,
     lattice_shift,
-    mode_scale,
-    normalization_constant,
     numeric_spectrum,
     spectrum_table,
+)
+import oracles
+from oracles import (
+    analytic_wavefunction,
+    apply_parity,
+    biorthogonality_matrix,
+    hermite_polynomial,
+    mode_scale,
+    normalization_constant,
 )
 
 
@@ -185,7 +189,7 @@ def test_numeric_spectrum_contract(h_small_ratio, spectrum12):
     keys = [(-m.energy.imag, m.energy.real) for m in spec.modes]
     assert keys == sorted(keys)
     # E -> -conj(E) partners both present
-    energies = spec.energies()
+    energies = oracles.energies(spec)
     for e in energies:
         if abs(e.real) > 1e-8:
             assert np.min(np.abs(energies - (-np.conj(e)))) < 1e-8
@@ -250,7 +254,7 @@ def _assert_selects_as_reference(h, count, eigenvalues, right):
             _spectrum(h, count, eigenvalues, right)
     else:
         spec = _spectrum(h, count, eigenvalues, right)
-        assert np.array_equal(spec.energies(), eigenvalues[selected])
+        assert np.array_equal(oracles.energies(spec), eigenvalues[selected])
 
 
 # The deep cut of V = 4.65e-4, M = 60 (count 118 leaves a pair open under an
@@ -483,7 +487,7 @@ def test_numeric_spectrum_pairs_and_biorthonormal(chain, count):
     J, V, M = chain
     h = build_hamiltonian(ChainParams(J=J, V=V, half_width=M))
     spec = numeric_spectrum(h, min(count, h.dimension))
-    energies = spec.energies()
+    energies = oracles.energies(spec)
     # in Spectrum order on either route: descending Im E, ties by ascending Re E
     keys = [(-e.imag, e.real) for e in energies]
     assert keys == sorted(keys)
