@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 __all__ = [
     "ModelError",
@@ -125,9 +124,9 @@ class Hamiltonian(_OnLattice):
 
     ``diagonal`` holds the on-site entries in site order l = -M..M;
     ``off_diagonal`` is the constant nearest-neighbour entry (-J for the
-    bare chain).  ``matrix`` is the operator as a CSR array and ``norm``
-    its infinity norm.  ``params`` is the chain the matrix was built from;
-    None for any other matrix (a pulsed chain).
+    bare chain).  These entries are the operator's one representation;
+    ``norm`` is its infinity norm.  ``params`` is the chain the matrix was
+    built from; None for any other matrix (a pulsed chain).
     """
 
     diagonal: np.ndarray
@@ -139,14 +138,8 @@ class Hamiltonian(_OnLattice):
         self._freeze_site_vector("diagonal", "diagonal")
 
     @property
-    def matrix(self) -> scipy.sparse.csr_array:
-        """The operator as a CSR array, built on each access."""
-        off = np.full(self.dimension - 1, self.off_diagonal, dtype=complex)
-        return scipy.sparse.diags_array([off, self.diagonal, off], offsets=[-1, 0, 1], format="csr")
-
-    @property
     def norm(self) -> float:
-        """||H||_inf, the largest absolute row sum; a row adds in CSR order, |o| + |d_l| + |o|."""
+        """||H||_inf, the largest absolute row sum; a row adds |o| + |d_l| + |o| in that order."""
         off = abs(self.off_diagonal) if self.dimension > 1 else 0.0
         rows = off + np.abs(self.diagonal)
         rows[1:-1] += off  # an end row has one neighbour, the one row of N = 1 none

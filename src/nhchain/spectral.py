@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
@@ -135,37 +134,66 @@ def _uses_edge_search(h: Hamiltonian, count: int) -> bool:
     return 4 * max(2 * k + 1, 20) <= h.dimension and (2 * k - 1) * params.omega < 2.0 * params.J
 
 
+def _apply(h: Hamiltonian, v: np.ndarray) -> np.ndarray:
+    """H v from the chain's entries, for a vector or an N x k block.
+
+    Row l adds o v_(l-1) + d_l v_l + o v_(l+1) in that order, as a CSR
+    product of the tridiagonal matrix does.
+    """
+    hv = (h.diagonal if v.ndim == 1 else h.diagonal[:, None]) * v
+    hv[1:] += h.off_diagonal * v[:-1]
+    hv[:-1] += h.off_diagonal * v[1:]
+    return hv
+
+
+def _shifted_solve(h: Hamiltonian, shift: complex, b: np.ndarray) -> np.ndarray:
+    """(H - shift) x = b, by LAPACK's tridiagonal ``gtsv``; LinAlgError if exactly singular.
+
+    Entries are not checked for finiteness: a non-finite one gives a
+    non-finite x, which ARPACK or the caller's norm check turns into
+    NumericError.
+    """
+    band = np.empty((3, h.dimension), dtype=complex)
+    band[0] = band[2] = h.off_diagonal  # band[0, 0] and band[2, -1] are not read
+    band[1] = h.diagonal - shift
+    return scipy.linalg.solve_banded((1, 1), band, b, check_finite=False)
+
+
 def _edge_eigenpairs(h: Hamiltonian, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Modes nearest the two band edges: one shift-invert Arnoldi (ARPACK) search and its mirror.
 
-    The search at the '+' edge returns ceil(count/2) + EDGE_SPARES modes.
-    ARPACK converges in the shift-inverted operator, so its vectors of the
+    The search at the '+' edge returns ceil(count/2) + EDGE_SPARES modes;
+    ARPACK sees H and (H - sigma)^-1 as operators on the chain's entries.
+    It converges in the shift-inverted operator, so its vectors of the
     modes away from the shift carry residuals up to ~1e-9 however tight
     ARPACK's own ``tol``; each is refined by one inverse-iteration step at
-    its Ritz value (a sparse LU solve) and its energy replaced by the
+    its Ritz value (a tridiagonal solve) and its energy replaced by the
     complex-symmetric Rayleigh quotient v^T H v / v^T v; both then match
     dense ``eig``.  The modes with Re E <= TOL are kept, and each with
     Re E < -TOL also gives its '-' edge mirror (module docstring), so a
     mode on the imaginary axis is kept once and each pair ties exactly.
     """
-    matrix = h.matrix.tocsc()
-    identity = scipy.sparse.eye_array(h.dimension, format="csc")
+    n = h.dimension
     # Fixed start vector: repeated solves are bit-identical, and a random one
     # is not reflection-symmetric, so it reaches parity-odd modes directly.
-    v0 = np.random.default_rng(0).standard_normal(h.dimension).astype(complex)
+    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
     sigma = analytic_energy(0, "+", h.params) + lattice_shift(0, h.params)
+    operator = scipy.sparse.linalg.LinearOperator((n, n), lambda x: _apply(h, x), dtype=complex)
+    inverse = scipy.sparse.linalg.LinearOperator(
+        (n, n), lambda x: _shifted_solve(h, sigma, x), dtype=complex)
     try:
-        ritz, v = scipy.sparse.linalg.eigs(matrix, k=-(-count // 2) + EDGE_SPARES,
-                                           sigma=sigma, v0=v0)
+        ritz, v = scipy.sparse.linalg.eigs(operator, k=-(-count // 2) + EDGE_SPARES,
+                                           sigma=sigma, v0=v0, OPinv=inverse)
         for j, value in enumerate(ritz):
-            v[:, j] = scipy.sparse.linalg.splu(matrix - value * identity).solve(v[:, j])
-    except RuntimeError as exc:  # ArpackError (incl. no convergence), exactly singular LU
+            v[:, j] = _shifted_solve(h, value, v[:, j])
+    # ArpackError (incl. no convergence); LinAlgError: an exactly singular solve
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise NumericError(f"shift-invert search at {sigma:.6g} failed: {exc}") from exc
     norms = [np.linalg.norm(x) for x in v.T]
     if not all(0 < norm < math.inf for norm in norms):  # a solve underflowed to 0 or overflowed
         raise NumericError(f"shift-invert search at {sigma:.6g} returned non-finite modes")
     v /= norms
-    e = np.sum(v * (matrix @ v), axis=0) / np.sum(v * v, axis=0)
+    e = np.sum(v * _apply(h, v), axis=0) / np.sum(v * v, axis=0)
     own, mirrored = e.real <= TOL, e.real < -TOL
     signs = parity_signs(h.half_width)[:, None]
     return (np.concatenate([e[own], -np.conj(e[mirrored])]),
@@ -199,7 +227,9 @@ def numeric_spectrum(h: Hamiltonian, count: int) -> Spectrum:
             f"count {count} needs the dense eigensolve, which is capped at dimension "
             f"{DENSE_MAX_DIMENSION}; this chain has N = {h.dimension}"
         )
-    return _spectrum(h, count, *scipy.linalg.eig(h.matrix.toarray()))
+    dense = np.diag(h.diagonal)
+    dense.flat[1::h.dimension + 1] = dense.flat[h.dimension::h.dimension + 1] = h.off_diagonal
+    return _spectrum(h, count, *scipy.linalg.eig(dense))
 
 
 def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.ndarray) -> Spectrum:
@@ -229,7 +259,6 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
     params = h.params
     max_m = min(HERMITE_MAX_DEGREE, h.half_width)
 
-    matrix = h.matrix
     modes = []
     worst = 0.0
     for i in selected:
@@ -239,7 +268,7 @@ def _spectrum(h: Hamiltonian, count: int, eigenvalues: np.ndarray, right: np.nda
         pivot = int(np.argmax(np.abs(v)))
         phase = v[pivot] / abs(v[pivot])
         v = v / phase
-        residual = float(np.linalg.norm(matrix @ v - energy * v))
+        residual = float(np.linalg.norm(_apply(h, v) - energy * v))
         worst = max(worst, residual)
 
         # Im E_m = -2m omega on both branches: only m = round(-Im E / 2 omega)

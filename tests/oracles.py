@@ -2,8 +2,9 @@
 
 No run of the package reads them: the closed-form Hermite-Gaussian modes
 of the continuum limit, the full eigen-expansion of a chain, the
-delta -> 0 limit of the pi pulse (the staggered parity kick) and the
-biorthogonality of the numeric modes.  The closed-form modes have complex
+delta -> 0 limit of the pi pulse (the staggered parity kick), the
+biorthogonality of the numeric modes, the chain as a scipy CSR array and
+its eigenvalues refined to 40 digits.  The closed-form modes have complex
 scale alpha = exp(-i*pi/8) * (V/J)**(1/4); branch '+' is
 N_m exp(-alpha^2 l^2 / 2) H_m(alpha l), branch '-' its sitewise conjugate
 with the (-1)**l stagger, and their energies are ``spectral.analytic_energy``.
@@ -15,12 +16,14 @@ import cmath
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
+import scipy.sparse
 
 from nhchain.dynamics import IntegratorConfig, ObservableSeries, _overlaps, propagate
 from nhchain.model import ChainParams, Hamiltonian, ModelError, SiteState, parity_signs
 from nhchain.quench import PulseSchedule
-from nhchain.spectral import HERMITE_MAX_DEGREE, Spectrum, numeric_spectrum
+from nhchain.spectral import HERMITE_MAX_DEGREE, EigenMode, Spectrum, numeric_spectrum
 
 
 def _check_degree(m: int) -> None:
@@ -156,3 +159,44 @@ def impulse_switch(h: Hamiltonian, schedule: PulseSchedule, t_relax: float,
     propagate(h, [apply_parity(targets[initial])], (0.0, schedule.delta + t_relax), config,
               series=[series])
     return series
+
+
+def csr_matrix(h: Hamiltonian) -> scipy.sparse.csr_array:
+    """The chain ``h`` as a CSR array, built from its diagonal and hopping."""
+    off = np.full(h.dimension - 1, h.off_diagonal, dtype=complex)
+    return scipy.sparse.diags_array([off, h.diagonal, off], offsets=[-1, 0, 1], format="csr")
+
+
+def refined_energy(h: Hamiltonian, mode: EigenMode, dps: int = 40) -> mpmath.mpc:
+    """The eigenvalue of ``h``'s float64 entries nearest ``mode``, to ``dps`` digits.
+
+    Complex-symmetric Rayleigh-quotient iteration in mpmath from the mode's
+    energy and vector: each step solves (H - e) x = v by the Thomas
+    algorithm and sets e = x^T H x / x^T x; it stops when e moves by less
+    than 10^-(dps - 5), and raises AssertionError after 12 steps.
+    """
+    with mpmath.workdps(dps):
+        o = mpmath.mpc(h.off_diagonal)
+        d = [mpmath.mpc(x) for x in h.diagonal]
+        x = [mpmath.mpc(c) for c in mode.right_vector.amplitudes]
+        e = mpmath.mpc(mode.energy)
+        for _ in range(12):
+            # Thomas: forward elimination, then back substitution
+            pivots, rhs = [d[0] - e], [x[0]]
+            for l in range(1, len(d)):
+                ratio = o / pivots[-1]
+                pivots.append(d[l] - e - ratio * o)
+                rhs.append(x[l] - ratio * rhs[-1])
+            x = [rhs[-1] / pivots[-1]]
+            for l in range(len(d) - 2, -1, -1):
+                x.append((rhs[l] - o * x[-1]) / pivots[l])
+            x.reverse()
+            scale = max(abs(c) for c in x)
+            x = [c / scale for c in x]
+            padded = [0] + x + [0]
+            hx = [d[l] * x[l] + o * (padded[l] + padded[l + 2]) for l in range(len(x))]
+            previous = e
+            e = mpmath.fsum(a * b for a, b in zip(x, hx)) / mpmath.fsum(c * c for c in x)
+            if abs(e - previous) < mpmath.mpf(10) ** (5 - dps):
+                return e
+    raise AssertionError(f"Rayleigh-quotient iteration from {mode.energy} did not settle")

@@ -23,7 +23,7 @@ from nhchain.dynamics import (
 )
 from nhchain.quench import PulseSchedule, run_switch_experiment
 from nhchain.cli import run_preset
-from oracles import analytic_wavefunction, eigen_propagate, impulse_switch
+from oracles import analytic_wavefunction, csr_matrix, eigen_propagate, impulse_switch
 
 
 def _chain(**kw):
@@ -51,7 +51,7 @@ def test_criterion_1_symmetry_and_pairing():
     pair_dists = []
     for V, M in ((0.02, 50), (0.32, 30)):
         h = _chain(J=1.0, V=V, half_width=M)
-        pair_dists.append(mirror_distance(eigvals(h.matrix.toarray())))
+        pair_dists.append(mirror_distance(eigvals(csr_matrix(h).toarray())))
     slow = numeric_spectrum(build_hamiltonian(ChainParams(J=1.0, V=2e-4)), 12)
     pair_dists.append(mirror_distance(np.array([m.energy for m in slow.modes])))
 

@@ -30,7 +30,7 @@ from nhchain.dynamics import (
     taylor_terms,
     _step_operators,
 )
-from oracles import eigen_propagate, fidelity
+from oracles import csr_matrix, eigen_propagate, fidelity
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +169,7 @@ def test_excited_ladder_decay_rate(h_small_ratio, spectrum12, params_small_ratio
 
 
 def _four_stage_step(h, y, dt):
-    matrix = h.matrix
+    matrix = csr_matrix(h)
     k1 = -1j * (matrix @ y)
     k2 = -1j * (matrix @ (y + 0.5 * dt * k1))
     k3 = -1j * (matrix @ (y + 0.5 * dt * k2))
@@ -202,7 +202,7 @@ def test_rk4_step_operator_is_one_classical_step(h_small_ratio):
 
 def _csr_taylor_operator(h, tau, degree):
     """Reference: the degree-p Taylor polynomial of expm(-i H tau) in Horner form, as CSR."""
-    a = h.matrix * (-1j * tau)
+    a = csr_matrix(h) * (-1j * tau)
     identity = scipy.sparse.eye_array(h.dimension, dtype=complex, format="csr")
     step = identity
     for k in range(degree, 0, -1):
@@ -256,7 +256,7 @@ def test_propagate_performs_no_sparse_product(h_small_ratio, stable_modes, monke
                   series=[ObservableSeries()])
     assert calls == []
     # the wrapper sees a sparse product
-    h_small_ratio.matrix @ ground.right_vector.amplitudes
+    csr_matrix(h_small_ratio) @ ground.right_vector.amplitudes
     assert calls == ["__matmul__"]
 
 
@@ -304,7 +304,7 @@ def test_rk4_at_the_stability_limit_grows_no_mode_faster_than_the_exact_flow(V, 
     # (V = 2e-4, M = 100) 2.156 times per step.
     bare = build_hamiltonian(ChainParams(J=1.0, V=V, half_width=M))
     for h in (bare, quenched_hamiltonian(bare, PulseSchedule(delta=0.02))):
-        z = -1j * scipy.linalg.eigvals(h.matrix.toarray()) * stability_limit(h)
+        z = -1j * scipy.linalg.eigvals(csr_matrix(h).toarray()) * stability_limit(h)
         rk4 = np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max()
         assert rk4 <= max(1.0, np.exp(z.real.max())) * (1.0 + 1e-12)
 
@@ -392,7 +392,7 @@ def _exact_and_dense(h, state, t, dt, stride):
     series = ObservableSeries()
     [out] = propagate(h, [state], (0.0, t), IntegratorConfig(dt=dt, record_stride=stride),
                       series=[series])
-    dense = h.matrix.toarray()
+    dense = csr_matrix(h).toarray()
     u = {k: scipy.linalg.expm(dense * (-1j * k * t / n_steps))
          for k in {stride, n_steps % stride} - {0}}
     y, norm2 = state.amplitudes, [state.norm2()]
@@ -491,7 +491,7 @@ def test_chain_above_the_old_dense_cap_steps_exactly():
     series = ObservableSeries()
     [out] = propagate(h, [state], (0.0, cfg.t_end), config, series=[series])
     assert len(series) == 500 // 2 + 1
-    reference = scipy.sparse.linalg.expm_multiply(h.matrix * (-1j * cfg.t_end),
+    reference = scipy.sparse.linalg.expm_multiply(csr_matrix(h) * (-1j * cfg.t_end),
                                                   state.amplitudes)
     error = np.linalg.norm(out.amplitudes - reference) / np.linalg.norm(reference)
     assert error <= 1e-12

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from nhchain.model import (ChainParams, Hamiltonian, ModelError, NumericError, SiteState,
                            anti_pt_residual, build_hamiltonian, parity_signs)
+from nhchain.quench import PulseSchedule, quenched_hamiltonian
 from nhchain.spectral import (
     DENSE_MAX_DIMENSION,
     EigenMode,
     Spectrum,
+    _apply,
     _edge_eigenpairs,
     _spectrum,
     _uses_edge_search,
@@ -29,9 +32,11 @@ from oracles import (
     analytic_wavefunction,
     apply_parity,
     biorthogonality_matrix,
+    csr_matrix,
     hermite_polynomial,
     mode_scale,
     normalization_constant,
+    refined_energy,
 )
 
 
@@ -178,7 +183,7 @@ def test_numeric_spectrum_contract(h_small_ratio, spectrum12):
         # satisfies the conjugate-transpose eigenproblem
         u = np.conj(mode.right_vector.amplitudes)
         defect = np.linalg.norm(
-            np.conj(h_small_ratio.matrix.toarray()).T @ u - np.conj(mode.energy) * u
+            np.conj(csr_matrix(h_small_ratio).toarray()).T @ u - np.conj(mode.energy) * u
         ) / np.linalg.norm(u)
         assert defect <= 1e-8 * scale
         # scaled by 1/conj(v^T v), it is biorthonormal to v
@@ -208,7 +213,7 @@ def _chain(V, M):
 
 def test_residual_gate_rejects_inaccurate_pairs():
     h = _chain(2e-4, 10)
-    energies, right = scipy.linalg.eig(h.matrix.toarray())
+    energies, right = scipy.linalg.eig(csr_matrix(h).toarray())
     assert len(_spectrum(h, 2, energies, right)) == 2
     # residual |H v - E v| = 1e-6 for every pair, far above 1e-8 * max(1, |H|)
     with pytest.raises(NumericError, match="exceeds tolerance"):
@@ -263,7 +268,7 @@ def _assert_selects_as_reference(h, count, eigenvalues, right):
 @pytest.mark.parametrize("V, M", [(4.65e-4, 60), (2e-3, 60), (0.1, 20), (0.32, 30)])
 def test_selection_keeps_the_reference_rule(V, M):
     h = _chain(V, M)
-    pairs = scipy.linalg.eig(h.matrix.toarray())
+    pairs = scipy.linalg.eig(csr_matrix(h).toarray())
     n = h.dimension
     for count in range(1, n + 1):
         _assert_selects_as_reference(h, count, *pairs)
@@ -300,7 +305,7 @@ def test_edge_route_agrees_with_dense():
     for V, M in EDGE_CHAINS:
         h = _chain(V, M)
         h_norm = np.abs(h.diagonal).max() + 2.0
-        dense_pairs = scipy.linalg.eig(h.matrix.toarray())
+        dense_pairs = scipy.linalg.eig(csr_matrix(h).toarray())
         for count in (2, 12):
             dense = _spectrum(h, count, *dense_pairs)
             if (V, count) == (0.32, 12):
@@ -346,6 +351,78 @@ def test_edge_route_maps_arpack_failures(monkeypatch):
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", fail)
         with pytest.raises(NumericError, match="shift-invert search"):
             numeric_spectrum(h, 2)
+    monkeypatch.undo()
+    # LAPACK's own failures: an exactly singular shifted chain (a zero pivot)
+    # and non-finite entries, which are not checked before the solve
+    solve_banded = scipy.linalg.solve_banded
+    for spoil, message in ((0.0, r"at -1\.99\+1\.25e-05j failed: singular matrix"),
+                           (math.nan, "shift-invert search at -1.99")):
+        monkeypatch.setattr(scipy.linalg, "solve_banded",
+                            lambda l_and_u, ab, b, spoil=spoil, **kwargs:
+                            solve_banded(l_and_u, spoil * ab, b, **kwargs))
+        with pytest.raises(NumericError, match=message):
+            numeric_spectrum(h, 2)
+
+
+def test_apply_is_the_csr_product():
+    rng = np.random.default_rng(3)
+
+    def vectors(n):
+        return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in ((n,), (n, 3))]
+
+    # bare chains: each row adds the same three products in the same order
+    for M in (1, 100):
+        h = _chain(2e-4, M)
+        for chain in (h, Hamiltonian(h.diagonal[M:M + 1], h.off_diagonal, 0)):
+            for v in vectors(chain.dimension):
+                assert _apply(chain, v).tobytes() == (csr_matrix(chain) @ v).tobytes()
+    # a complex hopping or a diagonal with a real part: numpy's complex
+    # product rounds differently, within a few ulps of the row's magnitudes
+    for M in (1, 100):
+        h = _chain(2e-4, M)
+        diagonal = rng.standard_normal(h.dimension) + 1j * rng.standard_normal(h.dimension)
+        for chain in (quenched_hamiltonian(h, PulseSchedule(delta=0.02)),
+                      Hamiltonian(diagonal, complex(*rng.standard_normal(2)), M)):
+            matrix = csr_matrix(chain)
+            for v in vectors(chain.dimension):
+                bound = 4 * np.finfo(float).eps * (abs(matrix) @ np.abs(v))
+                assert np.all(np.abs(_apply(chain, v) - matrix @ v) <= bound)
+
+
+def test_spectrum_builds_no_sparse_matrix(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    formats = [value for name, value in vars(scipy.sparse).items()
+               if name.endswith(("_array", "_matrix")) and isinstance(value, type)]
+    assert scipy.sparse.csr_array in formats and scipy.sparse.csc_array in formats
+    for cls in formats:
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    for name in ("splu", "spsolve"):
+        monkeypatch.setattr(scipy.sparse.linalg, name,
+                            counting(name, getattr(scipy.sparse.linalg, name)))
+    h = _chain(2e-4, 100)
+    assert _uses_edge_search(h, 2) and not _uses_edge_search(h, 12)
+    for count in (2, 12):
+        numeric_spectrum(h, count)
+    assert calls == []
+    # the wrappers see a construction
+    csr_matrix(h)
+    assert calls
+
+
+@pytest.mark.parametrize("V, M", [(2e-4, 100), (0.02, 50)])
+def test_edge_route_stable_pair_against_a_40_digit_reference(V, M):
+    h = _chain(V, M)
+    assert _uses_edge_search(h, 2)
+    for mode in numeric_spectrum(h, 2).stable_pair():
+        assert float(abs(refined_energy(h, mode) - mode.energy)) <= 2e-15
 
 
 def test_route_rule():
@@ -394,7 +471,7 @@ def test_a_matrix_that_breaks_the_mirror_takes_the_dense_route():
     assert anti_pt_residual(skewed) > 0.0
     assert not _uses_edge_search(skewed, 2)
     spec = numeric_spectrum(skewed, 2)
-    dense = _spectrum(skewed, 2, *scipy.linalg.eig(skewed.matrix.toarray()))
+    dense = _spectrum(skewed, 2, *scipy.linalg.eig(csr_matrix(skewed).toarray()))
     assert len(spec) == len(dense) == 2
     for mode, twin in zip(spec.modes, dense.modes):
         assert mode.energy == twin.energy and mode.residual == twin.residual
@@ -559,7 +636,7 @@ def test_ansatz_degrades_at_large_ratio(params_large_ratio):
     p = params_large_ratio
     h = build_hamiltonian(p)
     psi = analytic_wavefunction(1, "+", p)
-    residual = np.linalg.norm(h.matrix @ psi.amplitudes
+    residual = np.linalg.norm(csr_matrix(h) @ psi.amplitudes
                               - analytic_energy(1, "+", p) * psi.amplitudes)
     residual /= np.linalg.norm(psi.amplitudes)
     assert residual > 1e-2  # ansatz no longer an eigenvector
